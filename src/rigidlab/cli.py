@@ -3,7 +3,9 @@
 Every command prints one JSON result document to standard output and a short
 human-readable log to standard error.  Exit codes: 0 for a definite positive
 result, 1 for a definite negative (certified exhaustion), 2 for an
-indeterminate result (some bound was hit), 3 for usage or parse errors.
+indeterminate result (some bound was hit), 3 for usage or parse errors and for
+inputs out of reach (a term nested too deeply) or any internal error, so an
+exception never reads as a mathematical answer.
 The environment variable RIGIDLAB_NODE_BUDGET overrides the default node
 budget of every search.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -43,7 +46,7 @@ from .rewrite import (
     symbol_census,
 )
 from .rigidity import search_flabby
-from .terms import ParseError, TermInContext, Var, parse_term, positions, render_term
+from .terms import ParseError, TermInContext, parse_term, render_term
 from .theory import Theory, load_theory, parse_equation, save_theory
 
 __all__ = ["cli", "main"]
@@ -86,7 +89,7 @@ def _parse_term_arg(text: str, th: Theory) -> TermInContext:
         text = text[close + 1 :].strip()
     term = parse_term(text, th.symbols_by_name())
     if ctx is None:
-        ctx = max((s.index for _, s in positions(term) if isinstance(s, Var)), default=0)
+        ctx = term.max_var
     return TermInContext(term, ctx)
 
 
@@ -341,6 +344,13 @@ def main() -> None:
         sys.exit(3)
     except (ParseError, ValueError, OSError) as e:
         click.echo(f"error: {e}", err=True)
+        sys.exit(3)
+    except RecursionError:
+        click.echo("error: term too deep: its nesting exceeds the recursion limit", err=True)
+        sys.exit(3)
+    except Exception as e:
+        traceback.print_exc()
+        click.echo(f"internal error: {type(e).__name__}: {e}", err=True)
         sys.exit(3)
     sys.exit(rv if isinstance(rv, int) else 0)
 

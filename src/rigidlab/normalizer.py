@@ -188,6 +188,10 @@ def split_marked_chain(inst: WordProblemInstance, term: Term) -> Optional[tuple]
     return _split(term, frozenset(inst.alphabet))
 
 
+# The seed theory's l, r and m, looked up once for is_special.
+_SEED_SYMBOLS = tuple(seed_theory().symbol(name) for name in ("l", "r", PAIRING))
+
+
 @dataclass(frozen=True)
 class SpecialTermTag:
     special: bool
@@ -201,8 +205,7 @@ def is_special(inst: WordProblemInstance, t: TermInContext) -> SpecialTermTag:
     (preimage m).  The u clause wins when the goal words coincide."""
     u, v = inst.goal
     gens = frozenset(inst.alphabet)
-    seed = seed_theory()
-    sym_l, sym_r, sym_m = seed.symbol("l"), seed.symbol("r"), seed.symbol(PAIRING)
+    sym_l, sym_r, sym_m = _SEED_SYMBOLS
 
     def pre(term: Term) -> Optional[Term]:
         if isinstance(term, Var):

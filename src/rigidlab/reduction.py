@@ -25,6 +25,7 @@ The module also owns the ``.wp`` file format::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .interp import Interpretation
@@ -379,6 +380,12 @@ def compile_reduction(inst: WordProblemInstance) -> Theory:
     return Theory(signature, tuple(axioms))
 
 
+@lru_cache(maxsize=16)
+def _compiled(inst: WordProblemInstance) -> Theory:
+    """compile_reduction, memoised on the frozen instance for repeated queries."""
+    return compile_reduction(inst)
+
+
 def goal_axiom_index(inst: WordProblemInstance) -> int:
     return len(inst.relations)
 
@@ -436,7 +443,7 @@ def word_semidecide(
     w1, w2 = tuple(w1), tuple(w2)
     cap = length_cap if length_cap is not None else max(len(w1), len(w2)) + slack
     cap = max(cap, len(w1), len(w2))
-    th = compile_reduction(inst)
+    th = _compiled(inst)
     outcome = prove_bounded(
         th,
         word_equation(inst, w1, w2),

@@ -154,9 +154,11 @@ def verify_report(r: FlabbyReport, th: Theory) -> bool:
 class FlabbySearchResult:
     """Search outcome plus the exhaustion certificate data.
 
-    status is "found", "exhausted" (every enumerated term cleared with no
-    size cap or node budget ever binding, certifying rigidity of the searched
-    fragment), or "bounds" (no witness, but some closure was truncated).
+    status is "found", "exhausted" (every enumerated term cleared and every
+    closure complete, with no size cap, node budget or depth bound ever
+    binding, certifying rigidity of the searched fragment), or "bounds" (no
+    witness, but some closure was truncated).  depth_hit is set when some
+    closure still had a frontier at the depth bound.
     """
 
     status: str
@@ -167,6 +169,7 @@ class FlabbySearchResult:
     max_closure: int
     caps_hit: bool
     budget_hit: bool
+    depth_hit: bool
     bounds: dict
 
     @property
@@ -184,6 +187,7 @@ class FlabbySearchResult:
                 "max_closure": self.max_closure,
                 "caps_hit": self.caps_hit,
                 "budget_hit": self.budget_hit,
+                "depth_hit": self.depth_hit,
             },
             "bounds": self.bounds,
         }
@@ -218,6 +222,7 @@ def search_flabby(
     max_closure = 0
     caps_hit = False
     budget_hit = False
+    depth_hit = False
     for t in enumerate_linear_regular(th, max_size, max_context):
         terms_enumerated += 1
         n = t.context_len
@@ -231,6 +236,7 @@ def search_flabby(
         max_closure = max(max_closure, len(cl.entries))
         caps_hit = caps_hit or cl.cap_hit
         budget_hit = budget_hit or cl.budget_hit
+        depth_hit = depth_hit or not (cl.exhausted or cl.budget_hit)
         for sigma in Permutation.non_identity(n):
             target = substitute_simple(t, sigma)
             if target in cl:
@@ -239,10 +245,10 @@ def search_flabby(
                     raise RuntimeError("internal error: flabby report failed verification")
                 return FlabbySearchResult(
                     FOUND, report, terms_enumerated, closures, closure_total,
-                    max_closure, caps_hit, budget_hit, bounds_doc,
+                    max_closure, caps_hit, budget_hit, depth_hit, bounds_doc,
                 )
-    status = EXHAUSTED if not (caps_hit or budget_hit) else BOUNDS
+    status = BOUNDS if caps_hit or budget_hit or depth_hit else EXHAUSTED
     return FlabbySearchResult(
         status, None, terms_enumerated, closures, closure_total,
-        max_closure, caps_hit, budget_hit, bounds_doc,
+        max_closure, caps_hit, budget_hit, depth_hit, bounds_doc,
     )

@@ -1,9 +1,15 @@
 """Terms over a ranked signature, in positional variable contexts.
 
 A context is just a length n; the variables are the indices 1..n, written
-``x1``..``xn`` in concrete syntax.  There are no named variables.  Terms are
-immutable trees compared structurally, so they can serve directly as keys in
-the visited sets of the search modules.
+``x1``..``xn`` in concrete syntax.  There are no named variables.
+
+Terms are hash-consed (maximal sharing): every constructor returns the one
+live node with equal contents, so structurally equal terms are the same
+object, and == and hash are identity, O(1) whatever the depth.  A Symbol owns
+a weak-valued table of the App nodes it heads, so a node lives only as long
+as something outside the table holds it.  Each App carries its size and its
+largest variable index, computed once from its children.  Nodes are
+immutable, and copy, deepcopy and pickle go back through the constructors.
 
 Concrete syntax: ``x1``, ``f(t1,...,tk)``, nullary symbols written ``c()``.
 Whitespace is insignificant inside a term.
@@ -15,6 +21,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
+from weakref import KeyedRef
 
 __all__ = [
     "App",
@@ -59,87 +66,177 @@ def is_variable_name(name: str) -> bool:
     return _VARNAME_RE.fullmatch(name) is not None
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """A signature entry: a name with a fixed arity."""
+class _Frozen:
+    """Immutable slots: fields are set once, through the slot descriptors."""
 
-    name: str
-    arity: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.name):
-            raise ValueError(f"bad symbol name {self.name!r}")
-        if is_variable_name(self.name):
-            raise ValueError(f"symbol name {self.name!r} is reserved for variables")
-        if self.arity < 0:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_SYMBOLS: dict = {}  # (name, arity) -> the Symbol
+_VARS: dict = {}  # index -> the Var
+
+
+class Symbol(_Frozen):
+    """A signature entry: a name with a fixed arity.
+
+    Interned: equal (name, arity) give the same object.  Each symbol owns the
+    weak-valued table of the App nodes it heads, keyed by their args tuple.
+    """
+
+    __slots__ = ("name", "arity", "_apps", "_forget")
+
+    def __new__(cls, name: str, arity: int):
+        sym = _SYMBOLS.get((name, arity))
+        if sym is not None:
+            return sym
+        if not _IDENT_RE.fullmatch(name):
+            raise ValueError(f"bad symbol name {name!r}")
+        if is_variable_name(name):
+            raise ValueError(f"symbol name {name!r} is reserved for variables")
+        if arity < 0:
             raise ValueError("arity must be non-negative")
+        sym = object.__new__(cls)
+        apps: dict = {}
+
+        def forget(ref, apps=apps):
+            if apps.get(ref.key) is ref:
+                del apps[ref.key]
+
+        object.__setattr__(sym, "name", name)
+        object.__setattr__(sym, "arity", arity)
+        object.__setattr__(sym, "_apps", apps)
+        object.__setattr__(sym, "_forget", forget)
+        _SYMBOLS[(name, arity)] = sym
+        return sym
+
+    def __reduce__(self):
+        return Symbol, (self.name, self.arity)
+
+    def __repr__(self):
+        return f"Symbol(name={self.name!r}, arity={self.arity!r})"
 
 
-@dataclass(frozen=True)
-class Var:
-    """A context variable, indexed from 1."""
+class Var(_Frozen):
+    """A context variable, indexed from 1.  Interned like every term."""
 
-    index: int
+    __slots__ = ("index", "max_var")
+    size = 1
 
-    def __post_init__(self):
-        if self.index < 1:
+    def __new__(cls, index: int):
+        var = _VARS.get(index)
+        if var is not None:
+            return var
+        if index < 1:
             raise ValueError("variable indices start at 1")
+        var = object.__new__(cls)
+        object.__setattr__(var, "index", index)
+        object.__setattr__(var, "max_var", index)
+        _VARS[index] = var
+        return var
+
+    def __reduce__(self):
+        return Var, (self.index,)
+
+    def __repr__(self):
+        return f"Var(index={self.index!r})"
 
 
-@dataclass(frozen=True)
-class App:
-    """An application of a symbol to exactly arity-many argument terms."""
+class App(_Frozen):
+    """An application of a symbol to exactly arity-many argument terms.
 
-    sym: Symbol
-    args: tuple
+    Hash-consed: the constructor returns the one live node with this symbol
+    and these argument nodes, so == and hash are identity.  size (nodes,
+    variables included) and max_var (largest variable index, 0 if none) are
+    computed once from the children.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.sym.arity:
-            raise ValueError(
-                f"{self.sym.name} has arity {self.sym.arity}, got {len(self.args)} arguments"
-            )
+    __slots__ = ("sym", "args", "size", "max_var", "__weakref__")
 
+    def __new__(cls, sym: Symbol, args):
+        args = tuple(args)
+        ref = sym._apps.get(args)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if len(args) != sym.arity:
+            raise ValueError(f"{sym.name} has arity {sym.arity}, got {len(args)} arguments")
+        size, top = 1, 0
+        for a in args:
+            size += a.size
+            if a.max_var > top:
+                top = a.max_var
+        node = object.__new__(cls)
+        _set_sym(node, sym)
+        _set_args(node, args)
+        _set_size(node, size)
+        _set_max_var(node, top)
+        sym._apps[args] = KeyedRef(node, sym._forget, args)
+        return node
+
+    def __reduce__(self):
+        return App, (self.sym, self.args)
+
+    def __repr__(self):
+        return f"App(sym={self.sym!r}, args={self.args!r})"
+
+
+_set_sym = App.sym.__set__
+_set_args = App.args.__set__
+_set_size = App.size.__set__
+_set_max_var = App.max_var.__set__
 
 Term = Union[Var, App]
 
 
-def _max_var(term: Term) -> int:
-    if isinstance(term, Var):
-        return term.index
-    best = 0
-    for a in term.args:
-        m = _max_var(a)
-        if m > best:
-            best = m
-    return best
-
-
-@dataclass(frozen=True)
-class TermInContext:
+class TermInContext(_Frozen):
     """A term together with the length of its variable context.
 
     Every variable index occurring in the term must lie in 1..context_len;
-    the context may declare variables the term does not use.
+    the context may declare variables the term does not use.  Not interned:
+    == compares the term by identity and the context length by value.
     """
 
-    term: Term
-    context_len: int
+    __slots__ = ("term", "context_len")
 
-    def __post_init__(self):
-        if self.context_len < 0:
+    def __init__(self, term: Term, context_len: int):
+        if context_len < 0:
             raise ValueError("context length must be non-negative")
-        if _max_var(self.term) > self.context_len:
+        if term.max_var > context_len:
             raise ValueError(
-                f"term uses variables beyond its context of length {self.context_len}"
+                f"term uses variables beyond its context of length {context_len}"
             )
+        _set_term(self, term)
+        _set_context_len(self, context_len)
+
+    def __eq__(self, other):
+        if other.__class__ is not TermInContext:
+            return NotImplemented
+        return self.term is other.term and self.context_len == other.context_len
+
+    def __hash__(self):
+        return hash((self.term, self.context_len))
+
+    def __reduce__(self):
+        return TermInContext, (self.term, self.context_len)
+
+    def __repr__(self):
+        return f"TermInContext(term={self.term!r}, context_len={self.context_len!r})"
+
+
+_set_term = TermInContext.term.__set__
+_set_context_len = TermInContext.context_len.__set__
 
 
 def term_size(term: Term) -> int:
     """Number of nodes, variables included."""
-    if isinstance(term, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in term.args)
+    return term.size
 
 
 def count_symbol(term: Term, sym: Symbol) -> int:

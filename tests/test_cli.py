@@ -271,3 +271,27 @@ class TestUsageErrors:
         proc = run("prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)")
         json.loads(proc.stdout)
         assert proc.stderr.strip()
+
+
+class TestInternalErrors:
+    def test_deep_term_exits_three(self, tmp_path):
+        p = tmp_path / "unary.thy"
+        p.write_text("symbol u 1\naxiom [1] u(x1) = x1\n")
+        deep = "u(" * 1200 + "x1" + ")" * 1200
+        proc = run("prove", str(p), f"[1] {deep} = x1")
+        assert proc.returncode == 3
+        assert "too deep" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unexpected_exception_exits_three(self, seed_thy, monkeypatch, capsys):
+        from rigidlab import cli as cli_module
+
+        def boom(**kwargs):
+            raise RuntimeError("planted failure")
+
+        monkeypatch.setattr(cli_module.cli.commands["prove"], "callback", boom)
+        monkeypatch.setattr(sys, "argv", ["rigidlab", "prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli_module.main()
+        assert exit_info.value.code == 3
+        assert "planted failure" in capsys.readouterr().err

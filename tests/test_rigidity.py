@@ -151,7 +151,7 @@ class TestSearchFlabby:
         out = search_flabby(SEED, max_size=7, max_context=4, depth=6)
         assert out.status == "exhausted"
         assert out.report is None
-        assert not out.caps_hit and not out.budget_hit
+        assert not out.caps_hit and not out.budget_hit and not out.depth_hit
 
     def test_commutative_binary_witness(self):
         out = search_flabby(COMMUTATIVE_M, max_size=3, max_context=2, depth=2)
@@ -182,6 +182,27 @@ class TestSearchFlabby:
         out = search_flabby(th, max_size=5, max_context=2, depth=4)
         assert out.status == "exhausted"
         assert out.report is None
+
+    def test_depth_cut_is_not_exhausted_on_yes_instance(self):
+        # Depth 1 is one step short of the two-step witness, so the sweep must
+        # say a bound cut it, not certify a non-rigid theory rigid.
+        th = compile_reduction(COMMUTES)
+        out = search_flabby(th, max_size=8, max_context=3, depth=1)
+        assert out.status == "bounds"
+        assert out.depth_hit
+        assert not out.caps_hit and not out.budget_hit
+        assert out.to_doc()["certificate"]["depth_hit"] is True
+
+    def test_depth_zero_is_not_exhausted(self):
+        out = search_flabby(SEED, max_size=5, max_context=3, depth=0)
+        assert out.status == "bounds"
+        assert out.depth_hit
+
+    def test_complete_sweep_has_no_depth_hit(self):
+        out = search_flabby(SEED, max_size=7, max_context=4, depth=6)
+        assert out.status == "exhausted"
+        assert not out.depth_hit
+        assert out.to_doc()["certificate"]["depth_hit"] is False
 
     def test_stats_populated(self):
         out = search_flabby(SEED, max_size=5, max_context=3, depth=4)

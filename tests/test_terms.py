@@ -1,6 +1,11 @@
+import copy
+import gc
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from rigidlab.rewrite import bounded_closure
 from rigidlab.terms import (
     App,
     ParseError,
@@ -24,6 +29,7 @@ from rigidlab.terms import (
     var_context,
     var_occurrences,
 )
+from rigidlab.theory import parse_theory
 
 F = Symbol("f", 1)
 G = Symbol("g", 2)
@@ -308,3 +314,90 @@ class TestConcreteSyntax:
     @given(terms_strategy())
     def test_render_parse_roundtrip(self, term):
         assert parse_term(render_term(term), SYMBOLS) == term
+
+
+class TestHashConsing:
+    def test_equal_constructions_are_one_object(self):
+        assert Var(3) is Var(3)
+        assert Symbol("g", 2) is G
+        assert m(x(1), App(F, (x(2),))) is m(x(1), App(F, [x(2)]))
+        assert parse_term("g(x1,f(x2))", SYMBOLS) is App(G, (x(1), App(F, (x(2),))))
+
+    def test_term_in_context_compares_term_and_context(self):
+        t = TermInContext(m(x(1), x(2)), 2)
+        assert t == TermInContext(m(x(1), x(2)), 2)
+        assert hash(t) == hash(TermInContext(m(x(1), x(2)), 2))
+        assert t != TermInContext(m(x(1), x(2)), 3)
+        assert t != m(x(1), x(2))
+
+    def test_symbols_shared_across_parsed_theories(self):
+        text = "symbol h 2\naxiom [2] h(x1,x2) = h(x2,x1)\n"
+        one, two = parse_theory(text), parse_theory(text)
+        assert one.signature[0] is two.signature[0]
+        assert one.axioms[0].lhs.term is two.axioms[0].lhs.term
+
+    def test_size_and_max_var_cached(self):
+        t = m(App(F, (x(4),)), App(C, ()))
+        assert (t.size, t.max_var) == (4, 4)
+        assert term_size(t) == 4
+        assert App(C, ()).max_var == 0
+
+    def test_dead_nodes_leave_the_table(self):
+        th = parse_theory(
+            "symbol shrink 2\n"
+            "axiom [3] shrink(shrink(x1,x2),x3) = shrink(x1,shrink(x2,x3))\n"
+            "axiom [2] shrink(x1,x2) = shrink(x2,x1)\n"
+        )
+        table = th.signature[0]._apps
+        gc.collect()
+        before = len(table)
+        start = TermInContext(parse_term("shrink(shrink(shrink(x1,x2),x3),x4)", th.symbols_by_name()), 4)
+        cl = bounded_closure(th, start, 20)
+        assert len(cl.entries) == 120
+        assert len(table) > before + 100
+        del cl, start
+        gc.collect()
+        assert len(table) == before
+
+    def test_copy_and_pickle_return_the_interned_node(self):
+        t = m(App(F, (x(1),)), x(2))
+        for node in (t, x(1), G):
+            assert copy.copy(node) is node
+            assert copy.deepcopy(node) is node
+            assert pickle.loads(pickle.dumps(node)) is node
+        tc = TermInContext(t, 2)
+        assert pickle.loads(pickle.dumps(tc)) == tc
+        assert copy.deepcopy(tc).term is t
+
+    @pytest.mark.parametrize(
+        "node, field",
+        [
+            (Symbol("f", 1), "name"),
+            (Var(1), "index"),
+            (App(F, (Var(1),)), "args"),
+            (App(F, (Var(1),)), "size"),
+            (TermInContext(Var(1), 1), "context_len"),
+        ],
+    )
+    def test_fields_are_read_only(self, node, field):
+        with pytest.raises(AttributeError):
+            setattr(node, field, getattr(node, field))
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+
+    def test_deep_chain_needs_no_recursion(self):
+        deep = x(1)
+        for _ in range(5000):
+            deep = App(F, (deep,))
+        again = x(1)
+        for _ in range(5000):
+            again = App(F, (again,))
+        assert deep == again and deep is again
+        assert hash(deep) == hash(again)
+        assert term_size(deep) == 5001
+        assert TermInContext(deep, 1) == TermInContext(again, 1)
+
+    @given(terms_strategy(), terms_strategy())
+    def test_identity_agrees_with_rendering(self, s, t):
+        assert (s is t) == (render_term(s) == render_term(t))
+        assert parse_term(render_term(s), SYMBOLS) is s
