@@ -93,15 +93,6 @@ def _parse_term_arg(text: str, th: Theory) -> TermInContext:
     return TermInContext(term, ctx)
 
 
-_jobs_option = click.option(
-    "--jobs",
-    type=click.IntRange(min=1),
-    default=1,
-    show_default=True,
-    help="Worker cap (the current engine always runs one worker).",
-)
-
-
 @click.group()
 def cli():
     """Workbench for linear-regular equational theories."""
@@ -114,8 +105,7 @@ def cli():
 @click.option("--size-cap", type=click.IntRange(min=1), default=None)
 @click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--node-budget", type=click.IntRange(min=1), default=None)
-@_jobs_option
-def cmd_prove(theory_file, equation, depth, size_cap, slack, node_budget, jobs):
+def cmd_prove(theory_file, equation, depth, size_cap, slack, node_budget):
     """Bounded proof search for EQUATION ("[n] lhs = rhs") in THEORY_FILE."""
     th = load_theory(theory_file)
     goal = parse_equation(equation, th)
@@ -192,8 +182,7 @@ def rigidity():
 @click.option("--depth", type=click.IntRange(min=0), default=6, show_default=True)
 @click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--node-budget", type=click.IntRange(min=1), default=None)
-@_jobs_option
-def cmd_rigidity_search(theory_file, max_size, max_context, depth, slack, node_budget, jobs):
+def cmd_rigidity_search(theory_file, max_size, max_context, depth, slack, node_budget):
     """Search THEORY_FILE for a flabby term within the given bounds."""
     th = load_theory(theory_file)
     result = search_flabby(
@@ -253,8 +242,7 @@ def cmd_hat(wp_file, term, oracle_depth, length_cap, slack, node_budget):
 @click.option("--length-cap", type=click.IntRange(min=1), default=None)
 @click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--node-budget", type=click.IntRange(min=1), default=None)
-@_jobs_option
-def cmd_word(wp_file, word1, word2, depth, length_cap, slack, node_budget, jobs):
+def cmd_word(wp_file, word1, word2, depth, length_cap, slack, node_budget):
     """Decide WORD1 = WORD2 (eps for the empty word) under WP_FILE's relations."""
     inst = _load_wp(wp_file)
     w1 = word_from_text(word1, inst.alphabet)
@@ -284,8 +272,7 @@ def cmd_word(wp_file, word1, word2, depth, length_cap, slack, node_budget, jobs)
 @click.option("--max-context", type=click.IntRange(min=0), default=None)
 @click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--node-budget", type=click.IntRange(min=1), default=None)
-@_jobs_option
-def cmd_conservativity(input_file, size_bound, depth, max_context, slack, node_budget, jobs):
+def cmd_conservativity(input_file, size_bound, depth, max_context, slack, node_budget):
     """Probe an interpretation (.itp file, or .wp file for the built-in one)
     for conservativity failures up to a source-term size bound."""
     path = Path(input_file)

@@ -7,6 +7,15 @@ explored; proof search is bidirectional breadth-first, meeting in the middle,
 with deterministic tie-breaking (axiom index, then L->R before R->L, then
 pre-order position).
 
+One successor kernel serves successors, bounded_closure and prove_bounded.
+Each call first compiles the theory into its oriented sides, in tie-break
+order, dropping any orientation whose source cannot bind its whole context.
+Per expanded term, the kernel walks the term once and buckets its subterms by
+head symbol, so each side is matched only where its root symbol occurs.  It
+checks a result's size against the cap before building it, and builds a
+RewriteStep, with its substitution, only for a result that is new to the
+search.
+
 Outcomes distinguish three cases: a derivation was found; the search space
 was exhausted (which certifies non-provability whenever the size cap never
 pruned anything); or a bound (depth or node budget) cut the search short.
@@ -16,14 +25,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 from .terms import (
     App,
     Term,
     TermInContext,
     Var,
-    positions,
+    _graft,
     render_term,
     replace_at,
     parse_term,
@@ -31,6 +40,7 @@ from .terms import (
     subterm_at,
     term_size,
     count_symbol,
+    var_occurrences,
 )
 from .theory import Equation, Theory
 
@@ -54,8 +64,6 @@ __all__ = [
     "derivation_to_doc",
     "flip_step",
     "intermediates",
-    "iter_steps",
-    "make_step",
     "prove_bounded",
     "replay",
     "reverse_derivation",
@@ -184,35 +192,96 @@ def match_side(side: TermInContext, target: Term, target_context: int) -> Option
     return tuple(TermInContext(bound[i], target_context) for i in range(1, side.context_len + 1))
 
 
-def iter_steps(t: TermInContext, th: Theory) -> Iterator[tuple[RewriteStep, TermInContext]]:
-    """All valid one-step rewrites of t, in tie-break order, no dedup."""
+def _compile(th: Theory) -> list[tuple]:
+    """The theory's oriented sides in tie-break order, as kernel entries.
+
+    Each entry is (axiom index, direction, source, context length, target,
+    the source's root symbol or None, the target's variable occurrences, the
+    target's symbol-node count).  An orientation whose source does not
+    mention every context variable is dropped: match_side rejects every
+    match of it.
+    """
+    sides = []
     for ai, eq in enumerate(th.axioms):
+        k = eq.context_len
         for direction in (LR, RL):
             src, dst = _oriented(eq, direction)
-            for pos, sub in positions(t.term):
-                subst = match_side(src, sub, t.context_len)
-                if subst is None:
-                    continue
-                new_sub = substitute_terms(dst, subst, context_len=t.context_len).term
-                result = TermInContext(replace_at(t.term, pos, new_sub), t.context_len)
-                yield RewriteStep(ai, direction, pos, subst), result
+            if len(set(var_occurrences(src))) != k:
+                continue
+            root = src.term.sym if isinstance(src.term, App) else None
+            dst_vars = var_occurrences(dst)
+            sides.append(
+                (ai, direction, src.term, k, dst.term, root, dst_vars, dst.term.size - len(dst_vars))
+            )
+    return sides
 
 
-def _successors_capped(
-    t: TermInContext, th: Theory, size_cap: int
+def _expand(
+    t: TermInContext, sides: list, size_cap: int, visited
 ) -> tuple[list[tuple[TermInContext, RewriteStep]], bool]:
+    """The successor kernel: distinct one-step rewrites of t not in visited.
+
+    Walks t once in pre-order and buckets its subterms by head symbol, so a
+    side is tried only where its root symbol occurs (everywhere when its root
+    is a variable).  A result over size_cap only sets the cap flag and is
+    never built; a result already seen in this call or present in visited is
+    skipped before its RewriteStep is built.  Results come in tie-break
+    order, each with its first witnessing step.
+    """
+    term, n = t.term, t.context_len
+    walk = []
+    by_head: dict = {}
+    stack = [((), term)]
+    while stack:
+        pos, sub = stack.pop()
+        walk.append((pos, sub))
+        if sub.__class__ is App:
+            bucket = by_head.get(sub.sym)
+            if bucket is None:
+                by_head[sub.sym] = [(pos, sub)]
+            else:
+                bucket.append((pos, sub))
+            args = sub.args
+            for i in range(len(args) - 1, -1, -1):
+                stack.append((pos + (i,), args[i]))
+    base = term.size
     seen = set()
     out = []
     cap_hit = False
-    for step, result in iter_steps(t, th):
-        if term_size(result.term) > size_cap:
-            cap_hit = True
-            continue
-        if result in seen:
-            continue
-        seen.add(result)
-        out.append((result, step))
+    for ai, direction, src, k, dst, root, dst_vars, dst_fixed in sides:
+        for pos, sub in walk if root is None else by_head.get(root, ()):
+            bound: dict = {}
+            if not _match(src, sub, bound):
+                continue
+            size = base - sub.size + dst_fixed
+            for v in dst_vars:
+                size += bound[v].size
+            if size > size_cap:
+                cap_hit = True
+                continue
+            subst = [bound[i] for i in range(1, k + 1)]
+            result = _rebuild(term, pos, _graft(dst, subst))
+            if result in seen:
+                continue
+            seen.add(result)
+            nt = TermInContext(result, n)
+            if nt in visited:
+                continue
+            step = RewriteStep(ai, direction, pos, tuple(TermInContext(s, n) for s in subst))
+            out.append((nt, step))
     return out, cap_hit
+
+
+def _rebuild(term: Term, pos: tuple, new_sub: Term) -> Term:
+    """term with the subterm at pos replaced, rebuilding the spine iteratively."""
+    spine = []
+    for i in pos:
+        spine.append(term)
+        term = term.args[i]
+    for node, i in zip(reversed(spine), reversed(pos)):
+        args = node.args
+        new_sub = App(node.sym, args[:i] + (new_sub,) + args[i + 1 :])
+    return new_sub
 
 
 def successors(
@@ -225,7 +294,7 @@ def successors(
     """
     if size_cap < term_size(t.term):
         raise ValueError("size cap is smaller than the term itself")
-    out, _ = _successors_capped(t, th, size_cap)
+    out, _ = _expand(t, _compile(th), size_cap, set())
     return out
 
 
@@ -329,6 +398,7 @@ def prove_bounded(
     cap = max(cap, term_size(lhs.term), term_size(rhs.term))
     bounds_doc = {"depth": depth, "size_cap": cap, "node_budget": node_budget}
     stats = SearchStats()
+    sides = _compile(th)
 
     def finish(status, deriv=None, certified=False, reason=None):
         stats.visited_left = len(visited[0])
@@ -350,11 +420,19 @@ def prove_bounded(
     mu = depth + 1  # best meet length seen; depth+1 means none within reach yet
     found_any_meet = False
 
-    while frontier[0] and frontier[1]:
+    while frontier[0] or frontier[1]:
+        if frontier[0] and frontier[1]:
+            side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+        else:
+            # One side's closure is complete, so no further meet can appear.
+            # If the size cap pruned it, expanding the other side to its end
+            # is the only way left to certify.
+            side = 0 if frontier[0] else 1
+            if found_any_meet or not cap_hit[1 - side]:
+                break
         done = level[0] + level[1]
         if done >= depth or (found_any_meet and done >= mu):
             break
-        side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
         other = 1 - side
         d_new = level[side] + 1
         new_frontier = []
@@ -363,11 +441,9 @@ def prove_bounded(
                 stats.budget_hit = True
                 break
             stats.expanded += 1
-            succs, hit = _successors_capped(t, th, cap)
+            succs, hit = _expand(t, sides, cap, visited[side])
             cap_hit[side] = cap_hit[side] or hit
             for nt, step in succs:
-                if nt in visited[side]:
-                    continue
                 visited[side][nt] = (d_new, t, step)
                 new_frontier.append(nt)
                 entry = visited[other].get(nt)
@@ -438,6 +514,7 @@ def bounded_closure(
 ) -> Closure:
     cap = size_cap if size_cap is not None else term_size(start.term) + slack
     cap = max(cap, term_size(start.term))
+    sides = _compile(th)
     entries = {start: (0, None, None)}
     frontier = [start]
     d = 0
@@ -451,12 +528,11 @@ def bounded_closure(
                 budget_hit = True
                 break
             expanded += 1
-            succs, hit = _successors_capped(t, th, cap)
+            succs, hit = _expand(t, sides, cap, entries)
             cap_hit = cap_hit or hit
             for nt, step in succs:
-                if nt not in entries:
-                    entries[nt] = (d + 1, t, step)
-                    new_frontier.append(nt)
+                entries[nt] = (d + 1, t, step)
+                new_frontier.append(nt)
         if budget_hit:
             break
         frontier = new_frontier
@@ -519,13 +595,24 @@ def derivation_to_doc(d: Derivation) -> dict:
     }
 
 
+def _field(doc, key: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"the document is not a derivation: missing key {key!r}")
+    return doc[key]
+
+
 def derivation_from_doc(doc: dict, th: Theory) -> Derivation:
+    """Read a derivation_to_doc document; raises ValueError on any other shape."""
     symbols = th.symbols_by_name()
-    n = int(doc["context_len"])
-    start = TermInContext(parse_term(doc["start"], symbols), n)
-    end = TermInContext(parse_term(doc["end"], symbols), n)
+    n = int(_field(doc, "context_len"))
+    start = TermInContext(parse_term(_field(doc, "start"), symbols), n)
+    end = TermInContext(parse_term(_field(doc, "end"), symbols), n)
     steps = []
-    for s in doc["steps"]:
-        subst = tuple(TermInContext(parse_term(u, symbols), n) for u in s["subst"])
-        steps.append(RewriteStep(int(s["axiom"]), s["direction"], tuple(s["position"]), subst))
+    for s in _field(doc, "steps"):
+        subst = tuple(TermInContext(parse_term(u, symbols), n) for u in _field(s, "subst"))
+        steps.append(
+            RewriteStep(
+                int(_field(s, "axiom")), _field(s, "direction"), tuple(_field(s, "position")), subst
+            )
+        )
     return Derivation(start, tuple(steps), end)

@@ -64,10 +64,18 @@ def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple]:
             yield (head,) + rest
 
 
-def _shapes(th: Theory, size: int, nvars: int, next_var: int) -> list[Term]:
+def _shapes(th: Theory, size: int, nvars: int, next_var: int, memo: dict) -> list[Term]:
     """Terms of exactly `size` nodes using variables next_var..next_var+nvars-1
-    once each, in left-to-right order."""
-    out: list[Term] = []
+    once each, in left-to-right order.
+
+    memo maps (size, nvars, next_var) to the list already built for it; the
+    lists are shared, so callers must not mutate them.
+    """
+    key = (size, nvars, next_var)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    out = memo[key] = []
     if size == 1:
         if nvars == 1:
             out.append(Var(next_var))
@@ -87,7 +95,7 @@ def _shapes(th: Theory, size: int, nvars: int, next_var: int) -> list[Term]:
                 groups: list[list[Term]] = []
                 v = next_var
                 for s, nv in zip(sizes, vars_split):
-                    groups.append(_shapes(th, s, nv, v))
+                    groups.append(_shapes(th, s, nv, v, memo))
                     v += nv
                 if any(not g for g in groups):
                     continue
@@ -110,10 +118,11 @@ def enumerate_linear_regular(
     first, then symbols in signature order).
     """
     order = th.symbol_order()
+    memo: dict = {}
     for size in range(1, max_size + 1):
         batch: list[TermInContext] = []
         for n in range(0, min(max_context, size) + 1):
-            for term in _shapes(th, size, n, 1):
+            for term in _shapes(th, size, n, 1, memo):
                 batch.append(TermInContext(term, n))
         batch.sort(key=lambda t: term_key(t.term, order))
         yield from batch

@@ -61,24 +61,38 @@ def naive_size(term: Term) -> int:
     return 1 + sum(naive_size(a) for a in term.args)
 
 
-def naive_one_step(t: TermInContext, th: Theory) -> set:
-    """All terms reachable in exactly one rewrite step, either direction.
+def naive_successors(t: TermInContext, th: Theory, size_cap) -> tuple[list, bool]:
+    """One-step rewrites of t within size_cap, each with its first witness.
 
-    A match is used only when it binds every variable of the axiom context,
-    mirroring the engine's refusal to invent subterms for unbound variables.
+    Results come in tie-break order (axiom index, then L->R before R->L, then
+    pre-order position), each paired with (axiom index, direction, position,
+    substitution terms) of the first rewrite producing it.  The flag says
+    whether some rewrite was dropped for exceeding size_cap.  A match is used
+    only when it binds every variable of the axiom context, mirroring the
+    engine's refusal to invent subterms for unbound variables.
     """
-    out = set()
-    for eq in th.axioms:
-        for src, dst in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
+    witness: dict = {}
+    cap_hit = False
+    for ai, eq in enumerate(th.axioms):
+        k = eq.context_len
+        for direction, src, dst in (("LR", eq.lhs, eq.rhs), ("RL", eq.rhs, eq.lhs)):
             for path, sub in naive_positions(t.term):
                 binding = naive_match(src.term, sub)
-                if binding is None:
-                    continue
-                if set(binding) != set(range(1, eq.context_len + 1)):
+                if binding is None or set(binding) != set(range(1, k + 1)):
                     continue
                 new = naive_replace(t.term, path, naive_instantiate(dst.term, binding))
-                out.add(TermInContext(new, t.context_len))
-    return out
+                if naive_size(new) > size_cap:
+                    cap_hit = True
+                    continue
+                result = TermInContext(new, t.context_len)
+                if result not in witness:
+                    witness[result] = (ai, direction, path, tuple(binding[i] for i in range(1, k + 1)))
+    return list(witness.items()), cap_hit
+
+
+def naive_one_step(t: TermInContext, th: Theory) -> set:
+    """All terms reachable in exactly one rewrite step, either direction."""
+    return {result for result, _ in naive_successors(t, th, float("inf"))[0]}
 
 
 def naive_closure(t: TermInContext, th: Theory, depth: int, size_cap: int) -> dict:

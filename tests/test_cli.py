@@ -113,6 +113,14 @@ class TestReplay:
         bad.write_text(json.dumps(d))
         assert run("replay", seed_thy, str(bad)).returncode == 1
 
+    def test_proof_outcome_is_not_a_derivation(self, seed_thy, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text(run("prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)").stdout)
+        proc = run("replay", seed_thy, str(out))
+        assert proc.returncode == 3
+        assert "not a derivation" in proc.stderr and "'context_len'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestReduce:
     def test_writes_files_and_roundtrips(self, yes_wp, tmp_path):
@@ -179,6 +187,15 @@ class TestHat:
 
 
 class TestWord:
+    def test_capped_side_does_not_stop_the_search(self, tmp_path):
+        # The side of "a" empties only because the size cap pruned it; the
+        # side of the empty word must still be expanded to certify.
+        p = tmp_path / "idem.wp"
+        p.write_text("alphabet a\nrel a = aa\ngoal a = aa\n")
+        proc = run("word", str(p), "a", "eps", "--depth", "10")
+        assert proc.returncode == 1
+        assert out_doc(proc)["certified"] is True
+
     def test_equal_words_exit_zero(self, yes_wp):
         proc = run("word", yes_wp, "ab", "ba")
         assert proc.returncode == 0
@@ -250,6 +267,14 @@ class TestCensus:
         dfile.write_text(json.dumps(out_doc(prove)["derivation"]))
         assert run("census", doc["target"], str(dfile), "zz").returncode == 3
 
+    def test_proof_outcome_is_not_a_derivation(self, seed_thy, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text(run("prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)").stdout)
+        proc = run("census", seed_thy, str(out), "l")
+        assert proc.returncode == 3
+        assert "not a derivation" in proc.stderr and "'context_len'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -263,9 +288,10 @@ class TestUsageErrors:
         p.write_text("goal a = b\n")
         assert run("word", str(p), "a", "b").returncode == 3
 
-    def test_jobs_option_accepted(self, seed_thy):
+    def test_jobs_option_rejected(self, seed_thy):
         proc = run("prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)", "--jobs", "4")
-        assert proc.returncode == 0
+        assert proc.returncode == 3
+        assert "--jobs" in proc.stderr
 
     def test_stdout_is_json_stderr_is_log(self, seed_thy):
         proc = run("prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)")

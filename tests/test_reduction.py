@@ -252,6 +252,14 @@ class TestWordSemidecide:
         out = word_semidecide(FREE, "a", "b", depth=6)
         assert out.status == EXHAUSTED and out.certified
 
+    def test_capped_side_does_not_stop_the_search(self):
+        # The side of "a" grows until the size cap prunes it and empties; the
+        # one-term class of the empty word still certifies the negative.
+        inst = parse_wp("alphabet a\nrel a = aa\ngoal a = aa\n")
+        out = word_semidecide(inst, "a", (), depth=10)
+        assert out.status == EXHAUSTED and out.certified
+        assert out.expanded == 10
+
     def test_idempotent(self):
         out = word_semidecide(IDEMPOTENT, "aaa", "a", depth=6)
         assert out.status == FOUND

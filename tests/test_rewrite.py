@@ -8,6 +8,7 @@ from oracles import (
     naive_closure,
     naive_one_step,
     naive_shortest,
+    naive_successors,
     random_term,
     random_walk,
 )
@@ -31,7 +32,7 @@ from rigidlab.rewrite import (
     successors,
     symbol_census,
 )
-from rigidlab.terms import App, Symbol, TermInContext, Var, term_size
+from rigidlab.terms import App, Symbol, TermInContext, Var, term_size, var_occurrences
 from rigidlab.theory import Equation, Theory, parse_theory
 
 SEED = parse_theory(
@@ -58,6 +59,12 @@ def sub(n, *terms):
 
 def tic(term, n):
     return TermInContext(term, n)
+
+
+def test_exported_names_exist():
+    import rigidlab.rewrite as rewrite
+
+    assert [name for name in rewrite.__all__ if not hasattr(rewrite, name)] == []
 
 
 class TestApplyStep:
@@ -303,6 +310,106 @@ class TestBoundedClosure:
             close = bounded_closure(COMPILED_LIKE, start, 3, size_cap=cap)
             want = naive_closure(start, COMPILED_LIKE, 3, cap)
             assert {t: close.distance(t) for t in close.entries} == want
+
+
+# Axioms the successor kernel must treat like the oracle: a variable-rooted
+# side, an orientation whose source cannot bind its context (x1 alone in
+# context 2), a non-linear side, a ground axiom on a nullary symbol, and
+# associativity and commutativity.
+KERNEL_POOL = parse_theory(
+    "symbol c 0\nsymbol u 1\nsymbol m 2\n"
+    "axiom [1] x1 = u(x1)\n"
+    "axiom [2] x1 = m(x1,x2)\n"
+    "axiom [1] m(x1,x1) = u(x1)\n"
+    "axiom [0] u(c()) = c()\n"
+    "axiom [2] m(x1,x2) = m(x2,x1)\n"
+    "axiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\n"
+)
+
+
+@st.composite
+def kernel_case(draw):
+    """A theory drawn from KERNEL_POOL plus random axioms, a term and a cap."""
+    rng = random.Random(draw(st.integers(0, 2**20)))
+    picks = draw(st.lists(st.sampled_from(KERNEL_POOL.axioms), max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        k = rng.randint(0, 2)
+        lhs, rhs = (random_term(rng, KERNEL_POOL, rng.randint(1, 4), k) for _ in "lr")
+        picks.append(Equation(tic(lhs, k), tic(rhs, k)))
+    th = Theory(KERNEL_POOL.signature, tuple(picks))
+    n = rng.randint(0, 2)
+    t = tic(random_term(rng, KERNEL_POOL, rng.randint(1, 7), n), n)
+    return th, t, term_size(t.term) + rng.randint(0, 3)
+
+
+class TestSuccessorKernel:
+    def check_against_oracle(self, th, t, cap):
+        got = successors(t, th, cap)
+        want, cap_hit = naive_successors(t, th, cap)
+        assert [u for u, _ in got] == [u for u, _ in want]
+        for (_, step), (_, (ai, direction, position, subst)) in zip(got, want):
+            assert (step.axiom_index, step.direction, step.position) == (ai, direction, position)
+            assert all(s.context_len == t.context_len for s in step.subst)
+            assert tuple(s.term for s in step.subst) == subst
+        assert bounded_closure(th, t, 1, size_cap=cap).cap_hit == cap_hit
+
+    def test_whole_pool(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            t = tic(random_term(rng, KERNEL_POOL, 8, 2), 2)
+            self.check_against_oracle(KERNEL_POOL, t, term_size(t.term) + 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_case())
+    def test_matches_oracle(self, case):
+        self.check_against_oracle(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_case())
+    def test_closure_matches_oracle(self, case):
+        th, t, cap = case
+        close = bounded_closure(th, t, 3, size_cap=cap)
+        dist = {u: close.distance(u) for u in close.entries}
+        assert dist == naive_closure(t, th, 3, cap)
+        if close.exhausted and not close.cap_hit:
+            assert dist == naive_closure(t, th, 6, cap + 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_case(), st.integers(0, 2**20))
+    def test_proof_verdicts_match_oracle(self, case, seed):
+        th, lhs, cap = case
+        # The oracle searches forward only, so it cannot take the flipped
+        # step of an orientation that leaves its context unbound, while the
+        # bidirectional search can: keep the axioms whose sides both bind it.
+        binding = tuple(
+            eq for eq in th.axioms
+            if all(len(set(var_occurrences(side))) == eq.context_len for side in (eq.lhs, eq.rhs))
+        )
+        th = Theory(th.signature, binding)
+        rng = random.Random(seed)
+        n = lhs.context_len
+        if rng.random() < 0.5:
+            rhs = rng.choice(sorted(naive_closure(lhs, th, 3, cap), key=repr))
+        else:
+            rhs = tic(random_term(rng, KERNEL_POOL, rng.randint(1, cap), n), n)
+        cap = max(cap, term_size(rhs.term))
+        out = prove_bounded(th, Equation(lhs, rhs), 4, size_cap=cap)
+        shortest = naive_shortest(th, lhs, rhs, 4, cap)
+        if out.status == FOUND:
+            assert len(out.derivation.steps) == shortest
+        else:
+            assert shortest is None
+        if out.certified:
+            # Some side's class is finite and never reached the cap, so a
+            # larger cap adds nothing to it, and it misses the other side.
+            for a, b in ((lhs, rhs), (rhs, lhs)):
+                close = bounded_closure(th, a, 50, size_cap=cap)
+                if close.exhausted and not close.cap_hit:
+                    whole = naive_closure(a, th, len(close.entries), cap + 2)
+                    assert set(whole) == set(close.entries) and b not in whole
+                    break
+            else:
+                pytest.fail("certified, but neither class is complete under the cap")
 
 
 @st.composite

@@ -17,6 +17,7 @@ from rigidlab.terms import (
     parse_term,
     render_term,
     substitute_simple,
+    term_key,
     term_size,
 )
 from rigidlab.theory import parse_theory
@@ -81,23 +82,23 @@ class TestEnumerate:
         assert sizes == sorted(sizes)
 
     def test_matches_brute_force(self):
-        for size in range(1, 6):
-            got = {
-                t
-                for t in enumerate_linear_regular(SEED, size, 3)
-                if term_size(t.term) == size
-            }
-            want = set()
-            for n in range(0, 4):
-                for term in naive_all_terms(SEED, size, n):
-                    t = TermInContext(term, n)
-                    if not is_linear_regular(t):
-                        continue
+        # Every canonical term of size <= 7 in context <= 3, in order: by
+        # size, then by pre-order key within a size.
+        for th in (SEED, compile_reduction(COMMUTES)):
+            want = []
+            for size in range(1, 8):
+                batch = []
+                for term in naive_all_terms(th, size, 3):
                     seen = []
                     TestEnumerate._first_occurrences(term, seen)
-                    if seen == list(range(1, n + 1)):
-                        want.add(t)
-            assert got == want
+                    if seen != list(range(1, len(seen) + 1)):
+                        continue
+                    t = TermInContext(term, len(seen))
+                    if is_linear_regular(t):
+                        batch.append(t)
+                batch.sort(key=lambda t: term_key(t.term, th.symbol_order()))
+                want.extend(batch)
+            assert list(enumerate_linear_regular(th, 7, 3)) == want
 
     def test_counts_used_by_rigidity_sweep(self):
         # Sizes 1,3,5,7 contribute 1, 3, 18, 135 canonical terms; even sizes
