@@ -4,100 +4,52 @@ Terms and theories, a bounded bidirectional rewrite engine with replayable
 derivations, interpretations between theories with a conservativity probe,
 compilation of monoid word problems into theories, a flabby-term search for
 rigidity analysis, and a normalizer onto special terms.
+
+The package root exports the names that the README and the command-line
+front end use; everything else is imported from its submodule.
 """
 
 from .terms import (
     App,
     ParseError,
-    Permutation,
     Symbol,
-    Term,
     TermInContext,
     Var,
-    VarMap,
-    is_linear_regular,
     parse_term,
     render_term,
-    substitute_simple,
-    substitute_terms,
     term_size,
-    var_occurrences,
 )
 from .theory import (
-    Equation,
     Theory,
     load_theory,
     parse_equation,
-    parse_theory,
-    render_theory,
     save_theory,
-    validate_linear_regular,
 )
 from .rewrite import (
     BOUNDS,
     EXHAUSTED,
     FOUND,
-    LR,
-    RL,
-    Closure,
-    Derivation,
-    ProofOutcome,
-    RewriteError,
-    RewriteStep,
-    apply_step,
-    bounded_closure,
     derivation_from_doc,
-    derivation_to_doc,
-    intermediates,
     prove_bounded,
     replay,
-    reverse_derivation,
-    successors,
     symbol_census,
 )
-from .rigidity import (
-    FlabbyReport,
-    FlabbySearchResult,
-    enumerate_linear_regular,
-    search_flabby,
-    verify_report,
-)
+from .rigidity import search_flabby
 from .interp import (
-    ConservativityReport,
-    Interpretation,
-    check_preserves_axioms,
-    compose_interpretations,
-    extend,
-    identity_interpretation,
-    interpretations_equal,
     load_interpretation,
-    parse_interpretation,
     probe_conservativity,
     render_interpretation,
 )
 from .reduction import (
-    WordDerivation,
-    WordOutcome,
-    WordProblemInstance,
-    WordStep,
     compile_reduction,
-    flabby_witness,
-    goal_axiom_index,
     instance,
     parse_wp,
-    render_wp,
     seed_interpretation,
     seed_theory,
     word_bfs,
-    word_equation,
     word_semidecide,
-    word_to_term,
 )
 from .normalizer import (
-    HatCongruenceResult,
-    HatResult,
-    OracleAnswer,
-    SpecialTermTag,
     WordOracle,
     check_hat_congruence,
     hat,
@@ -109,85 +61,36 @@ __version__ = "0.1.0"
 __all__ = [
     "App",
     "BOUNDS",
-    "Closure",
-    "ConservativityReport",
-    "Derivation",
     "EXHAUSTED",
-    "Equation",
     "FOUND",
-    "FlabbyReport",
-    "FlabbySearchResult",
-    "HatCongruenceResult",
-    "HatResult",
-    "Interpretation",
-    "LR",
-    "OracleAnswer",
     "ParseError",
-    "Permutation",
-    "ProofOutcome",
-    "RL",
-    "RewriteError",
-    "RewriteStep",
-    "SpecialTermTag",
     "Symbol",
-    "Term",
     "TermInContext",
     "Theory",
     "Var",
-    "VarMap",
-    "WordDerivation",
     "WordOracle",
-    "WordOutcome",
-    "WordProblemInstance",
-    "WordStep",
-    "apply_step",
-    "bounded_closure",
     "check_hat_congruence",
-    "check_preserves_axioms",
     "compile_reduction",
-    "compose_interpretations",
     "derivation_from_doc",
-    "derivation_to_doc",
-    "enumerate_linear_regular",
-    "extend",
-    "flabby_witness",
-    "goal_axiom_index",
     "hat",
-    "identity_interpretation",
     "instance",
-    "intermediates",
-    "interpretations_equal",
-    "is_linear_regular",
     "is_special",
     "load_interpretation",
     "load_theory",
     "parse_equation",
-    "parse_interpretation",
     "parse_term",
-    "parse_theory",
     "parse_wp",
     "probe_conservativity",
     "prove_bounded",
     "render_interpretation",
     "render_term",
-    "render_theory",
-    "render_wp",
     "replay",
-    "reverse_derivation",
     "save_theory",
     "search_flabby",
     "seed_interpretation",
     "seed_theory",
-    "substitute_simple",
-    "substitute_terms",
-    "successors",
     "symbol_census",
     "term_size",
-    "validate_linear_regular",
-    "var_occurrences",
-    "verify_report",
     "word_bfs",
-    "word_equation",
     "word_semidecide",
-    "word_to_term",
 ]

@@ -2,8 +2,9 @@
 
 Every command prints one JSON result document to standard output and a short
 human-readable log to standard error.  Exit codes: 0 for a definite positive
-result, 1 for a definite negative (certified exhaustion), 2 for an
-indeterminate result (some bound was hit), 3 for usage or parse errors and for
+result, 1 for a definite negative (certified exhaustion, or a clean probe
+whose target closures were all complete), 2 for an indeterminate result
+(some bound was hit), 3 for usage or parse errors and for
 inputs out of reach (a term nested too deeply) or any internal error, so an
 exception never reads as a mathematical answer.
 The environment variable RIGIDLAB_NODE_BUDGET overrides the default node
@@ -292,6 +293,8 @@ def cmd_conservativity(input_file, size_bound, depth, max_context, slack, node_b
         code, note = 0, f"{len(report.confirmed)} confirmed failure(s): not conservative"
     elif report.candidates:
         code, note = 2, f"{len(report.candidates)} unconfirmed candidate(s)"
+    elif not report.targets_complete:
+        code, note = 2, "no failures found, but some target closure was cut short"
     else:
         code, note = 1, "no failures found at these bounds"
     return _emit(report.to_doc(), code, f"conservativity: {note}")

@@ -16,6 +16,7 @@ The module also owns the ``.itp`` file format::
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -224,13 +225,17 @@ class ConservativityReport:
 
     confirmed entries are pairs where the target proved the image while the
     source search provably exhausted its whole closure; candidates are pairs
-    where the source search merely ran out of bounds.
+    where the source search merely ran out of bounds.  targets_complete is
+    True when every target closure was exhausted with no size cap or node
+    budget binding, so that a clean probe missed no target proof within the
+    pool of pairs.
     """
 
     confirmed: list
     candidates: list
     pairs_checked: int
     target_proved: int
+    targets_complete: bool
     bounds: dict
 
     @property
@@ -243,6 +248,7 @@ class ConservativityReport:
             "candidates": [f.to_doc() for f in self.candidates],
             "pairs_checked": self.pairs_checked,
             "target_proved": self.target_proved,
+            "targets_complete": self.targets_complete,
             "bounds": self.bounds,
         }
 
@@ -263,7 +269,9 @@ def probe_conservativity(
     linear-regular terms up to a joint renaming, under which both provability
     sides are stable.  Shared closures make the quadratic pair count cheap:
     one target closure of extend(i, s) and one source closure of s decide all
-    pairs with that left side.
+    pairs with that left side.  The pairs are not tested one by one: each
+    target-closure entry is looked up among the pool's images, and the hits
+    are taken in pool order; pairs_checked is counted, not looped.
     """
     if max_context is None:
         max_context = term_size_bound
@@ -283,6 +291,7 @@ def probe_conservativity(
     candidates: list[ProbeFinding] = []
     pairs_checked = 0
     target_proved = 0
+    targets_complete = True
 
     for n, canonical in sorted(by_context.items()):
         pool: list[tuple[TermInContext, bool]] = []
@@ -294,22 +303,27 @@ def probe_conservativity(
         images = {t: extend(i, t) for t, _ in pool}
         src_cap = max(term_size(t.term) for t, _ in pool) + slack
         tgt_cap = max(term_size(img.term) for img in images.values()) + slack
+        pool_at: dict[TermInContext, list[int]] = {}
+        for k, (t, _) in enumerate(pool):
+            pool_at.setdefault(images[t], []).append(k)
         keys = {t: term_key(t.term, order) for t in canonical}
+        sorted_keys = sorted(keys.values())
         for s in canonical:
             cl_target = bounded_closure(
                 i.target, images[s], depth, size_cap=tgt_cap, node_budget=node_budget
             )
+            targets_complete = targets_complete and cl_target.exhausted and not cl_target.cap_hit
             cl_source = bounded_closure(
                 i.source, s, depth, size_cap=src_cap, node_budget=node_budget
             )
             source_certified = cl_source.exhausted and not cl_source.cap_hit
-            for t, t_canonical in pool:
-                if t == s:
-                    continue
-                if t_canonical and keys[t] < keys[s]:
-                    continue  # canonical-canonical pairs are unordered; probe once
-                pairs_checked += 1
-                if images[t] not in cl_target:
+            # Every pool term but s itself, less the canonical terms keyed
+            # below s: canonical-canonical pairs are unordered; probe once.
+            pairs_checked += len(pool) - 1 - bisect_left(sorted_keys, keys[s])
+            hits = sorted(k for u in cl_target.entries for k in pool_at.get(u, ()))
+            for k in hits:
+                t, t_canonical = pool[k]
+                if t == s or (t_canonical and keys[t] < keys[s]):
                     continue
                 target_proved += 1
                 if t in cl_source:
@@ -317,7 +331,9 @@ def probe_conservativity(
                 finding = ProbeFinding(s, t, cl_target.derivation_to(images[t]), source_certified)
                 (confirmed if source_certified else candidates).append(finding)
 
-    return ConservativityReport(confirmed, candidates, pairs_checked, target_proved, bounds_doc)
+    return ConservativityReport(
+        confirmed, candidates, pairs_checked, target_proved, targets_complete, bounds_doc
+    )
 
 
 # ---- .itp files ----

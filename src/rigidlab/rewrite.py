@@ -1,16 +1,23 @@
 """Rewrite steps, replayable derivations, and bounded equational proof search.
 
 A step names an axiom, a direction, a position, and the full substitution
-for the axiom's context, so replaying a derivation needs no search.  The
-one-step relation is symmetric because both orientations of every axiom are
-explored; proof search is bidirectional breadth-first, meeting in the middle,
-with deterministic tie-breaking (axiom index, then L->R before R->L, then
-pre-order position).
+for the axiom's context, so replaying a derivation needs no search.
+
+The one-step relation is forward rewriting with every orientation of every
+axiom whose source binds the axiom's whole context; an orientation whose
+source does not is dropped, since applying it would have to invent terms.
+An axiom is one-way when exactly one of its orientations is kept, that is,
+when exactly one side mentions its whole context.  The relation is symmetric
+exactly when no axiom is one-way.  Proof search is then bidirectional
+breadth-first, meeting in the middle; on a theory with a one-way axiom a
+backward step could be the flip of a dropped orientation, so the search
+expands the left side only.  Tie-breaking is deterministic (axiom index,
+then L->R before R->L, then pre-order position).
 
 One successor kernel serves successors, bounded_closure and prove_bounded.
-Each call first compiles the theory into its oriented sides, in tie-break
-order, dropping any orientation whose source cannot bind its whole context.
-Per expanded term, the kernel walks the term once and buckets its subterms by
+A theory is compiled once, on first use, into its oriented sides in
+tie-break order; the result is kept on the (frozen) Theory object.  Per
+expanded term, the kernel walks the term once and buckets its subterms by
 head symbol, so each side is matched only where its root symbol occurs.  It
 checks a result's size against the cap before building it, and builds a
 RewriteStep, with its substitution, only for a result that is new to the
@@ -24,6 +31,7 @@ pruned anything); or a bound (depth or node budget) cut the search short.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -216,6 +224,21 @@ def _compile(th: Theory) -> list[tuple]:
     return sides
 
 
+def _kernel(th: Theory) -> tuple[list[tuple], bool]:
+    """th's kernel sides and whether th has a one-way axiom.
+
+    Computed on first use and kept on th, the way Theory keeps its symbol
+    table; a Theory is frozen, so the result never goes stale.
+    """
+    kernel = getattr(th, "_kernel", None)
+    if kernel is None:
+        sides = _compile(th)
+        kept = Counter(side[0] for side in sides)
+        kernel = (sides, 1 in kept.values())
+        object.__setattr__(th, "_kernel", kernel)
+    return kernel
+
+
 def _expand(
     t: TermInContext, sides: list, size_cap: int, visited
 ) -> tuple[list[tuple[TermInContext, RewriteStep]], bool]:
@@ -294,7 +317,7 @@ def successors(
     """
     if size_cap < term_size(t.term):
         raise ValueError("size cap is smaller than the term itself")
-    out, _ = _expand(t, _compile(th), size_cap, set())
+    out, _ = _expand(t, _kernel(th)[0], size_cap, set())
     return out
 
 
@@ -390,7 +413,9 @@ def prove_bounded(
     Bidirectional breadth-first search; levels are expanded on the smaller
     frontier first and the search only commits to a meeting point once no
     shorter one can exist, so a found derivation has minimal length among
-    those within bounds.  The default size cap is
+    those within bounds.  On a theory with a one-way axiom only the left
+    side is expanded: depth counts its levels, and a negative is certified
+    only when it empties with no cap hit.  The default size cap is
     max(size(lhs), size(rhs)) + slack.
     """
     lhs, rhs = goal.lhs, goal.rhs
@@ -398,7 +423,7 @@ def prove_bounded(
     cap = max(cap, term_size(lhs.term), term_size(rhs.term))
     bounds_doc = {"depth": depth, "size_cap": cap, "node_budget": node_budget}
     stats = SearchStats()
-    sides = _compile(th)
+    sides, one_way = _kernel(th)
 
     def finish(status, deriv=None, certified=False, reason=None):
         stats.visited_left = len(visited[0])
@@ -421,7 +446,13 @@ def prove_bounded(
     found_any_meet = False
 
     while frontier[0] or frontier[1]:
-        if frontier[0] and frontier[1]:
+        if one_way:
+            # The relation is not symmetric: only forward steps from lhs count,
+            # and the right frontier stays at rhs.
+            if not frontier[0]:
+                break
+            side = 0
+        elif frontier[0] and frontier[1]:
             side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
         else:
             # One side's closure is complete, so no further meet can appear.
@@ -514,7 +545,7 @@ def bounded_closure(
 ) -> Closure:
     cap = size_cap if size_cap is not None else term_size(start.term) + slack
     cap = max(cap, term_size(start.term))
-    sides = _compile(th)
+    sides = _kernel(th)[0]
     entries = {start: (0, None, None)}
     frontier = [start]
     d = 0

@@ -3,10 +3,12 @@
 A term in context n is flabby when the theory proves it equal to itself with
 its variables permuted non-trivially; a theory with no flabby term is rigid.
 The search enumerates canonical linear-regular terms (variables numbered in
-first-occurrence order, so each shape appears once), computes one bounded
-rewrite closure per term, and checks every non-identity permutation image
-for membership.  Canonical order loses no generality: t is flabby exactly
-when any renaming of t is.
+first-occurrence order, so each shape appears once) and computes one bounded
+rewrite closure per term.  Rather than build every permutation image, it
+scans the closure: an entry of the same size that is a renaming of the term
+gives the permutation directly, read off in one walk of both terms.
+Canonical order loses no generality: t is flabby exactly when any renaming
+of t is.
 """
 
 from __future__ import annotations
@@ -202,6 +204,30 @@ class FlabbySearchResult:
         }
 
 
+def _renaming(t: Term, u: Term, n: int) -> Optional[tuple]:
+    """The image tuple of the permutation sigma with sigma(t) = u, or None.
+
+    t is canonical, so its variables read 1..n in pre-order; u must have the
+    same symbols and shape, with a variable wherever t has one.  u may repeat
+    a variable (a non-linear axiom can make it), and then no sigma exists.
+    """
+    images = []
+    stack = [(t, u)]
+    while stack:
+        a, b = stack.pop()
+        if a.__class__ is Var:
+            if b.__class__ is not Var:
+                return None
+            images.append(b.index)
+        elif b.__class__ is not App or a.sym is not b.sym:
+            return None
+        else:
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
+    if len(set(images)) != n:
+        return None
+    return tuple(images)
+
+
 def search_flabby(
     th: Theory,
     *,
@@ -213,8 +239,10 @@ def search_flabby(
 ) -> FlabbySearchResult:
     """Look for a flabby term among all linear-regular terms within bounds.
 
-    One bounded closure is computed per canonical term and every non-identity
-    permutation image is checked for membership.  The first witness in
+    One bounded closure is computed per canonical term t.  Each closure
+    entry other than t, of t's size, that renames t's variables bijectively
+    gives a non-identity permutation sigma with sigma(t) in the closure; the
+    lexicographically least image tuple is kept.  The first witness in
     canonical order is returned, with the breadth-first (hence minimal-length)
     derivation from the shared closure.
     """
@@ -246,16 +274,23 @@ def search_flabby(
         caps_hit = caps_hit or cl.cap_hit
         budget_hit = budget_hit or cl.budget_hit
         depth_hit = depth_hit or not (cl.exhausted or cl.budget_hit)
-        for sigma in Permutation.non_identity(n):
-            target = substitute_simple(t, sigma)
-            if target in cl:
-                report = FlabbyReport(t, sigma, cl.derivation_to(target))
-                if not verify_report(report, th):
-                    raise RuntimeError("internal error: flabby report failed verification")
-                return FlabbySearchResult(
-                    FOUND, report, terms_enumerated, closures, closure_total,
-                    max_closure, caps_hit, budget_hit, depth_hit, bounds_doc,
-                )
+        size = t.term.size
+        best = None
+        for u in cl.entries:
+            if u.term.size != size or u == t:
+                continue
+            images = _renaming(t.term, u.term, n)
+            if images is not None and (best is None or images < best[0]):
+                best = (images, u)
+        if best is not None:
+            images, target = best
+            report = FlabbyReport(t, Permutation(images), cl.derivation_to(target))
+            if not verify_report(report, th):
+                raise RuntimeError("internal error: flabby report failed verification")
+            return FlabbySearchResult(
+                FOUND, report, terms_enumerated, closures, closure_total,
+                max_closure, caps_hit, budget_hit, depth_hit, bounds_doc,
+            )
     status = BOUNDS if caps_hit or budget_hit or depth_hit else EXHAUSTED
     return FlabbySearchResult(
         status, None, terms_enumerated, closures, closure_total,

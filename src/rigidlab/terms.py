@@ -386,12 +386,6 @@ class Permutation:
         for images in itertools.permutations(range(1, n + 1)):
             yield Permutation(images)
 
-    @staticmethod
-    def non_identity(n: int) -> Iterator["Permutation"]:
-        for p in Permutation.all_of(n):
-            if not p.is_identity():
-                yield p
-
 
 def _rename(term: Term, phi: VarMap) -> Term:
     if isinstance(term, Var):

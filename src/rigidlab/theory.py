@@ -67,7 +67,11 @@ def _check_signature_terms(term: Term, by_name: dict) -> None:
 
 @dataclass(frozen=True)
 class Theory:
-    """An ordered signature and an ordered, 0-indexed list of axioms."""
+    """An ordered signature and an ordered, 0-indexed list of axioms.
+
+    The rewrite engine keeps the theory's compiled sides on the object, as
+    _kernel, computed on first use.
+    """
 
     signature: tuple
     axioms: tuple

@@ -225,6 +225,14 @@ class TestConservativity:
         assert proc.returncode == 1
         doc = out_doc(proc)
         assert doc["confirmed"] == [] and doc["candidates"] == []
+        assert doc["targets_complete"] is True
+
+    def test_clean_probe_with_cut_target_closures_exits_two(self, no_wp):
+        proc = run("conservativity", no_wp, "--size-bound", "4", "--depth", "1")
+        assert proc.returncode == 2
+        doc = out_doc(proc)
+        assert doc["confirmed"] == [] and doc["candidates"] == []
+        assert doc["targets_complete"] is False
 
     def test_itp_input(self, yes_wp, tmp_path):
         out = tmp_path / "build"

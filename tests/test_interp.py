@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from oracles import random_term
 from rigidlab.interp import (
+    ConservativityReport,
     Interpretation,
+    ProbeFinding,
     check_preserves_axioms,
     compose_interpretations,
     extend,
@@ -23,7 +25,7 @@ from rigidlab.reduction import (
     seed_interpretation,
     seed_theory,
 )
-from rigidlab.rewrite import EXHAUSTED, FOUND
+from rigidlab.rewrite import DEFAULT_NODE_BUDGET, DEFAULT_SLACK, EXHAUSTED, FOUND, bounded_closure
 from rigidlab.rigidity import enumerate_linear_regular
 from rigidlab.terms import (
     App,
@@ -35,6 +37,8 @@ from rigidlab.terms import (
     render_term,
     substitute_simple,
     substitute_terms,
+    term_key,
+    term_size,
 )
 from rigidlab.theory import parse_theory
 
@@ -196,7 +200,84 @@ class TestProbe:
     def test_doc_shape(self):
         report = probe_conservativity(I_YES, term_size_bound=3, depth=6)
         doc = report.to_doc()
-        assert set(doc) >= {"confirmed", "candidates", "pairs_checked", "bounds"}
+        assert set(doc) >= {"confirmed", "candidates", "pairs_checked", "targets_complete", "bounds"}
+
+    @pytest.mark.parametrize(
+        "i",
+        [
+            seed_interpretation(FREE),
+            I_YES,
+            seed_interpretation(instance(["a", "b"], [("ab", "ba")], ("a", "b"))),
+        ],
+        ids=["free", "yes", "no"],
+    )
+    def test_matches_pair_loop(self, i):
+        got = probe_conservativity(i, term_size_bound=5, depth=6)
+        want = pair_loop_probe(i, term_size_bound=5, depth=6)
+        assert got.to_doc() == want.to_doc()
+
+    def test_cut_target_closures_are_reported(self):
+        report = probe_conservativity(seed_interpretation(FREE), term_size_bound=3, depth=1)
+        assert report.clean and not report.targets_complete
+        report = probe_conservativity(seed_interpretation(FREE), term_size_bound=3, depth=6)
+        assert report.clean and report.targets_complete
+        # Every closure empties, but only because the size cap pruned it.
+        growing = parse_theory("symbol u 1\nsymbol m 2\naxiom [1] u(x1) = u(u(x1))\n")
+        report = probe_conservativity(
+            identity_interpretation(growing), term_size_bound=3, depth=6, slack=1
+        )
+        assert report.clean and not report.targets_complete
+
+
+def pair_loop_probe(i, *, term_size_bound, depth, slack=DEFAULT_SLACK, node_budget=DEFAULT_NODE_BUDGET):
+    """probe_conservativity as it was before the closure-driven lookup: every
+    pool pair (s, t) tested against the closures one by one, in pool order."""
+    max_context = term_size_bound
+    bounds_doc = {
+        "term_size_bound": term_size_bound,
+        "max_context": max_context,
+        "depth": depth,
+        "slack": slack,
+        "node_budget": node_budget,
+    }
+    order = i.source.symbol_order()
+    by_context: dict = {}
+    for t in enumerate_linear_regular(i.source, term_size_bound, max_context):
+        by_context.setdefault(t.context_len, []).append(t)
+    confirmed, candidates = [], []
+    pairs_checked = target_proved = 0
+    complete = True
+    for n, canonical in sorted(by_context.items()):
+        pool = [
+            (substitute_simple(t, sigma), sigma.is_identity())
+            for t in canonical
+            for sigma in Permutation.all_of(n)
+        ]
+        if len(pool) < 2:
+            continue
+        images = {t: extend(i, t) for t, _ in pool}
+        src_cap = max(term_size(t.term) for t, _ in pool) + slack
+        tgt_cap = max(term_size(img.term) for img in images.values()) + slack
+        keys = {t: term_key(t.term, order) for t in canonical}
+        for s in canonical:
+            cl_target = bounded_closure(i.target, images[s], depth, size_cap=tgt_cap, node_budget=node_budget)
+            complete = complete and cl_target.exhausted and not cl_target.cap_hit
+            cl_source = bounded_closure(i.source, s, depth, size_cap=src_cap, node_budget=node_budget)
+            certified = cl_source.exhausted and not cl_source.cap_hit
+            for t, t_canonical in pool:
+                if t == s or (t_canonical and keys[t] < keys[s]):
+                    continue
+                pairs_checked += 1
+                if images[t] not in cl_target:
+                    continue
+                target_proved += 1
+                if t in cl_source:
+                    continue
+                finding = ProbeFinding(s, t, cl_target.derivation_to(images[t]), certified)
+                (confirmed if certified else candidates).append(finding)
+    return ConservativityReport(
+        confirmed, candidates, pairs_checked, target_proved, complete, bounds_doc
+    )
 
 
 class TestCompose:

@@ -32,8 +32,8 @@ from rigidlab.rewrite import (
     successors,
     symbol_census,
 )
-from rigidlab.terms import App, Symbol, TermInContext, Var, term_size, var_occurrences
-from rigidlab.theory import Equation, Theory, parse_theory
+from rigidlab.terms import App, Symbol, TermInContext, Var, term_size
+from rigidlab.theory import Equation, Theory, parse_equation, parse_theory
 
 SEED = parse_theory(
     "symbol l 2\nsymbol r 2\nsymbol m 2\naxiom [2] l(x1,x2) = r(x2,x1)\n"
@@ -378,14 +378,6 @@ class TestSuccessorKernel:
     @given(kernel_case(), st.integers(0, 2**20))
     def test_proof_verdicts_match_oracle(self, case, seed):
         th, lhs, cap = case
-        # The oracle searches forward only, so it cannot take the flipped
-        # step of an orientation that leaves its context unbound, while the
-        # bidirectional search can: keep the axioms whose sides both bind it.
-        binding = tuple(
-            eq for eq in th.axioms
-            if all(len(set(var_occurrences(side))) == eq.context_len for side in (eq.lhs, eq.rhs))
-        )
-        th = Theory(th.signature, binding)
         rng = random.Random(seed)
         n = lhs.context_len
         if rng.random() < 0.5:
@@ -410,6 +402,40 @@ class TestSuccessorKernel:
                     break
             else:
                 pytest.fail("certified, but neither class is complete under the cap")
+
+
+class TestOneWayTheories:
+    """Theories with an axiom where exactly one side binds its context: the
+    flip of that side's orientation is no step, so proof search runs forward
+    from the left side only."""
+
+    def test_flip_of_dropped_orientation_is_not_taken(self):
+        th = parse_theory(
+            "symbol c 0\nsymbol u 1\nsymbol m 2\n"
+            "axiom [1] x1 = u(x1)\naxiom [1] x1 = m(c(),c())\n"
+        )
+        goal = parse_equation("[2] u(c()) = x2", th)
+        out = prove_bounded(th, goal, 8, size_cap=3)
+        assert out.status != FOUND
+        assert naive_shortest(th, goal.lhs, goal.rhs, 8, 3) is None
+
+    def test_forward_steps_are_found(self):
+        th = parse_theory("symbol c 0\nsymbol m 2\naxiom [1] x1 = c()\n")
+        goal = parse_equation("[1] m(x1,x1) = m(c(),c())", th)
+        out = prove_bounded(th, goal, 8)
+        assert out.status == FOUND
+        assert len(out.derivation.steps) == 2
+        assert replay(out.derivation, th)
+
+    def test_certified_when_left_side_empties(self):
+        th = parse_theory("symbol c 0\nsymbol m 2\naxiom [1] x1 = c()\n")
+        # The forward class of m(x1,c()) is {m(x1,c()), c(), m(c(),c())}.
+        # m(x1,x1) rewrites to m(x1,c()), but no step leads back.
+        goal = parse_equation("[1] m(x1,c()) = m(x1,x1)", th)
+        out = prove_bounded(th, goal, 8)
+        assert (out.status, out.certified) == (EXHAUSTED, True)
+        out = prove_bounded(th, goal, 1)
+        assert (out.status, out.reason) == (BOUNDS, "depth")
 
 
 @st.composite

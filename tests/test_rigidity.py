@@ -1,10 +1,24 @@
-import pytest
+import random
 
-from oracles import naive_all_terms
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rigidlab.rewrite as rewrite
+from oracles import naive_all_terms, random_term
 from rigidlab.reduction import compile_reduction, instance, seed_theory
-from rigidlab.rewrite import Derivation, RewriteStep, replay
+from rigidlab.rewrite import (
+    BOUNDS,
+    EXHAUSTED,
+    FOUND,
+    Derivation,
+    RewriteStep,
+    bounded_closure,
+    replay,
+)
 from rigidlab.rigidity import (
     FlabbyReport,
+    FlabbySearchResult,
     enumerate_linear_regular,
     search_flabby,
     verify_report,
@@ -20,7 +34,7 @@ from rigidlab.terms import (
     term_key,
     term_size,
 )
-from rigidlab.theory import parse_theory
+from rigidlab.theory import Equation, Theory, parse_theory
 
 SEED = seed_theory()
 COMMUTES = instance(["a", "b"], [("ab", "ba")], ("ab", "ba"))
@@ -237,3 +251,132 @@ class TestSearchFlabby:
                 relabel(report.derivation.end),
             )
             assert replay(d, th)
+
+
+def image_loop_search(th, *, max_size, max_context, depth, slack, node_budget):
+    """search_flabby as it was before the closure scan: every non-identity
+    permutation image of a canonical term, in lexicographic order of image
+    tuples, is built and tested for membership in the term's closure."""
+    bounds_doc = {
+        "max_size": max_size,
+        "max_context": max_context,
+        "depth": depth,
+        "slack": slack,
+        "node_budget": node_budget,
+    }
+    enumerated = closures = total = largest = 0
+    caps = budget = cut = False
+    for t in enumerate_linear_regular(th, max_size, max_context):
+        enumerated += 1
+        n = t.context_len
+        if n < 2:
+            continue
+        cl = bounded_closure(
+            th, t, depth, size_cap=term_size(t.term) + slack, node_budget=node_budget
+        )
+        closures += 1
+        total += len(cl.entries)
+        largest = max(largest, len(cl.entries))
+        caps = caps or cl.cap_hit
+        budget = budget or cl.budget_hit
+        cut = cut or not (cl.exhausted or cl.budget_hit)
+        for sigma in Permutation.all_of(n):
+            if sigma.is_identity():
+                continue
+            target = substitute_simple(t, sigma)
+            if target in cl:
+                report = FlabbyReport(t, sigma, cl.derivation_to(target))
+                return FlabbySearchResult(
+                    FOUND, report, enumerated, closures, total, largest, caps, budget, cut,
+                    bounds_doc,
+                )
+    status = BOUNDS if caps or budget or cut else EXHAUSTED
+    return FlabbySearchResult(
+        status, None, enumerated, closures, total, largest, caps, budget, cut, bounds_doc
+    )
+
+
+# Axioms for random theories: non-linear sides (a closure entry may then
+# repeat a variable, which no permutation image does), flabby ones in two
+# and three variables, and a unary and a nullary symbol to vary the shapes.
+FLABBY_POOL = parse_theory(
+    "symbol c 0\nsymbol u 1\nsymbol m 2\n"
+    "axiom [2] m(x1,x2) = m(x1,x1)\n"
+    "axiom [1] m(x1,x1) = u(x1)\n"
+    "axiom [2] m(x1,x2) = m(x2,x1)\n"
+    "axiom [3] m(x1,m(x2,x3)) = m(x2,m(x1,x3))\n"
+    "axiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\n"
+    "axiom [2] m(u(x1),x2) = u(m(x2,x1))\n"
+    "axiom [0] u(c()) = c()\n"
+)
+
+
+@st.composite
+def flabby_case(draw):
+    """A theory drawn from FLABBY_POOL, always with a non-linear axiom, plus
+    random axioms."""
+    rng = random.Random(draw(st.integers(0, 2**20)))
+    picks = [draw(st.sampled_from(FLABBY_POOL.axioms[:2]))]
+    picks += draw(st.lists(st.sampled_from(FLABBY_POOL.axioms), max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        k = rng.randint(0, 3)
+        lhs, rhs = (random_term(rng, FLABBY_POOL, rng.randint(1, 5), k) for _ in "lr")
+        picks.append(Equation(TermInContext(lhs, k), TermInContext(rhs, k)))
+    rng.shuffle(picks)
+    return Theory(FLABBY_POOL.signature, tuple(picks))
+
+
+class TestClosureScan:
+    @settings(max_examples=60, deadline=None)
+    @given(flabby_case(), st.integers(1, 3))
+    def test_matches_image_loop(self, th, depth):
+        bounds = dict(max_size=5, max_context=3, depth=depth, slack=2, node_budget=400)
+        got = search_flabby(th, **bounds)
+        want = image_loop_search(th, **bounds)
+        assert got.to_doc() == want.to_doc()
+
+    def test_whole_pool_matches_image_loop(self):
+        bounds = dict(max_size=5, max_context=3, depth=2, slack=2, node_budget=400)
+        for k in range(len(FLABBY_POOL.axioms)):
+            th = Theory(FLABBY_POOL.signature, FLABBY_POOL.axioms[: k + 1])
+            got = search_flabby(th, **bounds)
+            assert got.to_doc() == image_loop_search(th, **bounds).to_doc()
+
+    def test_least_permutation_is_kept(self):
+        # Axiom 0 reaches the image (3,2,1) first, but (2,1,3), from axiom 1,
+        # is the lexicographically least; with more depth the two compose
+        # into (1,3,2).
+        th = parse_theory(
+            "symbol m 2\n"
+            "axiom [3] m(x1,m(x2,x3)) = m(x3,m(x2,x1))\n"
+            "axiom [3] m(x1,m(x2,x3)) = m(x2,m(x1,x3))\n"
+        )
+        bounds = dict(max_size=5, max_context=3, slack=0, node_budget=100)
+        for depth, images in ((1, (2, 1, 3)), (3, (1, 3, 2))):
+            out = search_flabby(th, depth=depth, **bounds)
+            assert render_term(out.report.term.term) == "m(x1,m(x2,x3))"
+            assert out.report.permutation.images == images
+            assert out.to_doc() == image_loop_search(th, depth=depth, **bounds).to_doc()
+
+    def test_repeated_variable_is_not_a_witness(self):
+        # The closure of m(x1,x2) holds m(x1,x1), which has its size and shape
+        # but is no renaming of it.
+        th = parse_theory("symbol m 2\naxiom [2] m(x1,x2) = m(x1,x1)\n")
+        out = search_flabby(th, max_size=3, max_context=2, depth=3)
+        assert out.status == EXHAUSTED
+        assert out.report is None
+        assert out.closure_terms_total == 2
+
+    def test_theory_compiled_once_per_search(self, monkeypatch):
+        calls = []
+        compile_sides = rewrite._compile
+
+        def counted(th):
+            calls.append(th)
+            return compile_sides(th)
+
+        monkeypatch.setattr(rewrite, "_compile", counted)
+        th = compile_reduction(COMMUTES)
+        out = search_flabby(th, max_size=8, max_context=3, depth=6)
+        assert out.status == FOUND and out.closures_computed > 1
+        assert calls == [th]

@@ -248,11 +248,6 @@ class TestPermutations:
         assert images == sorted(images)
         assert len(images) == 6
 
-    def test_non_identity_excludes_identity(self):
-        ps = list(Permutation.non_identity(3))
-        assert len(ps) == 5
-        assert all(not p.is_identity() for p in ps)
-
     def test_inverse(self):
         p = Permutation((3, 1, 2))
         q = p.inverse()
