@@ -7,18 +7,16 @@ whose target closures were all complete), 2 for an indeterminate result
 (some bound was hit), 3 for usage or parse errors and for
 inputs out of reach (a term nested too deeply) or any internal error, so an
 exception never reads as a mathematical answer.
-The environment variable RIGIDLAB_NODE_BUDGET overrides the default node
-budget of every search.
+Every search command takes --node-budget, which defaults to one million
+expanded terms.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
-from typing import Optional
 
 import click
 
@@ -52,17 +50,9 @@ from .theory import Theory, load_theory, parse_equation, save_theory
 
 __all__ = ["cli", "main"]
 
-
-def _node_budget(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("RIGIDLAB_NODE_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise click.UsageError(f"RIGIDLAB_NODE_BUDGET is not an integer: {env!r}")
-    return DEFAULT_NODE_BUDGET
+_node_budget = click.option(
+    "--node-budget", type=click.IntRange(min=1), default=DEFAULT_NODE_BUDGET, show_default=True
+)
 
 
 def _emit(doc: dict, code: int, log: str) -> int:
@@ -105,14 +95,12 @@ def cli():
 @click.option("--depth", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--size-cap", type=click.IntRange(min=1), default=None)
 @click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--node-budget", type=click.IntRange(min=1), default=None)
+@_node_budget
 def cmd_prove(theory_file, equation, depth, size_cap, slack, node_budget):
     """Bounded proof search for EQUATION ("[n] lhs = rhs") in THEORY_FILE."""
     th = load_theory(theory_file)
     goal = parse_equation(equation, th)
-    outcome = prove_bounded(
-        th, goal, depth, size_cap=size_cap, slack=slack, node_budget=_node_budget(node_budget)
-    )
+    outcome = prove_bounded(th, goal, depth, size_cap=size_cap, slack=slack, node_budget=node_budget)
     doc = outcome.to_doc()
     if outcome.found:
         code, note = 0, f"found a {len(outcome.derivation.steps)}-step derivation"
@@ -182,7 +170,7 @@ def rigidity():
 @click.option("--max-context", type=click.IntRange(min=0), default=4, show_default=True)
 @click.option("--depth", type=click.IntRange(min=0), default=6, show_default=True)
 @click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--node-budget", type=click.IntRange(min=1), default=None)
+@_node_budget
 def cmd_rigidity_search(theory_file, max_size, max_context, depth, slack, node_budget):
     """Search THEORY_FILE for a flabby term within the given bounds."""
     th = load_theory(theory_file)
@@ -192,7 +180,7 @@ def cmd_rigidity_search(theory_file, max_size, max_context, depth, slack, node_b
         max_context=max_context,
         depth=depth,
         slack=slack,
-        node_budget=_node_budget(node_budget),
+        node_budget=node_budget,
     )
     if result.found:
         code, note = 0, "flabby term found (theory is not rigid)"
@@ -209,7 +197,7 @@ def cmd_rigidity_search(theory_file, max_size, max_context, depth, slack, node_b
 @click.option("--oracle-depth", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--length-cap", type=click.IntRange(min=1), default=None)
 @click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--node-budget", type=click.IntRange(min=1), default=None)
+@_node_budget
 def cmd_hat(wp_file, term, oracle_depth, length_cap, slack, node_budget):
     """Normalize TERM ("[n] term") over the theory compiled from WP_FILE."""
     inst = _load_wp(wp_file)
@@ -220,7 +208,7 @@ def cmd_hat(wp_file, term, oracle_depth, length_cap, slack, node_budget):
         depth=oracle_depth,
         length_cap=length_cap,
         slack=slack,
-        node_budget=_node_budget(node_budget),
+        node_budget=node_budget,
     )
     result = hat(inst, t, oracle)
     tag = is_special(inst, result.term)
@@ -242,7 +230,7 @@ def cmd_hat(wp_file, term, oracle_depth, length_cap, slack, node_budget):
 @click.option("--depth", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--length-cap", type=click.IntRange(min=1), default=None)
 @click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--node-budget", type=click.IntRange(min=1), default=None)
+@_node_budget
 def cmd_word(wp_file, word1, word2, depth, length_cap, slack, node_budget):
     """Decide WORD1 = WORD2 (eps for the empty word) under WP_FILE's relations."""
     inst = _load_wp(wp_file)
@@ -255,7 +243,7 @@ def cmd_word(wp_file, word1, word2, depth, length_cap, slack, node_budget):
         depth=depth,
         length_cap=length_cap,
         slack=slack,
-        node_budget=_node_budget(node_budget),
+        node_budget=node_budget,
     )
     if outcome.found:
         code, note = 0, f"derivable in {len(outcome.derivation.steps)} step(s)"
@@ -272,7 +260,7 @@ def cmd_word(wp_file, word1, word2, depth, length_cap, slack, node_budget):
 @click.option("--depth", type=click.IntRange(min=0), default=6, show_default=True)
 @click.option("--max-context", type=click.IntRange(min=0), default=None)
 @click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--node-budget", type=click.IntRange(min=1), default=None)
+@_node_budget
 def cmd_conservativity(input_file, size_bound, depth, max_context, slack, node_budget):
     """Probe an interpretation (.itp file, or .wp file for the built-in one)
     for conservativity failures up to a source-term size bound."""
@@ -287,7 +275,7 @@ def cmd_conservativity(input_file, size_bound, depth, max_context, slack, node_b
         depth=depth,
         max_context=max_context,
         slack=slack,
-        node_budget=_node_budget(node_budget),
+        node_budget=node_budget,
     )
     if report.confirmed:
         code, note = 0, f"{len(report.confirmed)} confirmed failure(s): not conservative"

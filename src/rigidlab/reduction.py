@@ -39,6 +39,7 @@ from .rewrite import (
     LR,
     RL,
     RewriteStep,
+    _path,
     apply_step,
     match_side,
     prove_bounded,
@@ -299,15 +300,7 @@ def word_bfs(
                 entries[nw] = (d + 1, w, step)
                 new_frontier.append(nw)
                 if nw == w2:
-                    steps = []
-                    cur = nw
-                    while True:
-                        _, parent, st = entries[cur]
-                        if parent is None:
-                            break
-                        steps.append(st)
-                        cur = parent
-                    deriv = WordDerivation(w1, tuple(reversed(steps)), w2)
+                    deriv = WordDerivation(w1, tuple(_path(entries, w2)), w2)
                     return WordOutcome(FOUND, deriv, False, None, expanded, bounds_doc)
         if budget_hit:
             break

@@ -14,14 +14,19 @@ backward step could be the flip of a dropped orientation, so the search
 expands the left side only.  Tie-breaking is deterministic (axiom index,
 then L->R before R->L, then pre-order position).
 
-One successor kernel serves successors, bounded_closure and prove_bounded.
-A theory is compiled once, on first use, into its oriented sides in
-tie-break order; the result is kept on the (frozen) Theory object.  Per
-expanded term, the kernel walks the term once and buckets its subterms by
-head symbol, so each side is matched only where its root symbol occurs.  It
-checks a result's size against the cap before building it, and builds a
-RewriteStep, with its substitution, only for a result that is new to the
-search.
+One breadth-first engine serves successors, bounded_closure and
+prove_bounded.  A theory is compiled once, on first use, into its oriented
+sides in tie-break order; the result is kept on the (frozen) Theory object.
+The engine's one level function expands a frontier by one level against a
+visited dict that maps each reached term to (distance, parent, step), and
+charges one SearchStats; a node budget cuts the level short.
+bounded_closure loops over levels; prove_bounded expands the two sides in
+turn and looks for meets among each level's new terms.  One parent walk
+turns a visited dict into the steps of a derivation.  Per expanded term,
+the kernel walks the term once and buckets its subterms by head symbol, so
+each side is matched only where its root symbol occurs.  It checks a
+result's size against the cap before building it, and builds a RewriteStep,
+with its substitution, only for a result that is new to the search.
 
 Outcomes distinguish three cases: a derivation was found; the search space
 was exhausted (which certifies non-provability whenever the size cap never
@@ -143,10 +148,20 @@ def _oriented(eq: Equation, direction: str) -> tuple[TermInContext, TermInContex
 
 
 def apply_step(t: TermInContext, th: Theory, step: RewriteStep) -> TermInContext:
-    """Apply one step; raises RewriteError unless it matches exactly."""
+    """Apply one step; raises RewriteError unless it matches exactly.
+
+    The step must be one of the search relation's: an orientation whose
+    source does not bind the whole axiom context is no step, whatever the
+    substitution.
+    """
     if not 0 <= step.axiom_index < len(th.axioms):
         raise RewriteError(f"axiom index {step.axiom_index} out of range")
     eq = th.axioms[step.axiom_index]
+    if (step.axiom_index, step.direction) not in _kernel(th)[2]:
+        raise RewriteError(
+            f"axiom {step.axiom_index} ({step.direction}) is no rewrite step: "
+            "its source does not bind the whole axiom context"
+        )
     if len(step.subst) != eq.context_len:
         raise RewriteError(
             f"substitution has {len(step.subst)} entries, axiom context is {eq.context_len}"
@@ -224,8 +239,9 @@ def _compile(th: Theory) -> list[tuple]:
     return sides
 
 
-def _kernel(th: Theory) -> tuple[list[tuple], bool]:
-    """th's kernel sides and whether th has a one-way axiom.
+def _kernel(th: Theory) -> tuple[list[tuple], bool, frozenset]:
+    """th's kernel sides, whether th has a one-way axiom, and the set of
+    (axiom index, direction) pairs the kernel keeps.
 
     Computed on first use and kept on th, the way Theory keeps its symbol
     table; a Theory is frozen, so the result never goes stale.
@@ -234,22 +250,23 @@ def _kernel(th: Theory) -> tuple[list[tuple], bool]:
     if kernel is None:
         sides = _compile(th)
         kept = Counter(side[0] for side in sides)
-        kernel = (sides, 1 in kept.values())
+        kernel = (sides, 1 in kept.values(), frozenset(side[:2] for side in sides))
         object.__setattr__(th, "_kernel", kernel)
     return kernel
 
 
 def _expand(
-    t: TermInContext, sides: list, size_cap: int, visited
-) -> tuple[list[tuple[TermInContext, RewriteStep]], bool]:
-    """The successor kernel: distinct one-step rewrites of t not in visited.
+    t: TermInContext, sides: list, size_cap: int, visited: dict, distance: int, new: list
+) -> bool:
+    """The successor kernel: record t's one-step rewrites that visited lacks.
 
     Walks t once in pre-order and buckets its subterms by head symbol, so a
     side is tried only where its root symbol occurs (everywhere when its root
-    is a variable).  A result over size_cap only sets the cap flag and is
-    never built; a result already seen in this call or present in visited is
-    skipped before its RewriteStep is built.  Results come in tie-break
-    order, each with its first witnessing step.
+    is a variable).  A result over size_cap is never built; the return value
+    says whether one occurred.  A result already in visited is skipped before
+    its RewriteStep is built; each other result goes into visited as
+    (distance, t, its first witnessing step) and is appended to new, in
+    tie-break order.
     """
     term, n = t.term, t.context_len
     walk = []
@@ -268,8 +285,6 @@ def _expand(
             for i in range(len(args) - 1, -1, -1):
                 stack.append((pos + (i,), args[i]))
     base = term.size
-    seen = set()
-    out = []
     cap_hit = False
     for ai, direction, src, k, dst, root, dst_vars, dst_fixed in sides:
         for pos, sub in walk if root is None else by_head.get(root, ()):
@@ -283,28 +298,47 @@ def _expand(
                 cap_hit = True
                 continue
             subst = [bound[i] for i in range(1, k + 1)]
-            result = _rebuild(term, pos, _graft(dst, subst))
-            if result in seen:
-                continue
-            seen.add(result)
-            nt = TermInContext(result, n)
+            nt = TermInContext(replace_at(term, pos, _graft(dst, subst)), n)
             if nt in visited:
                 continue
             step = RewriteStep(ai, direction, pos, tuple(TermInContext(s, n) for s in subst))
-            out.append((nt, step))
-    return out, cap_hit
+            visited[nt] = (distance, t, step)
+            new.append(nt)
+    return cap_hit
 
 
-def _rebuild(term: Term, pos: tuple, new_sub: Term) -> Term:
-    """term with the subterm at pos replaced, rebuilding the spine iteratively."""
-    spine = []
-    for i in pos:
-        spine.append(term)
-        term = term.args[i]
-    for node, i in zip(reversed(spine), reversed(pos)):
-        args = node.args
-        new_sub = App(node.sym, args[:i] + (new_sub,) + args[i + 1 :])
-    return new_sub
+def _level(
+    frontier: list, visited: dict, distance: int, sides: list, size_cap: int,
+    node_budget: int, stats: "SearchStats",
+) -> tuple[list, bool]:
+    """The engine: expand frontier by one level, to the given distance.
+
+    Each expanded term is charged to stats.expanded.  Returns the new terms
+    in insertion order and whether the size cap pruned a result.  When the
+    node budget runs out, sets stats.budget_hit and returns the terms
+    reached so far; the caller then keeps its frontier and level.
+    """
+    new: list = []
+    cap_hit = False
+    for t in frontier:
+        if stats.expanded >= node_budget:
+            stats.budget_hit = True
+            break
+        stats.expanded += 1
+        if _expand(t, sides, size_cap, visited, distance, new):
+            cap_hit = True
+    return new, cap_hit
+
+
+def _path(entries: dict, t) -> list:
+    """The steps on the parent links of entries from the root to t, in order."""
+    steps = []
+    _, parent, step = entries[t]
+    while parent is not None:
+        steps.append(step)
+        _, parent, step = entries[parent]
+    steps.reverse()
+    return steps
 
 
 def successors(
@@ -317,8 +351,10 @@ def successors(
     """
     if size_cap < term_size(t.term):
         raise ValueError("size cap is smaller than the term itself")
-    out, _ = _expand(t, _kernel(th)[0], size_cap, set())
-    return out
+    entries: dict = {}
+    new: list = []
+    _expand(t, _kernel(th)[0], size_cap, entries, 1, new)
+    return [(nt, entries[nt][2]) for nt in new]
 
 
 @dataclass
@@ -375,30 +411,6 @@ class ProofOutcome:
         }
 
 
-def _walk_back(visited: dict, term: TermInContext) -> list[RewriteStep]:
-    """Steps collected walking parent links from term back to the root."""
-    steps = []
-    cur = term
-    while True:
-        _, parent, step = visited[cur]
-        if parent is None:
-            return steps
-        steps.append(step)
-        cur = parent
-
-
-def _assemble(
-    lhs: TermInContext,
-    rhs: TermInContext,
-    meet: TermInContext,
-    visited_l: dict,
-    visited_r: dict,
-) -> Derivation:
-    left = list(reversed(_walk_back(visited_l, meet)))
-    right = [flip_step(s) for s in _walk_back(visited_r, meet)]
-    return Derivation(lhs, tuple(left + right), rhs)
-
-
 def prove_bounded(
     th: Theory,
     goal: Equation,
@@ -423,7 +435,7 @@ def prove_bounded(
     cap = max(cap, term_size(lhs.term), term_size(rhs.term))
     bounds_doc = {"depth": depth, "size_cap": cap, "node_budget": node_budget}
     stats = SearchStats()
-    sides, one_way = _kernel(th)
+    sides, one_way, _ = _kernel(th)
 
     def finish(status, deriv=None, certified=False, reason=None):
         stats.visited_left = len(visited[0])
@@ -441,9 +453,8 @@ def prove_bounded(
         return finish(FOUND, Derivation(lhs, (), rhs))
 
     frontier = [[lhs], [rhs]]
-    meets: list[tuple[int, int, TermInContext]] = []
-    mu = depth + 1  # best meet length seen; depth+1 means none within reach yet
-    found_any_meet = False
+    meet = None  # the first meet of the shortest length mu seen so far
+    mu = depth + 1
 
     while frontier[0] or frontier[1]:
         if one_way:
@@ -459,45 +470,32 @@ def prove_bounded(
             # If the size cap pruned it, expanding the other side to its end
             # is the only way left to certify.
             side = 0 if frontier[0] else 1
-            if found_any_meet or not cap_hit[1 - side]:
+            if meet is not None or not cap_hit[1 - side]:
                 break
-        done = level[0] + level[1]
-        if done >= depth or (found_any_meet and done >= mu):
+        if level[0] + level[1] >= min(depth, mu):
             break
-        other = 1 - side
         d_new = level[side] + 1
-        new_frontier = []
-        for t in frontier[side]:
-            if stats.expanded >= node_budget:
-                stats.budget_hit = True
-                break
-            stats.expanded += 1
-            succs, hit = _expand(t, sides, cap, visited[side])
-            cap_hit[side] = cap_hit[side] or hit
-            for nt, step in succs:
-                visited[side][nt] = (d_new, t, step)
-                new_frontier.append(nt)
-                entry = visited[other].get(nt)
-                if entry is not None:
-                    total = d_new + entry[0]
-                    meets.append((total, len(meets), nt))
-                    found_any_meet = True
-                    if total < mu:
-                        mu = total
+        new, hit = _level(frontier[side], visited[side], d_new, sides, cap, node_budget, stats)
+        cap_hit[side] = cap_hit[side] or hit
+        other = visited[1 - side]
+        for nt in new:
+            entry = other.get(nt)
+            if entry is not None and d_new + entry[0] < mu:
+                mu = d_new + entry[0]
+                meet = nt
         if stats.budget_hit:
             break
-        frontier[side] = new_frontier
+        frontier[side] = new
         level[side] = d_new
 
-    if found_any_meet and mu <= depth:
-        best = min(m for m in meets if m[0] == mu)
-        deriv = _assemble(lhs, rhs, best[2], visited[0], visited[1])
+    if meet is not None:
+        # Every meet lies within depth: a level is expanded only while the
+        # two levels sum to less than depth.
+        right = [flip_step(s) for s in reversed(_path(visited[1], meet))]
+        deriv = Derivation(lhs, tuple(_path(visited[0], meet) + right), rhs)
         if len(deriv.steps) != mu or not replay(deriv, th):
             raise RuntimeError("internal error: assembled derivation failed replay")
         return finish(FOUND, deriv)
-    if found_any_meet:
-        # provable, but only beyond the requested depth
-        return finish(BOUNDS, reason="depth")
     if stats.budget_hit:
         return finish(BOUNDS, reason="nodes")
     if not frontier[0] or not frontier[1]:
@@ -530,8 +528,7 @@ class Closure:
         return self.entries[t][0]
 
     def derivation_to(self, t: TermInContext) -> Derivation:
-        steps = list(reversed(_walk_back(self.entries, t)))
-        return Derivation(self.start, tuple(steps), t)
+        return Derivation(self.start, tuple(_path(self.entries, t)), t)
 
 
 def bounded_closure(
@@ -546,30 +543,20 @@ def bounded_closure(
     cap = size_cap if size_cap is not None else term_size(start.term) + slack
     cap = max(cap, term_size(start.term))
     sides = _kernel(th)[0]
+    stats = SearchStats()
     entries = {start: (0, None, None)}
     frontier = [start]
     d = 0
     cap_hit = False
-    budget_hit = False
-    expanded = 0
-    while frontier and d < depth and not budget_hit:
-        new_frontier = []
-        for t in frontier:
-            if expanded >= node_budget:
-                budget_hit = True
-                break
-            expanded += 1
-            succs, hit = _expand(t, sides, cap, entries)
-            cap_hit = cap_hit or hit
-            for nt, step in succs:
-                entries[nt] = (d + 1, t, step)
-                new_frontier.append(nt)
-        if budget_hit:
+    while frontier and d < depth:
+        new, hit = _level(frontier, entries, d + 1, sides, cap, node_budget, stats)
+        cap_hit = cap_hit or hit
+        if stats.budget_hit:
             break
-        frontier = new_frontier
+        frontier = new
         d += 1
-    exhausted = not frontier and not budget_hit
-    return Closure(start, entries, exhausted, cap_hit, budget_hit, expanded, d)
+    # A budget cut leaves the frontier it was expanding, so it is not empty.
+    return Closure(start, entries, not frontier, cap_hit, stats.budget_hit, stats.expanded, d)
 
 
 def replay(d: Derivation, th: Theory) -> bool:

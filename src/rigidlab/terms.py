@@ -31,12 +31,9 @@ __all__ = [
     "Term",
     "TermInContext",
     "Var",
-    "VarMap",
-    "compose_varmaps",
     "count_symbol",
     "is_linear_regular",
     "parse_term",
-    "positions",
     "render_term",
     "replace_at",
     "subterm_at",
@@ -44,7 +41,6 @@ __all__ = [
     "substitute_terms",
     "term_key",
     "term_size",
-    "var_context",
     "var_occurrences",
 ]
 
@@ -247,18 +243,6 @@ def count_symbol(term: Term, sym: Symbol) -> int:
     return here + sum(count_symbol(a, sym) for a in term.args)
 
 
-def positions(term: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
-    """Yield (position, subterm) pairs in pre-order.
-
-    A position is a path of 0-based child indices; () is the root.
-    """
-    yield (), term
-    if isinstance(term, App):
-        for i, child in enumerate(term.args):
-            for pos, sub in positions(child):
-                yield (i,) + pos, sub
-
-
 def subterm_at(term: Term, pos: Sequence[int]) -> Term:
     """The subterm at a position; raises ValueError on an invalid path."""
     cur = term
@@ -270,15 +254,19 @@ def subterm_at(term: Term, pos: Sequence[int]) -> Term:
 
 
 def replace_at(term: Term, pos: Sequence[int], replacement: Term) -> Term:
-    """The term with the subterm at pos swapped for replacement."""
-    if not pos:
-        return replacement
-    i, rest = pos[0], pos[1:]
-    if not isinstance(term, App) or not 0 <= i < len(term.args):
-        raise ValueError(f"invalid position {tuple(pos)}")
-    args = list(term.args)
-    args[i] = replace_at(args[i], rest, replacement)
-    return App(term.sym, tuple(args))
+    """The term with the subterm at pos swapped for replacement.
+
+    pos must be a position of term, as subterm_at checks.  The spine above
+    pos is rebuilt iteratively, so depth is no limit.
+    """
+    spine = []
+    for i in pos:
+        spine.append(term)
+        term = term.args[i]
+    for node, i in zip(reversed(spine), reversed(pos)):
+        args = node.args
+        replacement = App(node.sym, args[:i] + (replacement,) + args[i + 1 :])
+    return replacement
 
 
 def _var_sequence(term: Term, out: list) -> None:
@@ -303,43 +291,6 @@ def is_linear_regular(t: TermInContext) -> bool:
 
 
 @dataclass(frozen=True)
-class VarMap:
-    """A map of variable indices from a domain context into a codomain context.
-
-    images[i-1] is the image of variable i; each image lies in 1..codomain_len.
-    """
-
-    images: tuple
-    codomain_len: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        for v in self.images:
-            if not 1 <= v <= self.codomain_len:
-                raise ValueError(f"image {v} outside codomain of length {self.codomain_len}")
-
-    @property
-    def domain_len(self) -> int:
-        return len(self.images)
-
-    def apply(self, index: int) -> int:
-        if not 1 <= index <= self.domain_len:
-            raise ValueError(f"variable {index} outside domain of length {self.domain_len}")
-        return self.images[index - 1]
-
-    @staticmethod
-    def identity(n: int) -> "VarMap":
-        return VarMap(tuple(range(1, n + 1)), n)
-
-
-def compose_varmaps(outer: VarMap, inner: VarMap) -> VarMap:
-    """The map sending i to outer(inner(i))."""
-    if inner.codomain_len != outer.domain_len:
-        raise ValueError("varmap domains do not line up")
-    return VarMap(tuple(outer.apply(v) for v in inner.images), outer.codomain_len)
-
-
-@dataclass(frozen=True)
 class Permutation:
     """A bijection on 1..n, stored as its image tuple."""
 
@@ -361,15 +312,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
-
-    def as_varmap(self) -> VarMap:
-        return VarMap(self.images, self.size)
-
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))
@@ -387,24 +329,22 @@ class Permutation:
             yield Permutation(images)
 
 
-def _rename(term: Term, phi: VarMap) -> Term:
+def _rename(term: Term, images: tuple) -> Term:
     if isinstance(term, Var):
-        return Var(phi.apply(term.index))
-    return App(term.sym, tuple(_rename(a, phi) for a in term.args))
+        return Var(images[term.index - 1])
+    return App(term.sym, tuple(_rename(a, images) for a in term.args))
 
 
-def substitute_simple(t: TermInContext, phi: Union[VarMap, Permutation]) -> TermInContext:
-    """Rename variables along a variable map (or permutation).
+def substitute_simple(t: TermInContext, sigma: Permutation) -> TermInContext:
+    """Rename variables along a permutation of t's context.
 
-    The result lives in phi's codomain context.  The tree shape is unchanged.
+    The result lives in the same context.  The tree shape is unchanged.
     """
-    if isinstance(phi, Permutation):
-        phi = phi.as_varmap()
-    if phi.domain_len != t.context_len:
+    if sigma.size != t.context_len:
         raise ValueError(
-            f"map domain {phi.domain_len} does not match context {t.context_len}"
+            f"permutation of {sigma.size} does not match context {t.context_len}"
         )
-    return TermInContext(_rename(t.term, phi), phi.codomain_len)
+    return TermInContext(_rename(t.term, sigma.images), t.context_len)
 
 
 def _graft(term: Term, args: Sequence[Term]) -> Term:
@@ -436,11 +376,6 @@ def substitute_terms(
     else:
         k = context_len if context_len is not None else 0
     return TermInContext(_graft(t.term, [a.term for a in args]), k)
-
-
-def var_context(n: int) -> list[TermInContext]:
-    """The identity substitution [x1, ..., xn] in context n."""
-    return [TermInContext(Var(i), n) for i in range(1, n + 1)]
 
 
 def term_key(term: Term, order: Mapping[str, int]) -> tuple:

@@ -85,19 +85,19 @@ class TestProve:
         assert proc.returncode == 3
 
     def test_node_budget_env_var(self, seed_thy):
+        # The node budget is set by --node-budget alone; the environment
+        # variable that once duplicated it is gone.
+        proc = run(
+            "prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)", "--node-budget", "12345",
+            env_extra={"RIGIDLAB_NODE_BUDGET": "lots"},
+        )
+        assert proc.returncode == 0
+        assert out_doc(proc)["bounds"]["node_budget"] == 12345
         proc = run(
             "prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)",
             env_extra={"RIGIDLAB_NODE_BUDGET": "12345"},
         )
-        assert proc.returncode == 0
-        assert out_doc(proc)["bounds"]["node_budget"] == 12345
-
-    def test_bad_env_var_exits_three(self, seed_thy):
-        proc = run(
-            "prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)",
-            env_extra={"RIGIDLAB_NODE_BUDGET": "lots"},
-        )
-        assert proc.returncode == 3
+        assert out_doc(proc)["bounds"]["node_budget"] == 1_000_000
 
 
 class TestReplay:

@@ -17,9 +17,12 @@ from rigidlab.rewrite import (
     EXHAUSTED,
     FOUND,
     LR,
+    RL,
     Derivation,
+    ProofOutcome,
     RewriteError,
     RewriteStep,
+    SearchStats,
     apply_step,
     bounded_closure,
     derivation_from_doc,
@@ -32,7 +35,7 @@ from rigidlab.rewrite import (
     successors,
     symbol_census,
 )
-from rigidlab.terms import App, Symbol, TermInContext, Var, term_size
+from rigidlab.terms import App, Symbol, TermInContext, Var, term_size, var_occurrences
 from rigidlab.theory import Equation, Theory, parse_equation, parse_theory
 
 SEED = parse_theory(
@@ -404,6 +407,196 @@ class TestSuccessorKernel:
                 pytest.fail("certified, but neither class is complete under the cap")
 
 
+def has_one_way_axiom(th):
+    """Whether some axiom has exactly one side that mentions its whole context."""
+    for eq in th.axioms:
+        whole = set(range(1, eq.context_len + 1))
+        if sum(set(var_occurrences(side)) == whole for side in (eq.lhs, eq.rhs)) == 1:
+            return True
+    return False
+
+
+def as_step(witness, n):
+    ai, direction, position, subst = witness
+    return RewriteStep(ai, direction, position, tuple(tic(u, n) for u in subst))
+
+
+def as_witness(step):
+    if step is None:
+        return None
+    return (step.axiom_index, step.direction, step.position, tuple(u.term for u in step.subst))
+
+
+def walk_back(entries, t):
+    """Oracle witnesses on the parent links from t back to the root."""
+    out = []
+    while entries[t][1] is not None:
+        out.append(entries[t][2])
+        t = entries[t][1]
+    return out
+
+
+def loop_closure(succ, start, depth, node_budget):
+    """bounded_closure's own level loop as it was before the engine was
+    shared, over the oracle's successors: (entries, exhausted, cap_hit,
+    budget_hit, expanded, depth_reached)."""
+    entries = {start: (0, None, None)}
+    frontier = [start]
+    d = 0
+    cap_hit = budget_hit = False
+    expanded = 0
+    while frontier and d < depth and not budget_hit:
+        new_frontier = []
+        for t in frontier:
+            if expanded >= node_budget:
+                budget_hit = True
+                break
+            expanded += 1
+            succs, hit = succ(t)
+            cap_hit = cap_hit or hit
+            for nt, witness in succs:
+                if nt not in entries:
+                    entries[nt] = (d + 1, t, witness)
+                    new_frontier.append(nt)
+        if budget_hit:
+            break
+        frontier = new_frontier
+        d += 1
+    return entries, not frontier and not budget_hit, cap_hit, budget_hit, expanded, d
+
+
+def loop_prove(succ, one_way, lhs, rhs, depth, cap, node_budget):
+    """prove_bounded's own loop as it was before the engine was shared, over
+    the oracle's successors; every meet is recorded, and the first of the
+    shortest ones is assembled."""
+    n = lhs.context_len
+    stats = SearchStats()
+    visited = ({lhs: (0, None, None)}, {rhs: (0, None, None)})
+    level = [0, 0]
+    cap_hit = [False, False]
+    bounds = {"depth": depth, "size_cap": cap, "node_budget": node_budget}
+
+    def finish(status, deriv=None, certified=False, reason=None):
+        stats.visited_left, stats.visited_right = len(visited[0]), len(visited[1])
+        stats.depth_left, stats.depth_right = level
+        stats.cap_hit = cap_hit[0] or cap_hit[1]
+        return ProofOutcome(status, deriv, certified, reason, stats, bounds)
+
+    if lhs == rhs:
+        return finish(FOUND, Derivation(lhs, (), rhs))
+    frontier = [[lhs], [rhs]]
+    meets = []
+    mu = depth + 1
+    while frontier[0] or frontier[1]:
+        if one_way:
+            if not frontier[0]:
+                break
+            side = 0
+        elif frontier[0] and frontier[1]:
+            side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+        else:
+            side = 0 if frontier[0] else 1
+            if meets or not cap_hit[1 - side]:
+                break
+        done = level[0] + level[1]
+        if done >= depth or (meets and done >= mu):
+            break
+        d_new = level[side] + 1
+        new_frontier = []
+        for t in frontier[side]:
+            if stats.expanded >= node_budget:
+                stats.budget_hit = True
+                break
+            stats.expanded += 1
+            succs, hit = succ(t)
+            cap_hit[side] = cap_hit[side] or hit
+            for nt, witness in succs:
+                if nt in visited[side]:
+                    continue
+                visited[side][nt] = (d_new, t, witness)
+                new_frontier.append(nt)
+                entry = visited[1 - side].get(nt)
+                if entry is not None:
+                    meets.append((d_new + entry[0], len(meets), nt))
+                    mu = min(mu, d_new + entry[0])
+        if stats.budget_hit:
+            break
+        frontier[side] = new_frontier
+        level[side] = d_new
+    if meets and mu <= depth:
+        meet = min(m for m in meets if m[0] == mu)[2]
+        left = [as_step(w, n) for w in reversed(walk_back(visited[0], meet))]
+        right = [flip_step(as_step(w, n)) for w in walk_back(visited[1], meet)]
+        return finish(FOUND, Derivation(lhs, tuple(left + right), rhs))
+    if meets:
+        return finish(BOUNDS, reason="depth")
+    if stats.budget_hit:
+        return finish(BOUNDS, reason="nodes")
+    if not frontier[0] or not frontier[1]:
+        certified = (not frontier[0] and not cap_hit[0]) or (not frontier[1] and not cap_hit[1])
+        return finish(EXHAUSTED, certified=certified)
+    return finish(BOUNDS, reason="depth")
+
+
+class TestEngineCuts:
+    """Every node budget from 1 to 12 and depth from 0 to 4, against the two
+    search loops the engine replaced, run over the oracle's successors."""
+
+    def check_sweep(self, th, lhs, rhs, cap):
+        memo: dict = {}
+
+        def succ(t):
+            if t not in memo:
+                memo[t] = naive_successors(t, th, cap)
+            return memo[t]
+
+        one_way = has_one_way_axiom(th)
+        for depth in range(5):
+            for budget in range(1, 13):
+                cl = bounded_closure(th, lhs, depth, size_cap=cap, node_budget=budget)
+                entries, *flags = loop_closure(succ, lhs, depth, budget)
+                got = [(t, d, p, as_witness(s)) for t, (d, p, s) in cl.entries.items()]
+                assert got == [(t, *e) for t, e in entries.items()]
+                assert cl.start == lhs
+                assert [cl.exhausted, cl.cap_hit, cl.budget_hit, cl.expanded, cl.depth_reached] == flags
+                out = prove_bounded(th, Equation(lhs, rhs), depth, size_cap=cap, node_budget=budget)
+                want = loop_prove(succ, one_way, lhs, rhs, depth, cap, budget)
+                assert out.to_doc() == want.to_doc()
+
+    def test_meet_then_budget_cut(self):
+        # The AC left comb meets its reversal while the budget cuts the level
+        # that found the meet: the partial level still yields the proof.
+        ac = parse_theory(
+            "symbol m 2\naxiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\naxiom [2] m(x1,x2) = m(x2,x1)\n"
+        )
+        goal = parse_equation("[4] m(m(m(x1,x2),x3),x4) = m(x4,m(x3,m(x2,x1)))", ac)
+        out = prove_bounded(ac, goal, 8, node_budget=5)
+        assert (out.status, out.stats.budget_hit) == (FOUND, True)
+        assert replay(out.derivation, ac)
+        self.check_sweep(ac, goal.lhs, goal.rhs, 7)
+
+    def test_one_way_pool(self):
+        th = Theory(KERNEL_POOL.signature, KERNEL_POOL.axioms[:3])
+        assert has_one_way_axiom(th)
+        rng = random.Random(11)
+        for _ in range(6):
+            lhs = tic(random_term(rng, KERNEL_POOL, 5, 2), 2)
+            rhs = tic(random_term(rng, KERNEL_POOL, 5, 2), 2)
+            self.check_sweep(th, lhs, rhs, 6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_case(), st.integers(0, 2**20))
+    def test_random_theories(self, case, seed):
+        th, lhs, cap = case
+        rng = random.Random(seed)
+        n = lhs.context_len
+        if rng.random() < 0.5:
+            rhs = rng.choice(sorted(naive_closure(lhs, th, 3, cap), key=repr))
+        else:
+            rhs = tic(random_term(rng, KERNEL_POOL, rng.randint(1, cap), n), n)
+        self.check_sweep(th, lhs, rhs, max(cap, term_size(rhs.term)))
+
+
 class TestOneWayTheories:
     """Theories with an axiom where exactly one side binds its context: the
     flip of that side's orientation is no step, so proof search runs forward
@@ -436,6 +629,20 @@ class TestOneWayTheories:
         assert (out.status, out.certified) == (EXHAUSTED, True)
         out = prove_bounded(th, goal, 1)
         assert (out.status, out.reason) == (BOUNDS, "depth")
+
+    def test_replay_refuses_a_dropped_orientation(self):
+        # RL of x1 = c() would rewrite c() to any term; the search never takes
+        # it, so a derivation using it must not contradict the certificate.
+        th = parse_theory("symbol c 0\nsymbol m 2\naxiom [1] x1 = c()\n")
+        goal = parse_equation("[1] m(x1,c()) = m(x1,x1)", th)
+        out = prove_bounded(th, goal, 8)
+        assert (out.status, out.certified) == (EXHAUSTED, True)
+        step = RewriteStep(0, RL, (1,), (tic(x(1), 1),))
+        with pytest.raises(RewriteError):
+            apply_step(goal.lhs, th, step)
+        assert not replay(Derivation(goal.lhs, (step,), goal.rhs), th)
+        forward = RewriteStep(0, LR, (1,), (tic(x(1), 1),))
+        assert apply_step(goal.rhs, th, forward) == goal.lhs
 
 
 @st.composite
