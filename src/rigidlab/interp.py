@@ -19,19 +19,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from .rewrite import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_SLACK,
-    Closure,
     Derivation,
     ProofOutcome,
     bounded_closure,
     derivation_to_doc,
     prove_bounded,
 )
-from .rigidity import enumerate_linear_regular
+from .rigidity import _shapes, enumerate_linear_regular
 from .terms import (
     App,
     Permutation,
@@ -43,10 +42,9 @@ from .terms import (
     render_term,
     substitute_simple,
     substitute_terms,
-    term_key,
     term_size,
 )
-from .theory import Equation, Theory, load_theory
+from .theory import Equation, Theory, _check_signature_terms, load_theory
 from .terms import ParseError
 
 __all__ = [
@@ -84,6 +82,7 @@ class Interpretation:
         by_name = dict(self.assignment)
         if len(by_name) != len(self.assignment):
             raise ValueError("duplicate symbol in assignment")
+        target_symbols = self.target.symbols_by_name()
         for sym in self.source.signature:
             image = by_name.get(sym.name)
             if image is None:
@@ -93,7 +92,7 @@ class Interpretation:
                     f"image of {sym.name!r} lives in context {image.context_len}, "
                     f"arity is {sym.arity}"
                 )
-            _check_target_term(image.term, self.target)
+            _check_signature_terms(image.term, target_symbols)
             if self.linear_regular and not is_linear_regular(image):
                 raise ValueError(f"image of {sym.name!r} is not linear-regular")
         if len(self.assignment) != len(self.source.signature):
@@ -118,14 +117,6 @@ class Interpretation:
 
     def image_of(self, name: str) -> TermInContext:
         return self._by_name[name]
-
-
-def _check_target_term(term: Term, target: Theory) -> None:
-    if isinstance(term, App):
-        if not target.has_symbol(term.sym.name) or target.symbol(term.sym.name) != term.sym:
-            raise ValueError(f"image uses symbol {term.sym.name!r} not in the target signature")
-        for a in term.args:
-            _check_target_term(a, target)
 
 
 def extend(i: Interpretation, t: TermInContext) -> TermInContext:
@@ -282,7 +273,11 @@ def probe_conservativity(
         "slack": slack,
         "node_budget": node_budget,
     }
-    order = i.source.symbol_order()
+    # Canonical terms of all sizes in key order: a canonical pair is probed
+    # from the side that comes first.
+    rank = {
+        t: k for k, t in enumerate(_shapes(i.source, term_size_bound, 1, max_context, {}))
+    }
     by_context: dict[int, list[TermInContext]] = {}
     for t in enumerate_linear_regular(i.source, term_size_bound, max_context):
         by_context.setdefault(t.context_len, []).append(t)
@@ -306,8 +301,8 @@ def probe_conservativity(
         pool_at: dict[TermInContext, list[int]] = {}
         for k, (t, _) in enumerate(pool):
             pool_at.setdefault(images[t], []).append(k)
-        keys = {t: term_key(t.term, order) for t in canonical}
-        sorted_keys = sorted(keys.values())
+        ranks = {t: rank[t.term] for t in canonical}
+        sorted_ranks = sorted(ranks.values())
         for s in canonical:
             cl_target = bounded_closure(
                 i.target, images[s], depth, size_cap=tgt_cap, node_budget=node_budget
@@ -317,13 +312,13 @@ def probe_conservativity(
                 i.source, s, depth, size_cap=src_cap, node_budget=node_budget
             )
             source_certified = cl_source.exhausted and not cl_source.cap_hit
-            # Every pool term but s itself, less the canonical terms keyed
+            # Every pool term but s itself, less the canonical terms ranked
             # below s: canonical-canonical pairs are unordered; probe once.
-            pairs_checked += len(pool) - 1 - bisect_left(sorted_keys, keys[s])
+            pairs_checked += len(pool) - 1 - bisect_left(sorted_ranks, ranks[s])
             hits = sorted(k for u in cl_target.entries for k in pool_at.get(u, ()))
             for k in hits:
                 t, t_canonical = pool[k]
-                if t == s or (t_canonical and keys[t] < keys[s]):
+                if t == s or (t_canonical and ranks[t] < ranks[s]):
                     continue
                 target_proved += 1
                 if t in cl_source:

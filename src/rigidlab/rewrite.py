@@ -35,7 +35,6 @@ pruned anything); or a bound (depth or node budget) cut the search short.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
@@ -613,24 +612,35 @@ def derivation_to_doc(d: Derivation) -> dict:
     }
 
 
-def _field(doc, key: str):
+def _field(doc, key: str, kind: type, item: Optional[type] = None):
+    """doc[key], which must be a kind, or a list of item when item is given."""
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"the document is not a derivation: missing key {key!r}")
-    return doc[key]
+    value = doc[key]
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    if ok and item is not None:
+        ok = all(isinstance(v, item) and not isinstance(v, bool) for v in value)
+    if not ok:
+        what = kind.__name__ if item is None else f"list of {item.__name__}"
+        raise ValueError(f"the document is not a derivation: {key!r} must be of type {what}")
+    return value
 
 
 def derivation_from_doc(doc: dict, th: Theory) -> Derivation:
     """Read a derivation_to_doc document; raises ValueError on any other shape."""
     symbols = th.symbols_by_name()
-    n = int(_field(doc, "context_len"))
-    start = TermInContext(parse_term(_field(doc, "start"), symbols), n)
-    end = TermInContext(parse_term(_field(doc, "end"), symbols), n)
+    n = _field(doc, "context_len", int)
+    start = TermInContext(parse_term(_field(doc, "start", str), symbols), n)
+    end = TermInContext(parse_term(_field(doc, "end", str), symbols), n)
     steps = []
-    for s in _field(doc, "steps"):
-        subst = tuple(TermInContext(parse_term(u, symbols), n) for u in _field(s, "subst"))
+    for s in _field(doc, "steps", list, dict):
+        subst = tuple(TermInContext(parse_term(u, symbols), n) for u in _field(s, "subst", list, str))
         steps.append(
             RewriteStep(
-                int(_field(s, "axiom")), _field(s, "direction"), tuple(_field(s, "position")), subst
+                _field(s, "axiom", int),
+                _field(s, "direction", str),
+                tuple(_field(s, "position", list, int)),
+                subst,
             )
         )
     return Derivation(start, tuple(steps), end)

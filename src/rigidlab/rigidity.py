@@ -4,7 +4,9 @@ A term in context n is flabby when the theory proves it equal to itself with
 its variables permuted non-trivially; a theory with no flabby term is rigid.
 The search enumerates canonical linear-regular terms (variables numbered in
 first-occurrence order, so each shape appears once) and computes one bounded
-rewrite closure per term.  Rather than build every permutation image, it
+rewrite closure per term.  One memoised depth-first recursion builds the
+terms already in canonical order (pre-order tags, variables before symbols,
+symbols in signature order), so no batch is sorted.  Rather than build every permutation image, it
 scans the closure: an entry of the same size that is a renaming of the term
 gives the permutation directly, read off in one walk of both terms.
 Canonical order loses no generality: t is flabby exactly when any renaming
@@ -30,14 +32,12 @@ from .rewrite import (
 from .terms import (
     App,
     Permutation,
-    Symbol,
     Term,
     TermInContext,
     Var,
     is_linear_regular,
     render_term,
     substitute_simple,
-    term_key,
     term_size,
 )
 from .theory import Theory
@@ -51,61 +51,42 @@ __all__ = [
 ]
 
 
-def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple]:
-    """All ways to write total as an ordered sum of `parts` values >= minimum."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for head in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - head, parts - 1, minimum):
-            yield (head,) + rest
+def _shapes(th: Theory, budget: int, next_var: int, max_context: int, memo: dict) -> list[Term]:
+    """Terms of at most `budget` nodes whose variables read next_var,
+    next_var+1, ... once each, left to right, none above max_context; in
+    canonical order.
 
+    Each node tries the next variable first, then every symbol in signature
+    order, and fills its arguments left to right, keeping one node for each
+    argument still to come.  That is depth-first order on pre-order tags
+    (variables before symbols, symbols in signature order), and since the tag
+    sequence of a whole term is never a prefix of another's, depth-first
+    order is lexicographic order on those sequences, across sizes too.
 
-def _shapes(th: Theory, size: int, nvars: int, next_var: int, memo: dict) -> list[Term]:
-    """Terms of exactly `size` nodes using variables next_var..next_var+nvars-1
-    once each, in left-to-right order.
-
-    memo maps (size, nvars, next_var) to the list already built for it; the
-    lists are shared, so callers must not mutate them.
+    memo maps (budget, next_var) to the list already built for it, for one
+    theory and max_context; the lists are shared, so callers must not mutate
+    them.
     """
-    key = (size, nvars, next_var)
+    key = (budget, next_var)
     out = memo.get(key)
     if out is not None:
         return out
     out = memo[key] = []
-    if size == 1:
-        if nvars == 1:
-            out.append(Var(next_var))
-        elif nvars == 0:
-            for sym in th.signature:
-                if sym.arity == 0:
-                    out.append(App(sym, ()))
-        return out
+    if next_var <= max_context:
+        out.append(Var(next_var))
     for sym in th.signature:
         k = sym.arity
-        if k == 0 or size - 1 < k:
+        if k >= budget:
             continue
-        for sizes in _compositions(size - 1, k, 1):
-            for vars_split in _compositions(nvars, k, 0):
-                if any(v > s for v, s in zip(vars_split, sizes)):
-                    continue
-                groups: list[list[Term]] = []
-                v = next_var
-                for s, nv in zip(sizes, vars_split):
-                    groups.append(_shapes(th, s, nv, v, memo))
-                    v += nv
-                if any(not g for g in groups):
-                    continue
-                stack: list[tuple] = [()]
-                for g in groups:
-                    stack = [prefix + (child,) for prefix in stack for child in g]
-                for args in stack:
-                    out.append(App(sym, args))
+        # (arguments so far, next variable, nodes left for the rest)
+        partial = [((), next_var, budget - 1)]
+        for rest in range(k - 1, -1, -1):
+            partial = [
+                (args + (a,), max(v, a.max_var + 1), left - a.size)
+                for args, v, left in partial
+                for a in _shapes(th, left - rest, v, max_context, memo)
+            ]
+        out.extend(App(sym, args) for args, _, _ in partial)
     return out
 
 
@@ -117,17 +98,13 @@ def enumerate_linear_regular(
     Canonical means the variables read 1, 2, ... in left-to-right order, so
     exactly one representative per orbit of context renamings is produced.
     Within one size the order is lexicographic on pre-order keys (variables
-    first, then symbols in signature order).
+    first, then symbols in signature order), the order _shapes builds.
     """
-    order = th.symbol_order()
     memo: dict = {}
     for size in range(1, max_size + 1):
-        batch: list[TermInContext] = []
-        for n in range(0, min(max_context, size) + 1):
-            for term in _shapes(th, size, n, 1, memo):
-                batch.append(TermInContext(term, n))
-        batch.sort(key=lambda t: term_key(t.term, order))
-        yield from batch
+        for term in _shapes(th, size, 1, max_context, memo):
+            if term.size == size:
+                yield TermInContext(term, term.max_var)
 
 
 @dataclass(frozen=True)

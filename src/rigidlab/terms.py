@@ -39,7 +39,6 @@ __all__ = [
     "subterm_at",
     "substitute_simple",
     "substitute_terms",
-    "term_key",
     "term_size",
     "var_occurrences",
 ]
@@ -329,10 +328,10 @@ class Permutation:
             yield Permutation(images)
 
 
-def _rename(term: Term, images: tuple) -> Term:
+def _graft(term: Term, args: Sequence[Term]) -> Term:
     if isinstance(term, Var):
-        return Var(images[term.index - 1])
-    return App(term.sym, tuple(_rename(a, images) for a in term.args))
+        return args[term.index - 1]
+    return App(term.sym, tuple(_graft(a, args) for a in term.args))
 
 
 def substitute_simple(t: TermInContext, sigma: Permutation) -> TermInContext:
@@ -344,13 +343,7 @@ def substitute_simple(t: TermInContext, sigma: Permutation) -> TermInContext:
         raise ValueError(
             f"permutation of {sigma.size} does not match context {t.context_len}"
         )
-    return TermInContext(_rename(t.term, sigma.images), t.context_len)
-
-
-def _graft(term: Term, args: Sequence[Term]) -> Term:
-    if isinstance(term, Var):
-        return args[term.index - 1]
-    return App(term.sym, tuple(_graft(a, args) for a in term.args))
+    return TermInContext(_graft(t.term, [Var(i) for i in sigma.images]), t.context_len)
 
 
 def substitute_terms(
@@ -376,27 +369,6 @@ def substitute_terms(
     else:
         k = context_len if context_len is not None else 0
     return TermInContext(_graft(t.term, [a.term for a in args]), k)
-
-
-def term_key(term: Term, order: Mapping[str, int]) -> tuple:
-    """Pre-order tag sequence for the canonical term order.
-
-    Variables sort before applications; applications sort by the given
-    symbol order (normally signature declaration order).  Comparing keys of
-    equal-size terms yields the canonical lexicographic order.
-    """
-    out: list[tuple[int, int]] = []
-
-    def go(t: Term) -> None:
-        if isinstance(t, Var):
-            out.append((0, t.index))
-        else:
-            out.append((1, order[t.sym.name]))
-            for a in t.args:
-                go(a)
-
-    go(term)
-    return tuple(out)
 
 
 # ---- concrete syntax ----

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Union
 
 from .terms import (
     App,
@@ -22,7 +22,6 @@ from .terms import (
     Symbol,
     Term,
     TermInContext,
-    Var,
     is_linear_regular,
     parse_term,
     render_term,
@@ -100,10 +99,6 @@ class Theory:
 
     def symbols_by_name(self) -> dict:
         return dict(self._by_name)
-
-    def symbol_order(self) -> dict:
-        """Name -> declaration index, the order used by canonical term keys."""
-        return {sym.name: i for i, sym in enumerate(self.signature)}
 
 
 def validate_linear_regular(th: Theory) -> list[int]:

@@ -138,6 +138,16 @@ def naive_all_terms(th: Theory, size: int, context: int) -> list:
     return out
 
 
+def term_key(term: Term, th: Theory) -> tuple:
+    """The reference key of the canonical term order: the pre-order tag
+    sequence, a variable tagged (0, index) and an application (1, i) for the
+    i-th symbol of th's signature.  Keys compare lexicographically."""
+    if isinstance(term, Var):
+        return ((0, term.index),)
+    head = ((1, th.signature.index(term.sym)),)
+    return head + sum((term_key(a, th) for a in term.args), ())
+
+
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)

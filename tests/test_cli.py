@@ -122,6 +122,35 @@ class TestReplay:
         assert "Traceback" not in proc.stderr
 
 
+MALFORMED_DERIVATIONS = {
+    "position_not_a_list": {
+        "context_len": 2,
+        "start": "l(x1,x2)",
+        "end": "r(x2,x1)",
+        "steps": [{"axiom": 0, "direction": "LR", "position": "0", "subst": ["x1", "x2"]}],
+    },
+    "context_len_null": {"context_len": None, "start": "l(x1,x2)", "end": "l(x1,x2)", "steps": []},
+    "subst_not_terms": {
+        "context_len": 2,
+        "start": "l(x1,x2)",
+        "end": "r(x2,x1)",
+        "steps": [{"axiom": 0, "direction": "LR", "position": [], "subst": [1, 2]}],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["replay", "census"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_DERIVATIONS))
+def test_malformed_derivation_is_a_usage_error(command, case, seed_thy, tmp_path):
+    dfile = tmp_path / "d.json"
+    dfile.write_text(json.dumps(MALFORMED_DERIVATIONS[case]))
+    extra = ["l"] if command == "census" else []
+    proc = run(command, seed_thy, str(dfile), *extra)
+    assert proc.returncode == 3
+    assert "error: the document is not a derivation" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 class TestReduce:
     def test_writes_files_and_roundtrips(self, yes_wp, tmp_path):
         out = tmp_path / "build"

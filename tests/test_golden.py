@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from rigidlab.interp import probe_conservativity
+from rigidlab.interp import Interpretation, probe_conservativity
 from rigidlab.reduction import (
     compile_reduction,
     instance,
@@ -44,11 +44,29 @@ GROWING = parse_theory(
     "symbol c 0\nsymbol u 1\nsymbol m 2\naxiom [1] x1 = u(x1)\naxiom [1] m(x1,x1) = u(x1)\n"
 )
 COMMUTES = instance(["a", "b"], [("ab", "ba")], ("ab", "ba"))
+TERNARY = parse_theory(
+    "symbol c 0\nsymbol u 1\nsymbol t 3\n"
+    "axiom [2] t(x1,u(x2),c()) = t(x2,u(x1),c())\n"
+    "axiom [2] t(u(x1),x2,c()) = t(u(x2),x1,c())\n"
+)
+FREE_CFM = parse_theory("symbol c 0\nsymbol f 1\nsymbol m 2\n")
+COMMUTATIVE_CM = parse_theory("symbol c 0\nsymbol m 2\naxiom [2] m(x1,x2) = m(x2,x1)\n")
 
 COMB4 = "[4] m(m(m(x1,x2),x3),x4)"
 REVERSED4 = "m(x4,m(x3,m(x2,x1)))"
 COMB5 = "[5] m(m(m(m(x1,x2),x3),x4),x5)"
 REVERSED5 = "m(x5,m(x4,m(x3,m(x2,x1))))"
+
+
+def forget_f():
+    """c and m to themselves, f(x1) to x1: findings pair terms of different
+    sizes, such as m(x1,f(c())) with m(c(),x1)."""
+    symbols = COMMUTATIVE_CM.symbols_by_name()
+    images = {"c": (0, "c()"), "f": (1, "x1"), "m": (2, "m(x1,x2)")}
+    mapping = {
+        name: TermInContext(parse_term(text, symbols), n) for name, (n, text) in images.items()
+    }
+    return Interpretation.of(FREE_CFM, COMMUTATIVE_CM, mapping)
 
 
 def prove(th, text, depth, **kw):
@@ -116,8 +134,12 @@ CASES = {
     "flabby_commutes": lambda: search_flabby(
         compile_reduction(COMMUTES), max_size=8, max_context=3, depth=6
     ).to_doc(),
+    "flabby_ternary": lambda: search_flabby(TERNARY, max_size=6, max_context=3, depth=4).to_doc(),
     "probe_commutes_5": lambda: probe_conservativity(
         seed_interpretation(COMMUTES), term_size_bound=5, depth=6
+    ).to_doc(),
+    "probe_forget_f_4": lambda: probe_conservativity(
+        forget_f(), term_size_bound=4, max_context=1, depth=2
     ).to_doc(),
 }
 

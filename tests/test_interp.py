@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_term
+from oracles import random_term, term_key
 from rigidlab.interp import (
     ConservativityReport,
     Interpretation,
@@ -37,7 +37,6 @@ from rigidlab.terms import (
     render_term,
     substitute_simple,
     substitute_terms,
-    term_key,
     term_size,
 )
 from rigidlab.theory import parse_theory
@@ -240,7 +239,6 @@ def pair_loop_probe(i, *, term_size_bound, depth, slack=DEFAULT_SLACK, node_budg
         "slack": slack,
         "node_budget": node_budget,
     }
-    order = i.source.symbol_order()
     by_context: dict = {}
     for t in enumerate_linear_regular(i.source, term_size_bound, max_context):
         by_context.setdefault(t.context_len, []).append(t)
@@ -258,7 +256,7 @@ def pair_loop_probe(i, *, term_size_bound, depth, slack=DEFAULT_SLACK, node_budg
         images = {t: extend(i, t) for t, _ in pool}
         src_cap = max(term_size(t.term) for t, _ in pool) + slack
         tgt_cap = max(term_size(img.term) for img in images.values()) + slack
-        keys = {t: term_key(t.term, order) for t in canonical}
+        keys = {t: term_key(t.term, i.source) for t in canonical}
         for s in canonical:
             cl_target = bounded_closure(i.target, images[s], depth, size_cap=tgt_cap, node_budget=node_budget)
             complete = complete and cl_target.exhausted and not cl_target.cap_hit

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigidlab.rewrite as rewrite
-from oracles import naive_all_terms, random_term
+from oracles import naive_all_terms, random_term, term_key
 from rigidlab.reduction import compile_reduction, instance, seed_theory
 from rigidlab.rewrite import (
     BOUNDS,
@@ -19,6 +19,7 @@ from rigidlab.rewrite import (
 from rigidlab.rigidity import (
     FlabbyReport,
     FlabbySearchResult,
+    _shapes,
     enumerate_linear_regular,
     search_flabby,
     verify_report,
@@ -31,7 +32,6 @@ from rigidlab.terms import (
     parse_term,
     render_term,
     substitute_simple,
-    term_key,
     term_size,
 )
 from rigidlab.theory import Equation, Theory, parse_theory
@@ -40,6 +40,8 @@ SEED = seed_theory()
 COMMUTES = instance(["a", "b"], [("ab", "ba")], ("ab", "ba"))
 IDEMPOTENT = instance(["a"], [("a", "aa")], ("a", "aa"))
 SINGLE = instance(["a"], [], ("a", "a"))
+
+TERNARY = parse_theory("symbol c 0\nsymbol u 1\nsymbol t 3\n")
 
 COMMUTATIVE_M = parse_theory("symbol m 2\naxiom [2] m(x1,x2) = m(x2,x1)\n")
 
@@ -95,24 +97,40 @@ class TestEnumerate:
         sizes = [term_size(t.term) for t in out]
         assert sizes == sorted(sizes)
 
+    @staticmethod
+    def _brute_force(th, size, max_context):
+        """Canonical linear-regular terms of one size, by brute force."""
+        out = []
+        for term in naive_all_terms(th, size, max_context):
+            seen = []
+            TestEnumerate._first_occurrences(term, seen)
+            if seen != list(range(1, len(seen) + 1)):
+                continue
+            t = TermInContext(term, len(seen))
+            if is_linear_regular(t):
+                out.append(t)
+        return out
+
     def test_matches_brute_force(self):
-        # Every canonical term of size <= 7 in context <= 3, in order: by
-        # size, then by pre-order key within a size.
-        for th in (SEED, compile_reduction(COMMUTES)):
+        # Every canonical term of size <= 7, in order: by size, then by the
+        # reference pre-order key within a size.
+        cases = [(SEED, 3), (compile_reduction(COMMUTES), 3)]
+        cases += [(TERNARY, max_context) for max_context in (0, 2, 5)]
+        for th, max_context in cases:
             want = []
             for size in range(1, 8):
-                batch = []
-                for term in naive_all_terms(th, size, 3):
-                    seen = []
-                    TestEnumerate._first_occurrences(term, seen)
-                    if seen != list(range(1, len(seen) + 1)):
-                        continue
-                    t = TermInContext(term, len(seen))
-                    if is_linear_regular(t):
-                        batch.append(t)
-                batch.sort(key=lambda t: term_key(t.term, th.symbol_order()))
+                batch = self._brute_force(th, size, max_context)
+                batch.sort(key=lambda t: term_key(t.term, th))
                 want.extend(batch)
-            assert list(enumerate_linear_regular(th, 7, 3)) == want
+            assert list(enumerate_linear_regular(th, 7, max_context)) == want
+
+    def test_shapes_are_in_key_order_across_sizes(self):
+        # The conservativity probe ranks canonical terms of different sizes
+        # by their index in one _shapes list; that index must be key order.
+        for th, max_context in ((TERNARY, 2), (compile_reduction(COMMUTES), 3)):
+            want = [t for size in range(1, 7) for t in self._brute_force(th, size, max_context)]
+            want.sort(key=lambda t: term_key(t.term, th))
+            assert list(_shapes(th, 6, 1, max_context, {})) == [t.term for t in want]
 
     def test_counts_used_by_rigidity_sweep(self):
         # Sizes 1,3,5,7 contribute 1, 3, 18, 135 canonical terms; even sizes

@@ -22,7 +22,6 @@ from rigidlab.terms import (
     substitute_simple,
     substitute_terms,
     subterm_at,
-    term_key,
     term_size,
     var_occurrences,
 )
@@ -254,18 +253,6 @@ class TestPermutations:
     def test_rejects_non_bijections(self):
         with pytest.raises(ValueError):
             Permutation((1, 1))
-
-
-class TestTermKey:
-    def test_variables_before_applications(self):
-        order = {"f": 0, "g": 1, "c": 2}
-        assert term_key(x(1), order) < term_key(App(C, ()), order)
-
-    def test_symbol_order_respected(self):
-        order = {"f": 0, "g": 1, "c": 2}
-        t1 = App(G, (App(F, (x(1),)), x(2)))
-        t2 = App(G, (App(C, ()), x(2)))
-        assert term_key(t1, order) < term_key(t2, order)
 
 
 class TestConcreteSyntax:

@@ -60,10 +60,6 @@ class TestTheory:
         with pytest.raises(KeyError):
             th.symbol("k")
 
-    def test_symbol_order_is_declaration_order(self):
-        th = Theory((L, R, M), ())
-        assert th.symbol_order() == {"l": 0, "r": 1, "m": 2}
-
 
 class TestValidateLinearRegular:
     def test_seed_axiom_clean(self):
