@@ -37,6 +37,7 @@ from .reduction import (
 from .rewrite import (
     BOUNDS,
     DEFAULT_NODE_BUDGET,
+    DEFAULT_SLACK,
     EXHAUSTED,
     FOUND,
     derivation_from_doc,
@@ -53,6 +54,10 @@ __all__ = ["cli", "main"]
 _node_budget = click.option(
     "--node-budget", type=click.IntRange(min=1), default=DEFAULT_NODE_BUDGET, show_default=True
 )
+_slack = click.option("--slack", type=click.IntRange(min=0), default=DEFAULT_SLACK, show_default=True)
+
+# The exit code of a search status; "exhausted" always means a complete search.
+_EXIT_CODE = {FOUND: 0, EXHAUSTED: 1, BOUNDS: 2}
 
 
 def _emit(doc: dict, code: int, log: str) -> int:
@@ -94,21 +99,21 @@ def cli():
 @click.argument("equation")
 @click.option("--depth", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--size-cap", type=click.IntRange(min=1), default=None)
-@click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
+@_slack
 @_node_budget
 def cmd_prove(theory_file, equation, depth, size_cap, slack, node_budget):
     """Bounded proof search for EQUATION ("[n] lhs = rhs") in THEORY_FILE."""
     th = load_theory(theory_file)
     goal = parse_equation(equation, th)
     outcome = prove_bounded(th, goal, depth, size_cap=size_cap, slack=slack, node_budget=node_budget)
-    doc = outcome.to_doc()
     if outcome.found:
-        code, note = 0, f"found a {len(outcome.derivation.steps)}-step derivation"
-    elif outcome.status == EXHAUSTED and outcome.certified:
-        code, note = 1, "not provable (frontier exhausted, certified)"
+        note = f"found a {len(outcome.derivation.steps)}-step derivation"
+    elif outcome.status == EXHAUSTED:
+        note = "not provable (frontier exhausted, certified)"
     else:
-        code, note = 2, f"indeterminate ({outcome.status}, reason={outcome.reason})"
-    return _emit(doc, code, f"prove: depth={depth} status={outcome.status}; {note}")
+        note = f"indeterminate ({outcome.status}, reason={outcome.reason})"
+    log = f"prove: depth={depth} status={outcome.status}; {note}"
+    return _emit(outcome.to_doc(), _EXIT_CODE[outcome.status], log)
 
 
 @cli.command("replay")
@@ -169,7 +174,7 @@ def rigidity():
 @click.option("--max-size", type=click.IntRange(min=1), default=7, show_default=True)
 @click.option("--max-context", type=click.IntRange(min=0), default=4, show_default=True)
 @click.option("--depth", type=click.IntRange(min=0), default=6, show_default=True)
-@click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
+@_slack
 @_node_budget
 def cmd_rigidity_search(theory_file, max_size, max_context, depth, slack, node_budget):
     """Search THEORY_FILE for a flabby term within the given bounds."""
@@ -183,12 +188,13 @@ def cmd_rigidity_search(theory_file, max_size, max_context, depth, slack, node_b
         node_budget=node_budget,
     )
     if result.found:
-        code, note = 0, "flabby term found (theory is not rigid)"
+        note = "flabby term found (theory is not rigid)"
     elif result.status == EXHAUSTED:
-        code, note = 1, "no flabby term (exhaustive at these bounds)"
+        note = "no flabby term (exhaustive at these bounds)"
     else:
-        code, note = 2, "no flabby term found, but some bound was hit"
-    return _emit(result.to_doc(), code, f"rigidity search: status={result.status}; {note}")
+        note = "no flabby term found, but some bound was hit"
+    log = f"rigidity search: status={result.status}; {note}"
+    return _emit(result.to_doc(), _EXIT_CODE[result.status], log)
 
 
 @cli.command("hat")
@@ -196,7 +202,7 @@ def cmd_rigidity_search(theory_file, max_size, max_context, depth, slack, node_b
 @click.argument("term")
 @click.option("--oracle-depth", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--length-cap", type=click.IntRange(min=1), default=None)
-@click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
+@_slack
 @_node_budget
 def cmd_hat(wp_file, term, oracle_depth, length_cap, slack, node_budget):
     """Normalize TERM ("[n] term") over the theory compiled from WP_FILE."""
@@ -229,7 +235,7 @@ def cmd_hat(wp_file, term, oracle_depth, length_cap, slack, node_budget):
 @click.argument("word2")
 @click.option("--depth", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--length-cap", type=click.IntRange(min=1), default=None)
-@click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
+@_slack
 @_node_budget
 def cmd_word(wp_file, word1, word2, depth, length_cap, slack, node_budget):
     """Decide WORD1 = WORD2 (eps for the empty word) under WP_FILE's relations."""
@@ -246,12 +252,12 @@ def cmd_word(wp_file, word1, word2, depth, length_cap, slack, node_budget):
         node_budget=node_budget,
     )
     if outcome.found:
-        code, note = 0, f"derivable in {len(outcome.derivation.steps)} step(s)"
-    elif outcome.status == EXHAUSTED and outcome.certified:
-        code, note = 1, "not derivable (certified)"
+        note = f"derivable in {len(outcome.derivation.steps)} step(s)"
+    elif outcome.status == EXHAUSTED:
+        note = "not derivable (certified)"
     else:
-        code, note = 2, f"indeterminate ({outcome.status}, reason={outcome.reason})"
-    return _emit(outcome.to_doc(), code, f"word: {note}")
+        note = f"indeterminate ({outcome.status}, reason={outcome.reason})"
+    return _emit(outcome.to_doc(), _EXIT_CODE[outcome.status], f"word: {note}")
 
 
 @cli.command("conservativity")
@@ -259,7 +265,7 @@ def cmd_word(wp_file, word1, word2, depth, length_cap, slack, node_budget):
 @click.option("--size-bound", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--depth", type=click.IntRange(min=0), default=6, show_default=True)
 @click.option("--max-context", type=click.IntRange(min=0), default=None)
-@click.option("--slack", type=click.IntRange(min=0), default=8, show_default=True)
+@_slack
 @_node_budget
 def cmd_conservativity(input_file, size_bound, depth, max_context, slack, node_budget):
     """Probe an interpretation (.itp file, or .wp file for the built-in one)

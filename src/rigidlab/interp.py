@@ -30,18 +30,18 @@ from .rewrite import (
     derivation_to_doc,
     prove_bounded,
 )
-from .rigidity import _shapes, enumerate_linear_regular
+from .rigidity import _shapes
 from .terms import (
     App,
     Permutation,
     Term,
     TermInContext,
     Var,
+    _graft,
     is_linear_regular,
     parse_term,
     render_term,
     substitute_simple,
-    substitute_terms,
     term_size,
 )
 from .theory import Equation, Theory, _check_signature_terms, load_theory
@@ -121,17 +121,18 @@ class Interpretation:
 
 def extend(i: Interpretation, t: TermInContext) -> TermInContext:
     """Homomorphic extension: variables fixed, applications mapped through the
-    assignment by simultaneous substitution of the extended arguments."""
-    n = t.context_len
+    assignment by grafting the extended arguments into the symbol's image.
+
+    Interpretation already checked that each image lives in its symbol's
+    arity, so no node re-checks contexts.
+    """
 
     def go(term: Term) -> Term:
         if isinstance(term, Var):
             return term
-        image = i.image_of(term.sym.name)
-        args = [TermInContext(go(a), n) for a in term.args]
-        return substitute_terms(image, args, context_len=n).term
+        return _graft(i.image_of(term.sym.name).term, [go(a) for a in term.args])
 
-    return TermInContext(go(t.term), n)
+    return TermInContext(go(t.term), t.context_len)
 
 
 def identity_interpretation(th: Theory) -> Interpretation:
@@ -198,7 +199,7 @@ class ProbeFinding:
     lhs: TermInContext
     rhs: TermInContext
     target_derivation: Derivation
-    confirmed: bool  # source search exhausted with no cap binding
+    confirmed: bool  # the source closure was complete
 
     def to_doc(self) -> dict:
         return {
@@ -215,11 +216,11 @@ class ConservativityReport:
     """Findings of a bounded conservativity probe.
 
     confirmed entries are pairs where the target proved the image while the
-    source search provably exhausted its whole closure; candidates are pairs
-    where the source search merely ran out of bounds.  targets_complete is
-    True when every target closure was exhausted with no size cap or node
-    budget binding, so that a clean probe missed no target proof within the
-    pool of pairs.
+    source closure was complete; candidates are pairs where some bound cut
+    the source closure short.  targets_complete is True when every target
+    closure was complete (no depth bound, size cap or node budget cut it
+    short), so that a clean probe missed no target proof within the pool of
+    pairs.
     """
 
     confirmed: list
@@ -274,13 +275,13 @@ def probe_conservativity(
         "node_budget": node_budget,
     }
     # Canonical terms of all sizes in key order: a canonical pair is probed
-    # from the side that comes first.
-    rank = {
-        t: k for k, t in enumerate(_shapes(i.source, term_size_bound, 1, max_context, {}))
-    }
+    # from the side that comes first.  Sorted stably by size, they come in
+    # enumerate_linear_regular's order.
+    shapes = _shapes(i.source, term_size_bound, 1, max_context, {})
+    rank = {t: k for k, t in enumerate(shapes)}
     by_context: dict[int, list[TermInContext]] = {}
-    for t in enumerate_linear_regular(i.source, term_size_bound, max_context):
-        by_context.setdefault(t.context_len, []).append(t)
+    for t in sorted(shapes, key=lambda u: u.size):
+        by_context.setdefault(t.max_var, []).append(TermInContext(t, t.max_var))
 
     confirmed: list[ProbeFinding] = []
     candidates: list[ProbeFinding] = []
@@ -307,11 +308,11 @@ def probe_conservativity(
             cl_target = bounded_closure(
                 i.target, images[s], depth, size_cap=tgt_cap, node_budget=node_budget
             )
-            targets_complete = targets_complete and cl_target.exhausted and not cl_target.cap_hit
+            targets_complete = targets_complete and cl_target.complete
             cl_source = bounded_closure(
                 i.source, s, depth, size_cap=src_cap, node_budget=node_budget
             )
-            source_certified = cl_source.exhausted and not cl_source.cap_hit
+            source_certified = cl_source.complete
             # Every pool term but s itself, less the canonical terms ranked
             # below s: canonical-canonical pairs are unordered; probe once.
             pairs_checked += len(pool) - 1 - bisect_left(sorted_ranks, ranks[s])

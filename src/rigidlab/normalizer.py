@@ -160,7 +160,7 @@ class WordOracle:
         )
         if out.found:
             ans = OracleAnswer(YES, out.derivation)
-        elif out.status == EXHAUSTED and out.certified:
+        elif out.status == EXHAUSTED:
             ans = OracleAnswer(NO)
         else:
             ans = OracleAnswer(UNKNOWN)
@@ -374,6 +374,9 @@ def check_hat_congruence(
     Computes the hats of d.start and d.end and searches for a proof between
     them; the default depth is 2 * len(d.steps) + 4.  Undecided oracle
     answers during either normalization make the result uncertain.
+    "not_found" is no certificate that the hats differ: the embedded proof
+    outcome's status says whether that search was complete ("exhausted") or
+    a bound cut it short ("bounds").
     """
     th = compile_reduction(inst)
     if not replay(d, th):

@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 from .interp import Interpretation
 from .rewrite import (
-    BOUNDS,
+    Closure,
     DEFAULT_NODE_BUDGET,
     DEFAULT_SLACK,
     Derivation,
@@ -40,6 +40,7 @@ from .rewrite import (
     RL,
     RewriteStep,
     _path,
+    _verdict,
     apply_step,
     match_side,
     prove_bounded,
@@ -129,17 +130,7 @@ def instance(
     goal: tuple,
 ) -> WordProblemInstance:
     """Convenience constructor accepting words as strings of one-letter names."""
-
-    def word(w: Union[str, Sequence[str]]) -> Word:
-        if isinstance(w, str):
-            return tuple(w)
-        return tuple(w)
-
-    return WordProblemInstance(
-        tuple(alphabet),
-        tuple((word(u), word(v)) for u, v in relations),
-        (word(goal[0]), word(goal[1])),
-    )
+    return WordProblemInstance(tuple(alphabet), tuple(relations), tuple(goal))
 
 
 @dataclass(frozen=True)
@@ -270,47 +261,42 @@ def word_bfs(
     """Direct string-rewriting search, breadth-first from w1.
 
     Independent of the term-level engine; exists so the two routes can be
-    cross-checked.  Certified non-derivability requires the frontier to empty
-    with the length cap never binding.
+    cross-checked.  It keeps its own loop and successor function; only the
+    record it fills is a Closure, so the one verdict rule applies: a
+    certified "exhausted" needs the frontier to empty with the length cap
+    never binding.
     """
     w1, w2 = tuple(w1), tuple(w2)
     cap = length_cap if length_cap is not None else max(len(w1), len(w2)) + slack
     cap = max(cap, len(w1), len(w2))
     bounds_doc = {"depth": depth, "length_cap": cap, "node_budget": node_budget}
-    entries: dict[Word, tuple[int, Optional[Word], Optional[WordStep]]] = {w1: (0, None, None)}
     if w1 == w2:
         return WordOutcome(FOUND, WordDerivation(w1, (), w2), False, None, 0, bounds_doc)
-    frontier = [w1]
-    d = 0
-    cap_hit = False
-    budget_hit = False
-    expanded = 0
-    while frontier and d < depth and not budget_hit:
+    cl = Closure.of(w1)
+    while cl.frontier and cl.depth_reached < depth:
+        d_new = cl.depth_reached + 1
         new_frontier = []
-        for w in frontier:
-            if expanded >= node_budget:
-                budget_hit = True
+        for w in cl.frontier:
+            if cl.expanded >= node_budget:
+                cl.budget_hit = True
                 break
-            expanded += 1
+            cl.expanded += 1
             succs, hit = word_successors(inst, w, cap)
-            cap_hit = cap_hit or hit
+            cl.cap_hit = cl.cap_hit or hit
             for nw, step in succs:
-                if nw in entries:
+                if nw in cl.entries:
                     continue
-                entries[nw] = (d + 1, w, step)
+                cl.entries[nw] = (d_new, w, step)
                 new_frontier.append(nw)
                 if nw == w2:
-                    deriv = WordDerivation(w1, tuple(_path(entries, w2)), w2)
-                    return WordOutcome(FOUND, deriv, False, None, expanded, bounds_doc)
-        if budget_hit:
+                    deriv = WordDerivation(w1, tuple(_path(cl.entries, w2)), w2)
+                    return WordOutcome(FOUND, deriv, False, None, cl.expanded, bounds_doc)
+        if cl.budget_hit:
             break
-        frontier = new_frontier
-        d += 1
-    if budget_hit:
-        return WordOutcome(BOUNDS, None, False, "nodes", expanded, bounds_doc)
-    if not frontier:
-        return WordOutcome(EXHAUSTED, None, not cap_hit, None, expanded, bounds_doc)
-    return WordOutcome(BOUNDS, None, False, "depth", expanded, bounds_doc)
+        cl.frontier = new_frontier
+        cl.depth_reached = d_new
+    status, reason = _verdict(cl)
+    return WordOutcome(status, None, status == EXHAUSTED, reason, cl.expanded, bounds_doc)
 
 
 # ---- compilation ----

@@ -17,20 +17,20 @@ then L->R before R->L, then pre-order position).
 One breadth-first engine serves successors, bounded_closure and
 prove_bounded.  A theory is compiled once, on first use, into its oriented
 sides in tie-break order; the result is kept on the (frozen) Theory object.
-The engine's one level function expands a frontier by one level against a
-visited dict that maps each reached term to (distance, parent, step), and
-charges one SearchStats; a node budget cuts the level short.
-bounded_closure loops over levels; prove_bounded expands the two sides in
-turn and looks for meets among each level's new terms.  One parent walk
-turns a visited dict into the steps of a derivation.  Per expanded term,
-the kernel walks the term once and buckets its subterms by head symbol, so
-each side is matched only where its root symbol occurs.  It checks a
-result's size against the cap before building it, and builds a RewriteStep,
-with its substitution, only for a result that is new to the search.
+A Closure is the one record of a breadth-first search, and Closure.grow
+expands its frontier by one level.  bounded_closure grows one record;
+prove_bounded grows one from each side in turn and looks for meets among
+each level's new terms.  One parent walk turns a record's entries into the
+steps of a derivation.  Per expanded term, the kernel walks the term once
+and buckets its subterms by head symbol, so each side is matched only where
+its root symbol occurs.  It checks a result's size against the cap before
+building it, and builds a RewriteStep, with its substitution, only for a
+result that is new to the search.
 
-Outcomes distinguish three cases: a derivation was found; the search space
-was exhausted (which certifies non-provability whenever the size cap never
-pruned anything); or a bound (depth or node budget) cut the search short.
+Outcomes distinguish three cases: a derivation was found; the search was
+exhausted, which always certifies non-provability; or a bound cut the
+search short, and the reason ("depth", "nodes" or "size") names it.
+_verdict is the one rule from search records to status and reason.
 """
 
 from __future__ import annotations
@@ -306,29 +306,6 @@ def _expand(
     return cap_hit
 
 
-def _level(
-    frontier: list, visited: dict, distance: int, sides: list, size_cap: int,
-    node_budget: int, stats: "SearchStats",
-) -> tuple[list, bool]:
-    """The engine: expand frontier by one level, to the given distance.
-
-    Each expanded term is charged to stats.expanded.  Returns the new terms
-    in insertion order and whether the size cap pruned a result.  When the
-    node budget runs out, sets stats.budget_hit and returns the terms
-    reached so far; the caller then keeps its frontier and level.
-    """
-    new: list = []
-    cap_hit = False
-    for t in frontier:
-        if stats.expanded >= node_budget:
-            stats.budget_hit = True
-            break
-        stats.expanded += 1
-        if _expand(t, sides, size_cap, visited, distance, new):
-            cap_hit = True
-    return new, cap_hit
-
-
 def _path(entries: dict, t) -> list:
     """The steps on the parent links of entries from the root to t, in order."""
     steps = []
@@ -357,6 +334,88 @@ def successors(
 
 
 @dataclass
+class Closure:
+    """The record of one breadth-first search from start.
+
+    entries maps every reached term to (distance, parent, step); frontier
+    holds the terms of the last level reached, still to be expanded, and
+    depth_reached counts the levels completed.  expanded counts expanded
+    terms, cap_hit says the size cap pruned a result, and budget_hit says
+    the node budget cut a level short (the frontier then stays the one that
+    level was expanding).  word_bfs fills one with words in place of terms.
+    """
+
+    start: TermInContext
+    entries: dict
+    frontier: list
+    depth_reached: int = 0
+    expanded: int = 0
+    cap_hit: bool = False
+    budget_hit: bool = False
+
+    @property
+    def exhausted(self) -> bool:
+        """The frontier emptied: nothing reached is left to expand."""
+        return not self.frontier
+
+    @property
+    def complete(self) -> bool:
+        """Nothing cut the search short: the frontier emptied and the size
+        cap never pruned a result, so entries is the start's whole class."""
+        return not self.frontier and not self.cap_hit
+
+    def grow(self, sides: list, size_cap: int, node_budget: int) -> list:
+        """Expand the frontier by one level; returns the new terms in order.
+
+        When expanded reaches node_budget, sets budget_hit and returns the
+        terms reached so far, keeping the frontier and depth_reached.
+        """
+        new: list = []
+        distance = self.depth_reached + 1
+        for t in self.frontier:
+            if self.expanded >= node_budget:
+                self.budget_hit = True
+                return new
+            self.expanded += 1
+            if _expand(t, sides, size_cap, self.entries, distance, new):
+                self.cap_hit = True
+        self.frontier = new
+        self.depth_reached = distance
+        return new
+
+    @classmethod
+    def of(cls, start) -> "Closure":
+        """A search that has reached only start."""
+        return cls(start, {start: (0, None, None)}, [start])
+
+    def __contains__(self, t: TermInContext) -> bool:
+        return t in self.entries
+
+    def distance(self, t: TermInContext) -> int:
+        return self.entries[t][0]
+
+    def derivation_to(self, t: TermInContext) -> Derivation:
+        return Derivation(self.start, tuple(_path(self.entries, t)), t)
+
+
+def _verdict(*searches: Closure) -> tuple[str, Optional[str]]:
+    """Status and reason of a search that found nothing, from its records.
+
+    A node budget cut gives "bounds" for "nodes"; a complete record gives
+    "exhausted", which certifies; a frontier that emptied only under the
+    size cap gives "bounds" for "size"; anything else, a frontier still
+    open at the depth bound, gives "bounds" for "depth".
+    """
+    if any(s.budget_hit for s in searches):
+        return BOUNDS, "nodes"
+    if any(s.complete for s in searches):
+        return EXHAUSTED, None
+    if any(s.exhausted for s in searches):
+        return BOUNDS, "size"
+    return BOUNDS, "depth"
+
+
+@dataclass
 class SearchStats:
     expanded: int = 0
     visited_left: int = 0
@@ -382,10 +441,10 @@ class SearchStats:
 class ProofOutcome:
     """Result of a bounded search: found / exhausted / bounds.
 
-    certified is True only for an exhausted search whose size cap never
-    pruned anything: then the explored closure is complete and the goal is
-    genuinely not provable.  reason distinguishes which bound cut a "bounds"
-    search short ("depth" or "nodes").
+    certified is True exactly when status is "exhausted": some side's class
+    was explored completely and misses the other side, so the goal is not
+    provable.  reason says which bound cut a "bounds" search short:
+    "depth", "nodes", or "size" (a class emptied only under the size cap).
     """
 
     status: str
@@ -421,113 +480,58 @@ def prove_bounded(
 ) -> ProofOutcome:
     """Search for a derivation of goal.lhs = goal.rhs of at most depth steps.
 
-    Bidirectional breadth-first search; levels are expanded on the smaller
-    frontier first and the search only commits to a meeting point once no
-    shorter one can exist, so a found derivation has minimal length among
-    those within bounds.  On a theory with a one-way axiom only the left
-    side is expanded: depth counts its levels, and a negative is certified
-    only when it empties with no cap hit.  The default size cap is
-    max(size(lhs), size(rhs)) + slack.
+    Bidirectional breadth-first search: one closure record grows from each
+    side, in turns under one shared node budget, the smaller frontier first,
+    and the search only commits to a meeting point once no shorter one can
+    exist, so a found derivation has minimal length among those within
+    bounds.  On a theory with a one-way axiom only the left side grows: depth counts
+    its levels.  The default size cap is max(size(lhs), size(rhs)) + slack.
     """
     lhs, rhs = goal.lhs, goal.rhs
     cap = size_cap if size_cap is not None else max(term_size(lhs.term), term_size(rhs.term)) + slack
     cap = max(cap, term_size(lhs.term), term_size(rhs.term))
     bounds_doc = {"depth": depth, "size_cap": cap, "node_budget": node_budget}
-    stats = SearchStats()
     sides, one_way, _ = _kernel(th)
-
-    def finish(status, deriv=None, certified=False, reason=None):
-        stats.visited_left = len(visited[0])
-        stats.visited_right = len(visited[1])
-        stats.depth_left = level[0]
-        stats.depth_right = level[1]
-        stats.cap_hit = cap_hit[0] or cap_hit[1]
-        return ProofOutcome(status, deriv, certified, reason, stats, bounds_doc)
-
-    visited = ({lhs: (0, None, None)}, {rhs: (0, None, None)})
-    level = [0, 0]
-    cap_hit = [False, False]
-
-    if lhs == rhs:
-        return finish(FOUND, Derivation(lhs, (), rhs))
-
-    frontier = [[lhs], [rhs]]
-    meet = None  # the first meet of the shortest length mu seen so far
-    mu = depth + 1
-
-    while frontier[0] or frontier[1]:
-        if one_way:
-            # The relation is not symmetric: only forward steps from lhs count,
-            # and the right frontier stays at rhs.
-            if not frontier[0]:
-                break
-            side = 0
-        elif frontier[0] and frontier[1]:
-            side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
-        else:
-            # One side's closure is complete, so no further meet can appear.
-            # If the size cap pruned it, expanding the other side to its end
-            # is the only way left to certify.
-            side = 0 if frontier[0] else 1
-            if meet is not None or not cap_hit[1 - side]:
-                break
-        if level[0] + level[1] >= min(depth, mu):
+    left, right = Closure.of(lhs), Closure.of(rhs)
+    # The relation is not symmetric with a one-way axiom: only forward steps
+    # from lhs count, and the right record stays at rhs.
+    searches = (left,) if one_way else (left, right)
+    # The first meet of the shortest length mu seen so far.
+    meet, mu = (lhs, 0) if lhs == rhs else (None, depth + 1)
+    while left.depth_reached + right.depth_reached < min(depth, mu):
+        open_ = [s for s in searches if s.frontier]
+        # Once a side's frontier empties, no new meet can appear: the other
+        # side grows on only to certify, past a capped one.
+        if not open_ or any(s.complete for s in searches):
             break
-        d_new = level[side] + 1
-        new, hit = _level(frontier[side], visited[side], d_new, sides, cap, node_budget, stats)
-        cap_hit[side] = cap_hit[side] or hit
-        other = visited[1 - side]
-        for nt in new:
-            entry = other.get(nt)
+        if meet is not None and len(open_) < len(searches):
+            break
+        grown = min(open_, key=lambda s: len(s.frontier))
+        other = right if grown is left else left
+        d_new = grown.depth_reached + 1
+        for nt in grown.grow(sides, cap, node_budget - other.expanded):
+            entry = other.entries.get(nt)
             if entry is not None and d_new + entry[0] < mu:
                 mu = d_new + entry[0]
                 meet = nt
-        if stats.budget_hit:
+        if grown.budget_hit:
             break
-        frontier[side] = new
-        level[side] = d_new
 
+    stats = SearchStats(
+        left.expanded + right.expanded, len(left.entries), len(right.entries),
+        left.depth_reached, right.depth_reached,
+        left.cap_hit or right.cap_hit, left.budget_hit or right.budget_hit,
+    )
     if meet is not None:
         # Every meet lies within depth: a level is expanded only while the
         # two levels sum to less than depth.
-        right = [flip_step(s) for s in reversed(_path(visited[1], meet))]
-        deriv = Derivation(lhs, tuple(_path(visited[0], meet) + right), rhs)
+        back = [flip_step(s) for s in reversed(_path(right.entries, meet))]
+        deriv = Derivation(lhs, tuple(_path(left.entries, meet) + back), rhs)
         if len(deriv.steps) != mu or not replay(deriv, th):
             raise RuntimeError("internal error: assembled derivation failed replay")
-        return finish(FOUND, deriv)
-    if stats.budget_hit:
-        return finish(BOUNDS, reason="nodes")
-    if not frontier[0] or not frontier[1]:
-        certified = (not frontier[0] and not cap_hit[0]) or (not frontier[1] and not cap_hit[1])
-        return finish(EXHAUSTED, certified=certified)
-    return finish(BOUNDS, reason="depth")
-
-
-@dataclass
-class Closure:
-    """Bounded forward closure of one term under the rewrite relation.
-
-    entries maps every reached term to (distance, parent, step); exhausted is
-    True when the frontier emptied before the depth bound, in which case the
-    closure is complete unless cap_hit or budget_hit is set.
-    """
-
-    start: TermInContext
-    entries: dict
-    exhausted: bool
-    cap_hit: bool
-    budget_hit: bool
-    expanded: int
-    depth_reached: int
-
-    def __contains__(self, t: TermInContext) -> bool:
-        return t in self.entries
-
-    def distance(self, t: TermInContext) -> int:
-        return self.entries[t][0]
-
-    def derivation_to(self, t: TermInContext) -> Derivation:
-        return Derivation(self.start, tuple(_path(self.entries, t)), t)
+        return ProofOutcome(FOUND, deriv, False, None, stats, bounds_doc)
+    status, reason = _verdict(left, right)
+    return ProofOutcome(status, None, status == EXHAUSTED, reason, stats, bounds_doc)
 
 
 def bounded_closure(
@@ -539,23 +543,14 @@ def bounded_closure(
     slack: int = DEFAULT_SLACK,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Closure:
+    """The closure record of start, grown level by level up to depth."""
     cap = size_cap if size_cap is not None else term_size(start.term) + slack
     cap = max(cap, term_size(start.term))
     sides = _kernel(th)[0]
-    stats = SearchStats()
-    entries = {start: (0, None, None)}
-    frontier = [start]
-    d = 0
-    cap_hit = False
-    while frontier and d < depth:
-        new, hit = _level(frontier, entries, d + 1, sides, cap, node_budget, stats)
-        cap_hit = cap_hit or hit
-        if stats.budget_hit:
-            break
-        frontier = new
-        d += 1
-    # A budget cut leaves the frontier it was expanding, so it is not empty.
-    return Closure(start, entries, not frontier, cap_hit, stats.budget_hit, stats.expanded, d)
+    cl = Closure.of(start)
+    while cl.frontier and cl.depth_reached < depth and not cl.budget_hit:
+        cl.grow(sides, cap, node_budget)
+    return cl
 
 
 def replay(d: Derivation, th: Theory) -> bool:

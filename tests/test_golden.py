@@ -44,6 +44,8 @@ GROWING = parse_theory(
     "symbol c 0\nsymbol u 1\nsymbol m 2\naxiom [1] x1 = u(x1)\naxiom [1] m(x1,x1) = u(x1)\n"
 )
 COMMUTES = instance(["a", "b"], [("ab", "ba")], ("ab", "ba"))
+# The class of a is infinite, so only the cap stops it; the class of b is {b}.
+IDEMPOTENT = instance(["a", "b"], [("a", "aa")], ("a", "b"))
 TERNARY = parse_theory(
     "symbol c 0\nsymbol u 1\nsymbol t 3\n"
     "axiom [2] t(x1,u(x2),c()) = t(x2,u(x1),c())\n"
@@ -124,11 +126,15 @@ CASES = {
     "word_bfs_exhausted": lambda: word_bfs(COMMUTES, "aab", "bba", depth=6).to_doc(),
     "word_bfs_bounds_depth": lambda: word_bfs(COMMUTES, "aabb", "bbaa", depth=2).to_doc(),
     "word_bfs_bounds_nodes": lambda: word_bfs(COMMUTES, "aabb", "bbaa", depth=6, node_budget=3).to_doc(),
+    "word_bfs_capped": lambda: word_bfs(IDEMPOTENT, "a", "b", depth=20, length_cap=4).to_doc(),
     "word_semidecide_found": lambda: word_semidecide(COMMUTES, "aabb", "baba", depth=6).to_doc(),
     "word_semidecide_exhausted": lambda: word_semidecide(COMMUTES, "aab", "bba", depth=6).to_doc(),
     "word_semidecide_bounds_depth": lambda: word_semidecide(COMMUTES, "aabb", "bbaa", depth=2).to_doc(),
     "word_semidecide_bounds_nodes": lambda: word_semidecide(
         COMMUTES, "aabb", "bbaa", depth=6, node_budget=3
+    ).to_doc(),
+    "word_semidecide_capped": lambda: word_semidecide(
+        IDEMPOTENT, "a", "b", depth=20, length_cap=4
     ).to_doc(),
     "flabby_seed": lambda: search_flabby(SEED, max_size=7, max_context=4, depth=6).to_doc(),
     "flabby_commutes": lambda: search_flabby(
@@ -151,7 +157,11 @@ def render(doc) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_document_unchanged(case):
     want = (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
-    assert render(CASES[case]()) == want
+    doc = CASES[case]()
+    if "status" in doc and "certified" in doc:
+        # "exhausted" always means a complete search, and only it certifies.
+        assert doc["certified"] == (doc["status"] == "exhausted")
+    assert render(doc) == want
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """The benchmark's own checks, run as tests.
 
 perfbench/selftest.py shows that every output check rejects a planted wrong
-answer; one short round each of the flabby and probe workloads must then
-pass every check with no failed operation.
+answer; one short round each of the flabby, probe and closure workloads
+must then pass every check with no failed operation.
 """
 
 import json
@@ -29,7 +29,7 @@ def test_selftest_rejects_planted_errors():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["flabby", "probe"])
+@pytest.mark.parametrize("workload", ["flabby", "probe", "closure"])
 def test_one_round_is_correct(workload):
     proc = run("run.py", "--workload", workload, "--seconds", "1", "--trace", "0", "--seed", "0")
     assert proc.returncode == 0, proc.stderr

@@ -390,6 +390,7 @@ class TestSuccessorKernel:
         cap = max(cap, term_size(rhs.term))
         out = prove_bounded(th, Equation(lhs, rhs), 4, size_cap=cap)
         shortest = naive_shortest(th, lhs, rhs, 4, cap)
+        assert out.certified == (out.status == EXHAUSTED)
         if out.status == FOUND:
             assert len(out.derivation.steps) == shortest
         else:
@@ -532,9 +533,10 @@ def loop_prove(succ, one_way, lhs, rhs, depth, cap, node_budget):
         return finish(BOUNDS, reason="depth")
     if stats.budget_hit:
         return finish(BOUNDS, reason="nodes")
+    if (not frontier[0] and not cap_hit[0]) or (not frontier[1] and not cap_hit[1]):
+        return finish(EXHAUSTED, certified=True)
     if not frontier[0] or not frontier[1]:
-        certified = (not frontier[0] and not cap_hit[0]) or (not frontier[1] and not cap_hit[1])
-        return finish(EXHAUSTED, certified=certified)
+        return finish(BOUNDS, reason="size")
     return finish(BOUNDS, reason="depth")
 
 
