@@ -17,15 +17,21 @@ then L->R before R->L, then pre-order position).
 One breadth-first engine serves successors, bounded_closure and
 prove_bounded.  A theory is compiled once, on first use, into its oriented
 sides in tie-break order; the result is kept on the (frozen) Theory object.
+The sides the kernel expands hold one orientation per renaming orbit: an
+orientation whose (source, target) pair renames an earlier one's gives only
+results the earlier one gave at the same positions (comm R->L repeats comm
+L->R), so it is left out.  The set of kept orientations, which apply_step
+checks, and the one-way test still cover every orientation.
 A Closure is the one record of a breadth-first search, and Closure.grow
 expands its frontier by one level.  bounded_closure grows one record;
 prove_bounded grows one from each side in turn and looks for meets among
 each level's new terms.  One parent walk turns a record's entries into the
 steps of a derivation.  Per expanded term, the kernel walks the term once
 and buckets its subterms by head symbol, so each side is matched only where
-its root symbol occurs.  It checks a result's size against the cap before
-building it, and builds a RewriteStep, with its substitution, only for a
-result that is new to the search.
+its root symbol occurs.  A match binds variables by index into a list and
+compares a repeated variable's bindings by identity.  The kernel checks a
+result's size against the cap before building it, and builds a RewriteStep,
+with its substitution, only for a result that is new to the search.
 
 Outcomes distinguish three cases: a derivation was found; the search was
 exhausted, which always certifies non-provability; or a bound cut the
@@ -183,14 +189,20 @@ def apply_step(t: TermInContext, th: Theory, step: RewriteStep) -> TermInContext
     return TermInContext(replace_at(t.term, step.position, new_sub), t.context_len)
 
 
-def _match(pattern: Term, target: Term, bound: dict) -> bool:
-    if isinstance(pattern, Var):
-        seen = bound.get(pattern.index)
+def _match(pattern: Term, target: Term, bound: list) -> bool:
+    """Match pattern against target, filling bound[i-1] for variable i.
+
+    bound starts as [None] * k for the pattern's context of length k.  Terms
+    are hash-consed, so a repeated variable's bindings compare by identity.
+    """
+    if pattern.__class__ is Var:
+        i = pattern.index - 1
+        seen = bound[i]
         if seen is None:
-            bound[pattern.index] = target
+            bound[i] = target
             return True
-        return seen == target
-    if not isinstance(target, App) or target.sym != pattern.sym:
+        return seen is target
+    if target.__class__ is not App or target.sym is not pattern.sym:
         return False
     for p, q in zip(pattern.args, target.args):
         if not _match(p, q, bound):
@@ -206,50 +218,66 @@ def match_side(side: TermInContext, target: Term, target_context: int) -> Option
     rejected: applying such an axiom would have to invent terms, which is
     outside one-step rewriting.
     """
-    bound: dict[int, Term] = {}
-    if not _match(side.term, target, bound):
+    bound = [None] * side.context_len
+    if not _match(side.term, target, bound) or None in bound:
         return None
-    if len(bound) != side.context_len:
-        return None
-    return tuple(TermInContext(bound[i], target_context) for i in range(1, side.context_len + 1))
+    return tuple(TermInContext(b, target_context) for b in bound)
 
 
-def _compile(th: Theory) -> list[tuple]:
-    """The theory's oriented sides in tie-break order, as kernel entries.
+def _compile(th: Theory) -> tuple[list[tuple], list[tuple]]:
+    """The theory's expansion sides and its kept orientations, in tie-break
+    order.
 
-    Each entry is (axiom index, direction, source, context length, target,
-    the source's root symbol or None, the target's variable occurrences, the
-    target's symbol-node count).  An orientation whose source does not
-    mention every context variable is dropped: match_side rejects every
-    match of it.
+    An orientation is kept when its source mentions every context variable;
+    one whose source does not is dropped, since match_side rejects every
+    match of it.  The expansion sides hold one kept orientation per renaming
+    orbit: an orientation whose (source, target) pair, renumbered in
+    first-occurrence order, equals an earlier one's rewrites every position
+    to the result the earlier one already gave, so it is left out (comm R->L
+    repeats comm L->R).  Each side is (axiom index, direction, source,
+    context length, target, the source's root symbol or None, the target's
+    variable occurrences as 0-based indices, the target's symbol-node
+    count).  Each kept orientation is (axiom index, direction).
     """
-    sides = []
+    sides, kept, orbits = [], [], set()
     for ai, eq in enumerate(th.axioms):
         k = eq.context_len
         for direction in (LR, RL):
             src, dst = _oriented(eq, direction)
-            if len(set(var_occurrences(src))) != k:
+            order = dict.fromkeys(var_occurrences(src))
+            if len(order) != k:
                 continue
+            kept.append((ai, direction))
+            renumber = [None] * k
+            for new, v in enumerate(order, 1):
+                renumber[v - 1] = Var(new)
+            orbit = (_graft(src.term, renumber), _graft(dst.term, renumber))
+            if orbit in orbits:
+                continue
+            orbits.add(orbit)
             root = src.term.sym if isinstance(src.term, App) else None
-            dst_vars = var_occurrences(dst)
+            dst_vars = tuple(v - 1 for v in var_occurrences(dst))
             sides.append(
                 (ai, direction, src.term, k, dst.term, root, dst_vars, dst.term.size - len(dst_vars))
             )
-    return sides
+    return sides, kept
 
 
 def _kernel(th: Theory) -> tuple[list[tuple], bool, frozenset]:
-    """th's kernel sides, whether th has a one-way axiom, and the set of
+    """th's expansion sides, whether th has a one-way axiom, and the set of
     (axiom index, direction) pairs the kernel keeps.
 
-    Computed on first use and kept on th, the way Theory keeps its symbol
-    table; a Theory is frozen, so the result never goes stale.
+    The one-way flag and the kept set cover every kept orientation, also
+    those the expansion sides leave out as renamings, so apply_step and
+    replay accept a step in either.  Computed on first use and kept on th,
+    the way Theory keeps its symbol table; a Theory is frozen, so the result
+    never goes stale.
     """
     kernel = getattr(th, "_kernel", None)
     if kernel is None:
-        sides = _compile(th)
-        kept = Counter(side[0] for side in sides)
-        kernel = (sides, 1 in kept.values(), frozenset(side[:2] for side in sides))
+        sides, kept = _compile(th)
+        one_way = 1 in Counter(ai for ai, _ in kept).values()
+        kernel = (sides, one_way, frozenset(kept))
         object.__setattr__(th, "_kernel", kernel)
     return kernel
 
@@ -287,7 +315,7 @@ def _expand(
     cap_hit = False
     for ai, direction, src, k, dst, root, dst_vars, dst_fixed in sides:
         for pos, sub in walk if root is None else by_head.get(root, ()):
-            bound: dict = {}
+            bound = [None] * k
             if not _match(src, sub, bound):
                 continue
             size = base - sub.size + dst_fixed
@@ -296,11 +324,10 @@ def _expand(
             if size > size_cap:
                 cap_hit = True
                 continue
-            subst = [bound[i] for i in range(1, k + 1)]
-            nt = TermInContext(replace_at(term, pos, _graft(dst, subst)), n)
+            nt = TermInContext(replace_at(term, pos, _graft(dst, bound)), n)
             if nt in visited:
                 continue
-            step = RewriteStep(ai, direction, pos, tuple(TermInContext(s, n) for s in subst))
+            step = RewriteStep(ai, direction, pos, tuple(TermInContext(s, n) for s in bound))
             visited[nt] = (distance, t, step)
             new.append(nt)
     return cap_hit

@@ -237,6 +237,7 @@ def search_flabby(
     caps_hit = False
     budget_hit = False
     depth_hit = False
+    complete = True
     for t in enumerate_linear_regular(th, max_size, max_context):
         terms_enumerated += 1
         n = t.context_len
@@ -251,6 +252,7 @@ def search_flabby(
         caps_hit = caps_hit or cl.cap_hit
         budget_hit = budget_hit or cl.budget_hit
         depth_hit = depth_hit or not (cl.exhausted or cl.budget_hit)
+        complete = complete and cl.complete
         size = t.term.size
         best = None
         for u in cl.entries:
@@ -268,7 +270,7 @@ def search_flabby(
                 FOUND, report, terms_enumerated, closures, closure_total,
                 max_closure, caps_hit, budget_hit, depth_hit, bounds_doc,
             )
-    status = BOUNDS if caps_hit or budget_hit or depth_hit else EXHAUSTED
+    status = EXHAUSTED if complete else BOUNDS
     return FlabbySearchResult(
         status, None, terms_enumerated, closures, closure_total,
         max_closure, caps_hit, budget_hit, depth_hit, bounds_doc,

@@ -331,7 +331,7 @@ class Permutation:
 def _graft(term: Term, args: Sequence[Term]) -> Term:
     if isinstance(term, Var):
         return args[term.index - 1]
-    return App(term.sym, tuple(_graft(a, args) for a in term.args))
+    return App(term.sym, [_graft(a, args) for a in term.args])
 
 
 def substitute_simple(t: TermInContext, sigma: Permutation) -> TermInContext:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigidlab.rewrite as rewrite
 from oracles import (
     naive_closure,
     naive_one_step,
@@ -29,13 +30,22 @@ from rigidlab.rewrite import (
     derivation_to_doc,
     flip_step,
     intermediates,
+    match_side,
     prove_bounded,
     replay,
     reverse_derivation,
     successors,
     symbol_census,
 )
-from rigidlab.terms import App, Symbol, TermInContext, Var, term_size, var_occurrences
+from rigidlab.terms import (
+    App,
+    Symbol,
+    TermInContext,
+    Var,
+    parse_term,
+    term_size,
+    var_occurrences,
+)
 from rigidlab.theory import Equation, Theory, parse_equation, parse_theory
 
 SEED = parse_theory(
@@ -362,6 +372,58 @@ class TestSuccessorKernel:
             t = tic(random_term(rng, KERNEL_POOL, 8, 2), 2)
             self.check_against_oracle(KERNEL_POOL, t, term_size(t.term) + 2)
 
+    @pytest.mark.parametrize(
+        "axioms, sides, terms",
+        [
+            ("axiom [2] m(x1,x2) = m(x2,x1)\n", 1, [(3, "m(m(x1,x2),x3)"), (1, "m(x1,x1)")]),
+            (
+                "axiom [3] f(x1,x2,x3) = f(x3,x2,x1)\n",
+                1,
+                [(3, "f(x1,f(x2,x3,x1),x3)"), (2, "m(f(x1,x2,x2),x1)")],
+            ),
+            (
+                "axiom [2] m(x1,x2) = m(x2,x1)\naxiom [2] m(x2,x1) = m(x1,x2)\n",
+                1,
+                [(3, "m(m(x1,x2),x3)"), (2, "u(m(x2,x1))")],
+            ),
+            (
+                "axiom [1] m(x1,x1) = u(x1)\naxiom [1] m(x1,x1) = u(x1)\n",
+                2,
+                [(2, "m(u(x1),m(x2,x2))"), (1, "u(u(x1))"), (2, "m(m(x1,x1),m(x1,x1))")],
+            ),
+        ],
+    )
+    def test_renamed_orientations(self, axioms, sides, terms):
+        # The kernel expands one orientation per renaming orbit; results,
+        # first witnesses and the cap flag still match the oracle, which
+        # tries every orientation.
+        th = parse_theory("symbol u 1\nsymbol m 2\nsymbol f 3\n" + axioms)
+        assert len(rewrite._kernel(th)[0]) == sides
+        symbols = th.symbols_by_name()
+        for n, text in terms:
+            t = tic(parse_term(text, symbols), n)
+            for cap in range(term_size(t.term), term_size(t.term) + 4):
+                self.check_against_oracle(th, t, cap)
+
+    def test_ac_closure_result_count(self, monkeypatch):
+        # comm R->L renames comm L->R, so each expanded term of the AC left
+        # comb builds 7 result terms at n = 5, not 11.
+        built = []
+        replace = rewrite.replace_at
+
+        def counted(*args):
+            built.append(None)
+            return replace(*args)
+
+        monkeypatch.setattr(rewrite, "replace_at", counted)
+        ac = parse_theory(
+            "symbol m 2\naxiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\naxiom [2] m(x1,x2) = m(x2,x1)\n"
+        )
+        start = tic(parse_term("m(m(m(m(x1,x2),x3),x4),x5)", ac.symbols_by_name()), 5)
+        close = bounded_closure(ac, start, 20)
+        assert close.complete and len(close.entries) == 1680
+        assert (close.expanded, len(built)) == (1680, 11760)
+
     @settings(max_examples=150, deadline=None)
     @given(kernel_case())
     def test_matches_oracle(self, case):
@@ -645,6 +707,68 @@ class TestOneWayTheories:
         assert not replay(Derivation(goal.lhs, (step,), goal.rhs), th)
         forward = RewriteStep(0, LR, (1,), (tic(x(1), 1),))
         assert apply_step(goal.rhs, th, forward) == goal.lhs
+
+
+U = Symbol("u", 1)
+
+
+class TestRenamedOrientations:
+    """Orientations the kernel leaves out as renamings of earlier ones are
+    still steps: apply_step and replay accept them."""
+
+    COMM = parse_theory("symbol u 1\nsymbol m 2\naxiom [2] m(x1,x2) = m(x2,x1)\n")
+    TWICE = parse_theory(
+        "symbol u 1\nsymbol m 2\naxiom [1] m(x1,x1) = u(x1)\naxiom [1] m(x1,x1) = u(x1)\n"
+    )
+
+    def test_comm_right_to_left(self):
+        t = tic(App(U, (App(M, (x(1), x(2))),)), 2)
+        step = RewriteStep(0, RL, (0,), sub(2, x(2), x(1)))
+        end = tic(App(U, (App(M, (x(2), x(1))),)), 2)
+        assert apply_step(t, self.COMM, step) == end
+        assert replay(Derivation(t, (step,), end), self.COMM)
+
+    def test_flipped_proof_half_replays(self):
+        goal = parse_equation("[3] m(m(x1,x2),x3) = m(x3,m(x2,x1))", self.COMM)
+        out = prove_bounded(self.COMM, goal, 4)
+        assert out.status == FOUND and len(out.derivation.steps) == 2
+        assert RL in {s.direction for s in out.derivation.steps}
+        assert replay(out.derivation, self.COMM)
+
+    def test_second_copy_of_duplicate(self):
+        t = tic(App(M, (x(1), x(1))), 1)
+        u = tic(App(U, (x(1),)), 1)
+        forward = RewriteStep(1, LR, (), sub(1, x(1)))
+        back = RewriteStep(1, RL, (), sub(1, x(1)))
+        assert apply_step(t, self.TWICE, forward) == u
+        assert apply_step(u, self.TWICE, back) == t
+        assert replay(Derivation(t, (forward, back), t), self.TWICE)
+
+    def test_one_way_flag_counts_every_orientation(self):
+        once = parse_theory("symbol c 0\nsymbol m 2\naxiom [1] x1 = c()\n")
+        for th in (self.COMM, self.TWICE, once):
+            doubled = Theory(th.signature, th.axioms + th.axioms)
+            assert rewrite._kernel(doubled)[1] == rewrite._kernel(th)[1]
+        assert not rewrite._kernel(self.COMM)[1]
+        assert rewrite._kernel(once)[1]
+
+
+class TestMatchSide:
+    def test_unbound_context_variable(self):
+        assert match_side(tic(x(1), 2), App(U, (x(1),)), 1) is None
+        assert match_side(tic(x(1), 1), App(U, (x(1),)), 1) == sub(1, App(U, (x(1),)))
+
+    def test_repeated_variable_needs_identical_subterms(self):
+        side = tic(App(M, (x(1), x(1))), 1)
+        a = App(U, (x(2),))
+        assert match_side(side, App(M, (a, App(U, (x(2),)))), 2) == sub(2, a)
+        assert match_side(side, App(M, (a, App(U, (x(1),)))), 2) is None
+        assert match_side(side, App(M, (x(1), x(2))), 2) is None
+
+    def test_substitution_in_context_order(self):
+        side = tic(App(M, (x(2), x(1))), 2)
+        target = App(M, (App(U, (x(3),)), x(1)))
+        assert match_side(side, target, 3) == sub(3, x(1), App(U, (x(3),)))
 
 
 @st.composite
