@@ -28,10 +28,15 @@ prove_bounded grows one from each side in turn and looks for meets among
 each level's new terms.  One parent walk turns a record's entries into the
 steps of a derivation.  Per expanded term, the kernel walks the term once
 and buckets its subterms by head symbol, so each side is matched only where
-its root symbol occurs.  A match binds variables by index into a list and
-compares a repeated variable's bindings by identity.  The kernel checks a
-result's size against the cap before building it, and builds a RewriteStep,
-with its substitution, only for a result that is new to the search.
+its root symbol occurs.  Each side is compiled, once per theory, into one
+generated Python function that matches the side's source against a subterm
+and builds its target: straight-line class and symbol identity checks in
+place of a recursive matcher, an identity check for a repeated variable, the
+step's size change as one sum checked against the cap before building, and
+one App call per symbol node of the result.  The kernel builds a
+RewriteStep, with its substitution, only for a result that is new to the
+search.  apply_step, and so replay, never runs generated code: it
+substitutes a step's terms into the axiom's sides and compares.
 
 Outcomes distinguish three cases: a derivation was found; the search was
 exhausted, which always certifies non-provability; or a bound cut the
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Optional
 
 from .terms import (
@@ -224,6 +230,90 @@ def match_side(side: TermInContext, target: Term, target_context: int) -> Option
     return tuple(TermInContext(b, target_context) for b in bound)
 
 
+def _tuple(items: list) -> str:
+    """Python source of a tuple display of the given expressions."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _side_code(src: Term, k: int, dst: Term) -> tuple[str, dict]:
+    """The source of the generated function for one expansion side, and the
+    globals it names.
+
+    side(t, room) matches src, in a context of length k, against the subterm
+    t.  It returns None when src does not match; False when the step would
+    grow the term by more than room; and otherwise (bound, result), where
+    bound[i-1] is the binding of variable i and result is dst under bound.
+    The body is straight-line code: a class and symbol identity check and a
+    tuple unpacking per symbol node of src, an identity check for a ground
+    subterm or a repeated variable (terms are hash-consed), the size change
+    as one sum of the bindings' sizes, and one App call per symbol node of
+    dst, innermost first, so no expression nests however deep the side.
+    The size check is left out when the step cannot grow the term, since
+    the kernel only expands terms within the cap, so room is never negative.
+    Symbols and ground subterms enter only as the globals S0, S1, ... and
+    K0, K1, ..., and locals are numbered, so no symbol name or other input
+    text is ever part of the source.
+    """
+    names: dict = {"App": App}
+    syms: dict = {}
+    consts: dict = {}
+
+    def name(obj, table: dict, prefix: str) -> str:
+        g = table.get(obj)
+        if g is None:
+            g = table[obj] = f"{prefix}{len(table)}"
+            names[g] = obj
+        return g
+
+    lines = ["def side(t, room):"]
+    builds: list = []  # run after the size check
+    fresh = count(1)
+    at = [None] * k  # the local holding variable i's binding, at [i-1]
+    grow = [0] * k  # occurrences of variable i in dst minus those in src
+
+    def match(p: Term, here: str) -> None:
+        if p.__class__ is Var:
+            i = p.index - 1
+            grow[i] -= 1
+            if at[i] is None:
+                at[i] = here
+            else:
+                lines.append(f"    if {here} is not {at[i]}: return None")
+        elif not p.max_var:
+            lines.append(f"    if {here} is not {name(p, consts, 'K')}: return None")
+        else:
+            sym = name(p.sym, syms, "S")
+            lines.append(f"    if {here}.__class__ is not App or {here}.sym is not {sym}: return None")
+            kids = [f"t{next(fresh)}" for _ in p.args]
+            lines.append(f"    {_tuple(kids)} = {here}.args")
+            for q, kid in zip(p.args, kids):
+                match(q, kid)
+
+    def build(p: Term) -> str:
+        if p.__class__ is Var:
+            grow[p.index - 1] += 1
+            return at[p.index - 1]
+        if not p.max_var:
+            return name(p, consts, "K")
+        args = _tuple([build(q) for q in p.args])
+        node = f"r{len(builds)}"
+        builds.append(f"    {node} = App({name(p.sym, syms, 'S')}, {args})")
+        return node
+
+    match(src, "t")
+    result = build(dst)
+    fixed = dst.size - src.size - sum(grow)  # symbol nodes gained
+    if fixed > 0 or max(grow, default=0) > 0:
+        terms = [str(fixed)] if fixed else []
+        for i, c in enumerate(grow):
+            if c:
+                terms.append(f"{at[i]}.size" if c == 1 else f"{c} * {at[i]}.size")
+        lines.append(f"    if {' + '.join(terms)} > room: return False")
+    lines += builds
+    lines.append(f"    return {_tuple(at)}, {result}")
+    return "\n".join(lines) + "\n", names
+
+
 def _compile(th: Theory) -> tuple[list[tuple], list[tuple]]:
     """The theory's expansion sides and its kept orientations, in tie-break
     order.
@@ -234,10 +324,10 @@ def _compile(th: Theory) -> tuple[list[tuple], list[tuple]]:
     orbit: an orientation whose (source, target) pair, renumbered in
     first-occurrence order, equals an earlier one's rewrites every position
     to the result the earlier one already gave, so it is left out (comm R->L
-    repeats comm L->R).  Each side is (axiom index, direction, source,
-    context length, target, the source's root symbol or None, the target's
-    variable occurrences as 0-based indices, the target's symbol-node
-    count).  Each kept orientation is (axiom index, direction).
+    repeats comm L->R).  Each side is (axiom index, direction, the source's
+    root symbol or None, the side's function), the function generated here
+    from _side_code's source, so once per theory.  Each kept orientation is
+    (axiom index, direction).
     """
     sides, kept, orbits = [], [], set()
     for ai, eq in enumerate(th.axioms):
@@ -256,10 +346,9 @@ def _compile(th: Theory) -> tuple[list[tuple], list[tuple]]:
                 continue
             orbits.add(orbit)
             root = src.term.sym if isinstance(src.term, App) else None
-            dst_vars = tuple(v - 1 for v in var_occurrences(dst))
-            sides.append(
-                (ai, direction, src.term, k, dst.term, root, dst_vars, dst.term.size - len(dst_vars))
-            )
+            code, names = _side_code(src.term, k, dst.term)
+            exec(compile(code, f"<rewrite side {ai} {direction}>", "exec"), names)
+            sides.append((ai, direction, root, names["side"]))
     return sides, kept
 
 
@@ -289,11 +378,11 @@ def _expand(
 
     Walks t once in pre-order and buckets its subterms by head symbol, so a
     side is tried only where its root symbol occurs (everywhere when its root
-    is a variable).  A result over size_cap is never built; the return value
-    says whether one occurred.  A result already in visited is skipped before
-    its RewriteStep is built; each other result goes into visited as
-    (distance, t, its first witnessing step) and is appended to new, in
-    tie-break order.
+    is a variable), and there by its generated function.  t must lie within
+    size_cap.  A result over size_cap is never built; the return value says
+    whether one occurred.  A result already in visited is skipped before its
+    RewriteStep is built; each other result goes into visited as (distance,
+    t, its first witnessing step) and is appended to new, in tie-break order.
     """
     term, n = t.term, t.context_len
     walk = []
@@ -311,20 +400,17 @@ def _expand(
             args = sub.args
             for i in range(len(args) - 1, -1, -1):
                 stack.append((pos + (i,), args[i]))
-    base = term.size
+    room = size_cap - term.size
     cap_hit = False
-    for ai, direction, src, k, dst, root, dst_vars, dst_fixed in sides:
+    for ai, direction, root, side in sides:
         for pos, sub in walk if root is None else by_head.get(root, ()):
-            bound = [None] * k
-            if not _match(src, sub, bound):
+            got = side(sub, room)
+            if not got:
+                if got is False:
+                    cap_hit = True
                 continue
-            size = base - sub.size + dst_fixed
-            for v in dst_vars:
-                size += bound[v].size
-            if size > size_cap:
-                cap_hit = True
-                continue
-            nt = TermInContext(replace_at(term, pos, _graft(dst, bound)), n)
+            bound, result = got
+            nt = TermInContext(replace_at(term, pos, result), n)
             if nt in visited:
                 continue
             step = RewriteStep(ai, direction, pos, tuple(TermInContext(s, n) for s in bound))

@@ -69,7 +69,9 @@ class Theory:
     """An ordered signature and an ordered, 0-indexed list of axioms.
 
     The rewrite engine keeps the theory's compiled sides on the object, as
-    _kernel, computed on first use.
+    _kernel, computed on first use: each expansion side becomes one
+    generated Python function, once per theory.  Replay never runs
+    generated code.
     """
 
     signature: tuple

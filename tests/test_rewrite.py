@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 import rigidlab.rewrite as rewrite
 from oracles import (
     naive_closure,
+    naive_instantiate,
     naive_one_step,
+    naive_positions,
+    naive_replace,
     naive_shortest,
+    naive_size,
     naive_successors,
     random_term,
     random_walk,
@@ -327,16 +331,19 @@ class TestBoundedClosure:
 
 # Axioms the successor kernel must treat like the oracle: a variable-rooted
 # side, an orientation whose source cannot bind its context (x1 alone in
-# context 2), a non-linear side, a ground axiom on a nullary symbol, and
-# associativity and commutativity.
+# context 2), a non-linear side, a ground axiom on a nullary symbol,
+# associativity and commutativity, and depth-3 sides over an arity-3 symbol
+# whose repeated variable sits at different depths.
 KERNEL_POOL = parse_theory(
-    "symbol c 0\nsymbol u 1\nsymbol m 2\n"
+    "symbol c 0\nsymbol u 1\nsymbol m 2\nsymbol f 3\n"
     "axiom [1] x1 = u(x1)\n"
     "axiom [2] x1 = m(x1,x2)\n"
     "axiom [1] m(x1,x1) = u(x1)\n"
     "axiom [0] u(c()) = c()\n"
     "axiom [2] m(x1,x2) = m(x2,x1)\n"
     "axiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\n"
+    "axiom [2] f(x1,u(x2),m(x2,u(x1))) = m(x1,x2)\n"
+    "axiom [1] m(u(u(x1)),x1) = f(x1,c(),x1)\n"
 )
 
 
@@ -347,7 +354,7 @@ def kernel_case(draw):
     picks = draw(st.lists(st.sampled_from(KERNEL_POOL.axioms), max_size=4))
     for _ in range(draw(st.integers(0, 2))):
         k = rng.randint(0, 2)
-        lhs, rhs = (random_term(rng, KERNEL_POOL, rng.randint(1, 4), k) for _ in "lr")
+        lhs, rhs = (random_term(rng, KERNEL_POOL, rng.randint(1, 7), k) for _ in "lr")
         picks.append(Equation(tic(lhs, k), tic(rhs, k)))
     th = Theory(KERNEL_POOL.signature, tuple(picks))
     n = rng.randint(0, 2)
@@ -428,6 +435,77 @@ class TestSuccessorKernel:
     @given(kernel_case())
     def test_matches_oracle(self, case):
         self.check_against_oracle(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_case())
+    def test_generated_sides_agree_with_match_side(self, case):
+        # At every position, each expansion side's generated function binds
+        # what match_side binds, and reports a cap hit exactly when the
+        # rewritten term is over the cap.
+        th, t, cap = case
+        room = cap - term_size(t.term)
+        for ai, direction, _, side in rewrite._kernel(th)[0]:
+            eq = th.axioms[ai]
+            src, dst = (eq.lhs, eq.rhs) if direction == LR else (eq.rhs, eq.lhs)
+            for pos, s in naive_positions(t.term):
+                got = side(s, room)
+                subst = match_side(src, s, t.context_len)
+                if subst is None:
+                    assert got is None
+                    continue
+                bound = tuple(b.term for b in subst)
+                result = naive_instantiate(dst.term, dict(enumerate(bound, 1)))
+                if naive_size(naive_replace(t.term, pos, result)) > cap:
+                    assert got is False
+                else:
+                    assert got == (bound, result)
+
+    def test_deep_sides(self):
+        # A generated function nests no expression, so a side deeper than
+        # Python's parser would accept as one nested expression compiles.
+        n = 300
+        a, b = ("a(" * n + "x1" + ")" * n, "b(" * n + "x1" + ")" * n)
+        th = parse_theory(f"symbol a 1\nsymbol b 1\naxiom [1] {a} = {b}\n")
+        symbols = th.symbols_by_name()
+        start, other = tic(parse_term(a, symbols), 1), tic(parse_term(b, symbols), 1)
+        close = bounded_closure(th, start, 3)
+        assert close.complete and set(close.entries) == {start, other}
+        assert replay(close.derivation_to(other), th)
+
+    def test_hostile_symbol_names(self):
+        # Symbol names that are Python keywords, builtins or names the
+        # generated code uses never reach its source: renaming every symbol
+        # leaves every side's source unchanged, and the kernel still agrees
+        # with the oracle.
+        text = (
+            "symbol {0} 0\nsymbol {1} 2\nsymbol {2} 1\nsymbol {3} 2\nsymbol {4} 1\nsymbol {5} 3\n"
+            "axiom [1] {1}(x1,x1) = {2}(x1)\n"
+            "axiom [0] {0}() = {4}({0}())\n"
+            "axiom [1] x1 = {5}(x1,{4}(x1),{0}())\n"
+            "axiom [2] {3}(x1,x2) = {3}(x2,x1)\n"
+            "axiom [2] {1}({3}(x1,x2),{2}(x1)) = {5}(x2,x1,x1)\n"
+        )
+        th = parse_theory(text.format("None", "return", "lambda", "App", "t1", "room"))
+        plain = parse_theory(text.format("c", "p", "u", "m", "v", "f"))
+
+        def sources(th):
+            return [
+                rewrite._side_code(a.term, eq.context_len, b.term)[0]
+                for eq in th.axioms
+                for a, b in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs))
+            ]
+
+        assert sources(th) == sources(plain)
+        rng = random.Random(7)
+        symbols = th.symbols_by_name()
+        starts = [parse_term(text, symbols) for text in ("return(App(x1,x2),lambda(x1))", "room(x2,x1,x1)")]
+        starts += [random_term(rng, th, 7, 2) for _ in range(30)]
+        for term in starts:
+            t = tic(term, 2)
+            cap = term_size(t.term) + 4
+            self.check_against_oracle(th, t, cap)
+            close = bounded_closure(th, t, 2, size_cap=cap)
+            assert {u: close.distance(u) for u in close.entries} == naive_closure(t, th, 2, cap)
 
     @settings(max_examples=60, deadline=None)
     @given(kernel_case())

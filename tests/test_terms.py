@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import naive_positions, naive_replace
-from rigidlab.rewrite import bounded_closure
+from rigidlab.rewrite import bounded_closure, prove_bounded
+from rigidlab.rigidity import search_flabby
 from rigidlab.terms import (
     App,
     ParseError,
@@ -25,7 +26,7 @@ from rigidlab.terms import (
     term_size,
     var_occurrences,
 )
-from rigidlab.theory import parse_theory
+from rigidlab.theory import parse_equation, parse_theory
 
 F = Symbol("f", 1)
 G = Symbol("g", 2)
@@ -333,6 +334,22 @@ class TestHashConsing:
         assert len(cl.entries) == 120
         assert len(table) > before + 100
         del cl, start
+        gc.collect()
+        assert len(table) == before
+        # Nor does the compiled theory keep nodes alive across searches: a
+        # proof and a rigidity search, twice on the same theory, leave the
+        # table as they found it.
+        goal = parse_equation("[4] shrink(shrink(x1,x2),shrink(x3,x4)) = shrink(x4,shrink(x3,shrink(x2,x1)))", th)
+        with_goal = len(table)
+        for _ in range(2):
+            out = prove_bounded(th, goal, 8)
+            assert out.found
+            found = search_flabby(th, max_size=7, max_context=3, depth=6)
+            assert found.found
+            del out, found
+            gc.collect()
+            assert len(table) == with_goal
+        del goal
         gc.collect()
         assert len(table) == before
 
