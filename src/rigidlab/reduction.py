@@ -272,7 +272,7 @@ def word_bfs(
     bounds_doc = {"depth": depth, "length_cap": cap, "node_budget": node_budget}
     if w1 == w2:
         return WordOutcome(FOUND, WordDerivation(w1, (), w2), False, None, 0, bounds_doc)
-    cl = Closure.of(w1)
+    cl = Closure(w1, {w1: (0, None, None)}, [w1])
     while cl.frontier and cl.depth_reached < depth:
         d_new = cl.depth_reached + 1
         new_frontier = []

@@ -26,17 +26,22 @@ A Closure is the one record of a breadth-first search, and Closure.grow
 expands its frontier by one level.  bounded_closure grows one record;
 prove_bounded grows one from each side in turn and looks for meets among
 each level's new terms.  One parent walk turns a record's entries into the
-steps of a derivation.  Per expanded term, the kernel walks the term once
-and buckets its subterms by head symbol, so each side is matched only where
+steps of a derivation.  Per expanded term, the kernel walks the term once,
+records each subterm with its parent's walk index and its argument index,
+and buckets the subterms by head symbol, so each side is matched only where
 its root symbol occurs.  Each side is compiled, once per theory, into one
 generated Python function that matches the side's source against a subterm
 and builds its target: straight-line class and symbol identity checks in
 place of a recursive matcher, an identity check for a repeated variable, the
 step's size change as one sum checked against the cap before building, and
-one App call per symbol node of the result.  The kernel builds a
-RewriteStep, with its substitution, only for a result that is new to the
-search.  apply_step, and so replay, never runs generated code: it
-substitutes a step's terms into the axiom's sides and compares.
+one App call per symbol node of the result.  The kernel rebuilds the whole
+result upward along the parent links, one App per ancestor.  Terms are
+hash-consed, so that bare term is the result's identity: each term record
+keeps the set of bare terms it has reached, and a result already in it costs
+nothing more.  Only a result new to the search gets its TermInContext, its
+position and its RewriteStep.  apply_step, and so replay, never runs
+generated code and never trusts the kernel: it substitutes a step's terms
+into the axiom's sides, compares, and swaps the result in with replace_at.
 
 Outcomes distinguish three cases: a derivation was found; the search was
 exhausted, which always certifies non-provability; or a bound cut the
@@ -118,6 +123,12 @@ class RewriteStep:
     axiom's context variable i.
     """
 
+    # Slotted by hand: dataclass(slots=True) rebuilds the class, and its
+    # frozen __setattr__ then raises TypeError, not FrozenInstanceError, for
+    # a name that is no field.  __reduce__ copies and pickles through the
+    # constructor, since the frozen __setattr__ refuses to restore slots.
+    __slots__ = ("axiom_index", "direction", "position", "subst")
+
     axiom_index: int
     direction: str
     position: tuple
@@ -130,6 +141,9 @@ class RewriteStep:
             raise ValueError(f"direction must be {LR!r} or {RL!r}")
         if self.axiom_index < 0:
             raise ValueError("axiom index must be non-negative")
+
+    def __reduce__(self):
+        return RewriteStep, (self.axiom_index, self.direction, self.position, self.subst)
 
 
 def flip_step(step: RewriteStep) -> RewriteStep:
@@ -372,49 +386,75 @@ def _kernel(th: Theory) -> tuple[list[tuple], bool, frozenset]:
 
 
 def _expand(
-    t: TermInContext, sides: list, size_cap: int, visited: dict, distance: int, new: list
+    t: TermInContext,
+    sides: list,
+    size_cap: int,
+    reached: set,
+    entries: dict,
+    distance: int,
+    new: list,
 ) -> bool:
-    """The successor kernel: record t's one-step rewrites that visited lacks.
+    """The successor kernel: record t's one-step rewrites that reached lacks.
 
-    Walks t once in pre-order and buckets its subterms by head symbol, so a
-    side is tried only where its root symbol occurs (everywhere when its root
-    is a variable), and there by its generated function.  t must lie within
-    size_cap.  A result over size_cap is never built; the return value says
-    whether one occurred.  A result already in visited is skipped before its
-    RewriteStep is built; each other result goes into visited as (distance,
-    t, its first witnessing step) and is appended to new, in tie-break order.
+    Walks t once in pre-order, recording each subterm with its parent's walk
+    index and its argument index, and buckets the subterms by head symbol, so
+    a side is tried only where its root symbol occurs (everywhere when its
+    root is a variable), and there by its generated function.  t must lie
+    within size_cap.  A result over size_cap is never built; the return value
+    says whether one occurred.  A match's result is rebuilt upward along the
+    parent links, one App per ancestor.  Terms are hash-consed, so the bare
+    term is the result's identity: one already in reached is skipped before
+    its TermInContext, position or RewriteStep is built.  Each other result
+    goes into reached, into entries as (distance, t, its first witnessing
+    step), and is appended to new, in tie-break order.
     """
     term, n = t.term, t.context_len
-    walk = []
+    walk = []  # (subterm, its parent's walk index or -1, its argument index)
     by_head: dict = {}
-    stack = [((), term)]
+    stack = [(term, -1, 0)]
     while stack:
-        pos, sub = stack.pop()
-        walk.append((pos, sub))
+        here = stack.pop()
+        sub = here[0]
+        w = len(walk)
+        walk.append(here)
         if sub.__class__ is App:
             bucket = by_head.get(sub.sym)
             if bucket is None:
-                by_head[sub.sym] = [(pos, sub)]
+                by_head[sub.sym] = [w]
             else:
-                bucket.append((pos, sub))
+                bucket.append(w)
             args = sub.args
             for i in range(len(args) - 1, -1, -1):
-                stack.append((pos + (i,), args[i]))
+                stack.append((args[i], w, i))
+    everywhere = range(len(walk))
     room = size_cap - term.size
     cap_hit = False
     for ai, direction, root, side in sides:
-        for pos, sub in walk if root is None else by_head.get(root, ()):
+        for w in everywhere if root is None else by_head.get(root, ()):
+            sub, j, i = walk[w]
             got = side(sub, room)
             if not got:
                 if got is False:
                     cap_hit = True
                 continue
             bound, result = got
-            nt = TermInContext(replace_at(term, pos, result), n)
-            if nt in visited:
+            while j >= 0:
+                parent, up, at = walk[j]
+                args = parent.args
+                result = App(parent.sym, args[:i] + (result,) + args[i + 1 :])
+                j, i = up, at
+            if result in reached:
                 continue
-            step = RewriteStep(ai, direction, pos, tuple(TermInContext(s, n) for s in bound))
-            visited[nt] = (distance, t, step)
+            reached.add(result)
+            pos = []
+            j = w
+            while j:
+                _, j, i = walk[j]
+                pos.append(i)
+            pos.reverse()
+            nt = TermInContext(result, n)
+            step = RewriteStep(ai, direction, tuple(pos), tuple(TermInContext(s, n) for s in bound))
+            entries[nt] = (distance, t, step)
             new.append(nt)
     return cap_hit
 
@@ -442,7 +482,7 @@ def successors(
         raise ValueError("size cap is smaller than the term itself")
     entries: dict = {}
     new: list = []
-    _expand(t, _kernel(th)[0], size_cap, entries, 1, new)
+    _expand(t, _kernel(th)[0], size_cap, set(), entries, 1, new)
     return [(nt, entries[nt][2]) for nt in new]
 
 
@@ -455,7 +495,10 @@ class Closure:
     depth_reached counts the levels completed.  expanded counts expanded
     terms, cap_hit says the size cap pruned a result, and budget_hit says
     the node budget cut a level short (the frontier then stays the one that
-    level was expanding).  word_bfs fills one with words in place of terms.
+    level was expanding).  reached holds the bare term of every entry, so the
+    kernel tests a result by identity before it wraps it.  word_bfs fills
+    one with words in place of terms; it never calls grow and leaves reached
+    empty.
     """
 
     start: TermInContext
@@ -465,6 +508,7 @@ class Closure:
     expanded: int = 0
     cap_hit: bool = False
     budget_hit: bool = False
+    reached: set = field(default_factory=set)
 
     @property
     def exhausted(self) -> bool:
@@ -490,7 +534,7 @@ class Closure:
                 self.budget_hit = True
                 return new
             self.expanded += 1
-            if _expand(t, sides, size_cap, self.entries, distance, new):
+            if _expand(t, sides, size_cap, self.reached, self.entries, distance, new):
                 self.cap_hit = True
         self.frontier = new
         self.depth_reached = distance
@@ -498,8 +542,8 @@ class Closure:
 
     @classmethod
     def of(cls, start) -> "Closure":
-        """A search that has reached only start."""
-        return cls(start, {start: (0, None, None)}, [start])
+        """A term search that has reached only start."""
+        return cls(start, {start: (0, None, None)}, [start], reached={start.term})
 
     def __contains__(self, t: TermInContext) -> bool:
         return t in self.entries

@@ -256,7 +256,9 @@ def replace_at(term: Term, pos: Sequence[int], replacement: Term) -> Term:
     """The term with the subterm at pos swapped for replacement.
 
     pos must be a position of term, as subterm_at checks.  The spine above
-    pos is rebuilt iteratively, so depth is no limit.
+    pos is rebuilt iteratively, so depth is no limit.  rewrite.apply_step,
+    and so replay, uses it; the successor kernel rebuilds its results along
+    its own walk instead.
     """
     spine = []
     for i in pos:
@@ -457,6 +459,11 @@ def parse_term(text: str, symbols: Mapping[str, Symbol], *, line: int = 1) -> Te
 
 def render_term(term: Term) -> str:
     """Concrete syntax for a term; inverse to parse_term."""
-    if isinstance(term, Var):
+    if term.__class__ is Var:
         return f"x{term.index}"
-    return f"{term.sym.name}({','.join(render_term(a) for a in term.args)})"
+    args = term.args
+    if len(args) == 2:
+        return f"{term.sym.name}({render_term(args[0])},{render_term(args[1])})"
+    if len(args) == 1:
+        return f"{term.sym.name}({render_term(args[0])})"
+    return f"{term.sym.name}({','.join([render_term(a) for a in args])})"

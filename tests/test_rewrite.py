@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,7 @@ from rigidlab.terms import (
     TermInContext,
     Var,
     parse_term,
+    render_term,
     term_size,
     var_occurrences,
 )
@@ -329,6 +331,64 @@ class TestBoundedClosure:
             assert {t: close.distance(t) for t in close.entries} == want
 
 
+AC = parse_theory(
+    "symbol m 2\naxiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\naxiom [2] m(x1,x2) = m(x2,x1)\n"
+)
+
+
+def reached_matches_entries(cl):
+    """A term record's set of bare terms is exactly its entries' terms."""
+    return cl.reached == {u.term for u in cl.entries} and len(cl.reached) == len(cl.entries)
+
+
+class TestReachedSet:
+    def comb(self, n):
+        text = "x1"
+        for i in range(2, n + 1):
+            text = f"m({text},x{i})"
+        return tic(parse_term(text, AC.symbols_by_name()), n)
+
+    def test_after_closure(self):
+        cl = bounded_closure(AC, self.comb(4), 20)
+        assert cl.complete and len(cl.entries) == 120
+        assert reached_matches_entries(cl)
+
+    def test_after_budget_cut_in_mid_level(self):
+        # Level 1 of the 4-variable comb has 5 terms; a budget of 4 cuts
+        # level 2 after its third term.
+        cl = bounded_closure(AC, self.comb(4), 20, node_budget=4)
+        assert cl.budget_hit and cl.expanded == 4
+        assert cl.depth_reached == 1 and len(cl.frontier) == 5 and len(cl.entries) > 6
+        assert reached_matches_entries(cl)
+
+    @pytest.mark.parametrize(
+        "theory, goal, status",
+        [
+            (AC, "[4] m(m(m(x1,x2),x3),x4) = m(x4,m(x3,m(x2,x1)))", FOUND),
+            (AC, "[3] m(m(x1,x2),x3) = m(m(x1,x2),x1)", EXHAUSTED),
+            (
+                parse_theory("symbol u 1\nsymbol c 0\naxiom [1] x1 = u(c())\n"),
+                "[1] u(x1) = u(u(x1))",
+                BOUNDS,
+            ),
+        ],
+    )
+    def test_after_proof(self, monkeypatch, theory, goal, status):
+        # Both records of the search, also the right one that a one-way
+        # theory never grows.
+        made = []
+        of = rewrite.Closure.of.__func__
+
+        def recorded(cls, start):
+            made.append(of(cls, start))
+            return made[-1]
+
+        monkeypatch.setattr(rewrite.Closure, "of", classmethod(recorded))
+        out = prove_bounded(theory, parse_equation(goal, theory), 6)
+        assert out.status == status and len(made) == 2
+        assert all(reached_matches_entries(cl) for cl in made)
+
+
 # Axioms the successor kernel must treat like the oracle: a variable-rooted
 # side, an orientation whose source cannot bind its context (x1 alone in
 # context 2), a non-linear side, a ground axiom on a nullary symbol,
@@ -360,6 +420,19 @@ def kernel_case(draw):
     n = rng.randint(0, 2)
     t = tic(random_term(rng, KERNEL_POOL, rng.randint(1, 7), n), n)
     return th, t, term_size(t.term) + rng.randint(0, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**20))
+def test_render_parse_round_trip(seed):
+    # Over the kernel pool's symbols of every arity, nullary ones included.
+    rng = random.Random(seed)
+    symbols = KERNEL_POOL.symbols_by_name()
+    for _ in range(10):
+        t = random_term(rng, KERNEL_POOL, rng.randint(1, 15), rng.randint(0, 3))
+        assert parse_term(render_term(t), symbols) is t
+    for text in ("c()", "u(c())", "m(c(),x2)", "f(c(),u(x1),m(x3,c()))"):
+        assert render_term(parse_term(text, symbols)) == text
 
 
 class TestSuccessorKernel:
@@ -412,24 +485,57 @@ class TestSuccessorKernel:
             for cap in range(term_size(t.term), term_size(t.term) + 4):
                 self.check_against_oracle(th, t, cap)
 
-    def test_ac_closure_result_count(self, monkeypatch):
+    def test_ac_closure_result_count(self):
         # comm R->L renames comm L->R, so each expanded term of the AC left
-        # comb builds 7 result terms at n = 5, not 11.
+        # comb builds 7 result terms at n = 5, not 11.  A side's function
+        # returns a truthy value exactly when it builds a result; the counting
+        # wrappers stay on this test's own theory.
         built = []
-        replace = rewrite.replace_at
 
-        def counted(*args):
-            built.append(None)
-            return replace(*args)
+        def counted(side):
+            def wrapper(t, room):
+                got = side(t, room)
+                if got:
+                    built.append(None)
+                return got
 
-        monkeypatch.setattr(rewrite, "replace_at", counted)
+            return wrapper
+
         ac = parse_theory(
             "symbol m 2\naxiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\naxiom [2] m(x1,x2) = m(x2,x1)\n"
         )
+        sides = rewrite._kernel(ac)[0]
+        sides[:] = [(ai, direction, root, counted(side)) for ai, direction, root, side in sides]
         start = tic(parse_term("m(m(m(m(x1,x2),x3),x4),x5)", ac.symbols_by_name()), 5)
         close = bounded_closure(ac, start, 20)
         assert close.complete and len(close.entries) == 1680
         assert (close.expanded, len(built)) == (1680, 11760)
+
+    def test_deep_term(self):
+        # Matches at every depth of a 300-deep term, the deepest at its
+        # bottom: results, positions and substitutions agree with the oracle.
+        th = parse_theory(
+            "symbol c 0\nsymbol u 1\nsymbol m 2\n"
+            "axiom [1] x1 = u(x1)\naxiom [2] m(x1,x2) = m(x2,x1)\naxiom [0] u(c()) = c()\n"
+        )
+        u, m, c = (th.symbol(n) for n in "umc")
+        t = App(m, (App(u, (App(c, ()),)), x(1)))
+        for _ in range(300):
+            t = App(u, (t,))
+        self.check_against_oracle(th, tic(t, 1), term_size(t) + 2)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # The walk, the upward rebuild and a new result's position are all
+        # iterative, so depth is no limit.
+        th = parse_theory("symbol u 1\nsymbol m 2\naxiom [2] m(x1,x2) = m(x2,x1)\n")
+        u, m = th.symbol("u"), th.symbol("m")
+        depth = sys.getrecursionlimit() + 1000
+        t, want = App(m, (x(1), x(2))), App(m, (x(2), x(1)))
+        for _ in range(depth):
+            t, want = App(u, (t,)), App(u, (want,))
+        [(nt, step)] = successors(tic(t, 2), th, term_size(t))
+        assert nt == tic(want, 2)
+        assert step.position == (0,) * depth and step.subst == sub(2, x(1), x(2))
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_case())
@@ -699,7 +805,7 @@ class TestEngineCuts:
                 entries, *flags = loop_closure(succ, lhs, depth, budget)
                 got = [(t, d, p, as_witness(s)) for t, (d, p, s) in cl.entries.items()]
                 assert got == [(t, *e) for t, e in entries.items()]
-                assert cl.start == lhs
+                assert cl.start == lhs and reached_matches_entries(cl)
                 assert [cl.exhausted, cl.cap_hit, cl.budget_hit, cl.expanded, cl.depth_reached] == flags
                 out = prove_bounded(th, Equation(lhs, rhs), depth, size_cap=cap, node_budget=budget)
                 want = loop_prove(succ, one_way, lhs, rhs, depth, cap, budget)
