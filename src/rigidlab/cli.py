@@ -317,9 +317,6 @@ def cmd_census(theory_file, derivation_file, symbol):
 def main() -> None:
     try:
         rv = cli.main(standalone_mode=False)
-    except click.UsageError as e:
-        e.show()
-        sys.exit(3)
     except click.ClickException as e:
         e.show()
         sys.exit(3)

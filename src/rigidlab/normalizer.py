@@ -329,7 +329,7 @@ def hat(inst: WordProblemInstance, t: TermInContext, oracle) -> HatResult:
                 chosen = decide(split[0])
                 if chosen is not None:
                     inner = App(marker, (go(split[1]),))
-                    return App(term.sym, (word_to_term(inst, chosen, inner), go(second)))
+                    return App(term.sym, (word_to_term(chosen, inner), go(second)))
             return App(term.sym, (go(first), go(second)))
         return App(term.sym, tuple(go(a) for a in term.args))
 

@@ -25,7 +25,7 @@ The module also owns the ``.wp`` file format::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence, Union
 
 from .interp import Interpretation
@@ -40,9 +40,9 @@ from .rewrite import (
     RL,
     RewriteStep,
     _path,
+    _search,
     _verdict,
     apply_step,
-    match_side,
     prove_bounded,
 )
 from .terms import (
@@ -82,7 +82,6 @@ __all__ = [
     "word_from_text",
     "word_replay",
     "word_semidecide",
-    "word_successors",
     "word_to_term",
     "word_to_text",
 ]
@@ -198,12 +197,11 @@ def reverse_word_derivation(d: WordDerivation) -> WordDerivation:
     return WordDerivation(d.end, flipped, d.start)
 
 
-def word_successors(
-    inst: WordProblemInstance, w: Word, length_cap: int
-) -> tuple[list[tuple[Word, WordStep]], bool]:
-    """Distinct one-step rewrites within the length cap, plus a cap-hit flag."""
-    seen = set()
-    out = []
+def _word_expand(inst: WordProblemInstance, length_cap: int, w: Word, reached, entries, distance, new):
+    """The string route's one-step relation, as Closure.grow takes it: records
+    w's rewrites within the length cap that reached lacks, each with its first
+    step in relation, direction, offset order, and says whether the cap pruned
+    one.  A word is its own bare identity."""
     cap_hit = False
     for ri, (u, v) in enumerate(inst.relations):
         for direction in (LR, RL):
@@ -215,11 +213,12 @@ def word_successors(
                 if len(nw) > length_cap:
                     cap_hit = True
                     continue
-                if nw in seen:
+                if nw in reached:
                     continue
-                seen.add(nw)
-                out.append((nw, WordStep(ri, direction, offset)))
-    return out, cap_hit
+                reached.add(nw)
+                entries[nw] = (distance, w, WordStep(ri, direction, offset))
+                new.append(nw)
+    return cap_hit
 
 
 @dataclass
@@ -258,45 +257,24 @@ def word_bfs(
     slack: int = DEFAULT_SLACK,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> WordOutcome:
-    """Direct string-rewriting search, breadth-first from w1.
+    """Direct string-rewriting search, breadth-first from w1 only.
 
-    Independent of the term-level engine; exists so the two routes can be
-    cross-checked.  It keeps its own loop and successor function; only the
-    record it fills is a Closure, so the one verdict rule applies: a
-    certified "exhausted" needs the frontier to empty with the length cap
-    never binding.
+    It runs on the term route's engine, _search over Closure records, with a
+    one-step relation of its own, so the two routes share the search but not
+    the relation.  w2 is looked for at the end of each level, and a found
+    search counts that whole level in expanded.  "exhausted" certifies.
     """
     w1, w2 = tuple(w1), tuple(w2)
     cap = length_cap if length_cap is not None else max(len(w1), len(w2)) + slack
     cap = max(cap, len(w1), len(w2))
     bounds_doc = {"depth": depth, "length_cap": cap, "node_budget": node_budget}
-    if w1 == w2:
-        return WordOutcome(FOUND, WordDerivation(w1, (), w2), False, None, 0, bounds_doc)
-    cl = Closure(w1, {w1: (0, None, None)}, [w1])
-    while cl.frontier and cl.depth_reached < depth:
-        d_new = cl.depth_reached + 1
-        new_frontier = []
-        for w in cl.frontier:
-            if cl.expanded >= node_budget:
-                cl.budget_hit = True
-                break
-            cl.expanded += 1
-            succs, hit = word_successors(inst, w, cap)
-            cl.cap_hit = cl.cap_hit or hit
-            for nw, step in succs:
-                if nw in cl.entries:
-                    continue
-                cl.entries[nw] = (d_new, w, step)
-                new_frontier.append(nw)
-                if nw == w2:
-                    deriv = WordDerivation(w1, tuple(_path(cl.entries, w2)), w2)
-                    return WordOutcome(FOUND, deriv, False, None, cl.expanded, bounds_doc)
-        if cl.budget_hit:
-            break
-        cl.frontier = new_frontier
-        cl.depth_reached = d_new
-    status, reason = _verdict(cl)
-    return WordOutcome(status, None, status == EXHAUSTED, reason, cl.expanded, bounds_doc)
+    left, right = Closure.of(w1, w1), Closure.of(w2, w2)
+    meet, _ = _search(left, right, True, depth, partial(_word_expand, inst, cap), node_budget)
+    if meet is not None:
+        deriv = WordDerivation(w1, tuple(_path(left.entries, meet)), w2)
+        return WordOutcome(FOUND, deriv, False, None, left.expanded, bounds_doc)
+    status, reason = _verdict(left)
+    return WordOutcome(status, None, status == EXHAUSTED, reason, left.expanded, bounds_doc)
 
 
 # ---- compilation ----
@@ -314,7 +292,7 @@ def seed_theory() -> Theory:
     return Theory((l, r, m), (axiom,))
 
 
-def word_to_term(inst: WordProblemInstance, w: Union[str, Word], below: Term) -> Term:
+def word_to_term(w: Union[str, Word], below: Term) -> Term:
     """The unary chain for a word, wrapped around a given subterm.
 
     The first letter of the word is the outermost symbol; the empty word is
@@ -335,27 +313,21 @@ def chain_to_word(term: Term) -> tuple[Word, Term]:
     return tuple(letters), term
 
 
+def _marked_pair(w: Union[str, Word], first: int, second: int) -> Term:
+    """The marked pairing m(w(alpha(x_first)), x_second)."""
+    marked = App(Symbol(MARKER, 1), (Var(first),))
+    return App(Symbol(PAIRING, 2), (word_to_term(w, marked), Var(second)))
+
+
 def compile_reduction(inst: WordProblemInstance) -> Theory:
     """The compiled theory: generators and the marker as unary symbols, the
     pairing symbol, one chain axiom per relation, and the goal axiom."""
-    signature = tuple(Symbol(g, 1) for g in inst.alphabet) + (
-        Symbol(MARKER, 1),
-        Symbol(PAIRING, 2),
-    )
-    axioms = []
-    for u, v in inst.relations:
-        axioms.append(
-            Equation(
-                TermInContext(word_to_term(inst, u, Var(1)), 1),
-                TermInContext(word_to_term(inst, v, Var(1)), 1),
-            )
-        )
+    signature = tuple(Symbol(g, 1) for g in inst.alphabet) + (Symbol(MARKER, 1), Symbol(PAIRING, 2))
+    axioms = [word_equation(inst, u, v) for u, v in inst.relations]
     u, v = inst.goal
-    marker = Symbol(MARKER, 1)
-    pairing = Symbol(PAIRING, 2)
-    lhs = App(pairing, (word_to_term(inst, u, App(marker, (Var(1),))), Var(2)))
-    rhs = App(pairing, (word_to_term(inst, v, App(marker, (Var(2),))), Var(1)))
-    axioms.append(Equation(TermInContext(lhs, 2), TermInContext(rhs, 2)))
+    axioms.append(
+        Equation(TermInContext(_marked_pair(u, 1, 2), 2), TermInContext(_marked_pair(v, 2, 1), 2))
+    )
     return Theory(signature, tuple(axioms))
 
 
@@ -378,17 +350,11 @@ def seed_interpretation(inst: WordProblemInstance) -> Interpretation:
     """
     source = seed_theory()
     target = compile_reduction(inst)
-    marker = target.symbol(MARKER)
-    pairing = target.symbol(PAIRING)
     u, v = inst.goal
     mapping = {
-        "l": TermInContext(
-            App(pairing, (word_to_term(inst, u, App(marker, (Var(1),))), Var(2))), 2
-        ),
-        "r": TermInContext(
-            App(pairing, (word_to_term(inst, v, App(marker, (Var(1),))), Var(2))), 2
-        ),
-        PAIRING: TermInContext(App(pairing, (Var(1), Var(2))), 2),
+        "l": TermInContext(_marked_pair(u, 1, 2), 2),
+        "r": TermInContext(_marked_pair(v, 1, 2), 2),
+        PAIRING: TermInContext(App(target.symbol(PAIRING), (Var(1), Var(2))), 2),
     }
     return Interpretation.of(source, target, mapping, linear_regular=True)
 
@@ -398,8 +364,8 @@ def seed_interpretation(inst: WordProblemInstance) -> Interpretation:
 def word_equation(inst: WordProblemInstance, w1: Union[str, Word], w2: Union[str, Word]) -> Equation:
     """The chain equation w1(x1) = w2(x1) in context 1."""
     return Equation(
-        TermInContext(word_to_term(inst, w1, Var(1)), 1),
-        TermInContext(word_to_term(inst, w2, Var(1)), 1),
+        TermInContext(word_to_term(w1, Var(1)), 1),
+        TermInContext(word_to_term(w2, Var(1)), 1),
     )
 
 
@@ -452,9 +418,11 @@ def flabby_witness(inst: WordProblemInstance, word_derivation: WordDerivation) -
     """Build the two-variable flabby term witness from a goal derivation.
 
     The term is the image of l: the pairing of the marked u-chain with x2.
-    One goal-axiom step swaps the variables and rewrites the chain to v;
-    the reversed word derivation then rewrites v back to u, lifted into the
-    chain above the marker.  Total length: 1 + len(word_derivation.steps).
+    One goal-axiom step at the root, binding (x1, x2), swaps the variables
+    and rewrites the chain to v; the reversed word derivation then rewrites
+    v back to u, lifted into the chain above the marker, each step binding
+    x1 to the subterm below its source's letters.  apply_step checks every
+    step.  Total length: 1 + len(word_derivation.steps).
     """
     u, v = inst.goal
     if word_derivation.start != u or word_derivation.end != v:
@@ -462,30 +430,20 @@ def flabby_witness(inst: WordProblemInstance, word_derivation: WordDerivation) -
     if not word_replay(inst, word_derivation):
         raise ValueError("word derivation does not replay")
     th = compile_reduction(inst)
-    i = seed_interpretation(inst)
-    term = i.image_of("l")
+    term = seed_interpretation(inst).image_of("l")
     sigma = Permutation.transposition(2, 1, 2)
 
-    cur = term
-    steps = []
-
-    def push(axiom_index: int, direction: str, position: tuple) -> None:
-        nonlocal cur
-        eq = th.axioms[axiom_index]
-        src = eq.lhs if direction == LR else eq.rhs
-        subst = match_side(src, subterm_at(cur.term, position), cur.context_len)
-        if subst is None:
-            raise RuntimeError("internal error: witness step does not match")
-        step = RewriteStep(axiom_index, direction, position, subst)
-        cur = apply_step(cur, th, step)
-        steps.append(step)
-
-    push(goal_axiom_index(inst), LR, ())
+    swap = (TermInContext(Var(1), 2), TermInContext(Var(2), 2))
+    steps = [RewriteStep(goal_axiom_index(inst), LR, (), swap)]
+    cur = apply_step(term, th, steps[0])
     for ws in reverse_word_derivation(word_derivation).steps:
-        push(ws.relation_index, ws.direction, (0,) * (ws.offset + 1))
+        src = inst.relations[ws.relation_index][0 if ws.direction == LR else 1]
+        below = subterm_at(cur.term, (0,) * (ws.offset + 1 + len(src)))
+        position = (0,) * (ws.offset + 1)
+        steps.append(RewriteStep(ws.relation_index, ws.direction, position, (TermInContext(below, 2),)))
+        cur = apply_step(cur, th, steps[-1])
 
-    derivation = Derivation(term, tuple(steps), cur)
-    report = FlabbyReport(term, sigma, derivation)
+    report = FlabbyReport(term, sigma, Derivation(term, tuple(steps), cur))
     if not verify_report(report, th):
         raise RuntimeError("internal error: flabby witness failed verification")
     return report

@@ -14,34 +14,37 @@ backward step could be the flip of a dropped orientation, so the search
 expands the left side only.  Tie-breaking is deterministic (axiom index,
 then L->R before R->L, then pre-order position).
 
-One breadth-first engine serves successors, bounded_closure and
-prove_bounded.  A theory is compiled once, on first use, into its oriented
-sides in tie-break order; the result is kept on the (frozen) Theory object.
-The sides the kernel expands hold one orientation per renaming orbit: an
-orientation whose (source, target) pair renames an earlier one's gives only
-results the earlier one gave at the same positions (comm R->L repeats comm
-L->R), so it is left out.  The set of kept orientations, which apply_step
-checks, and the one-way test still cover every orientation.
+One breadth-first engine serves successors, bounded_closure, prove_bounded
+and the string route's word_bfs.  A theory is compiled once, on first use,
+into its oriented sides in tie-break order; the result is kept on the
+(frozen) Theory object.  The sides the kernel expands hold one orientation
+per renaming orbit: an orientation whose (source, target) pair renames an
+earlier one's gives only results the earlier one gave at the same positions
+(comm R->L repeats comm L->R), so it is left out.  The set of kept
+orientations, which apply_step checks, and the one-way test still cover
+every orientation.
 A Closure is the one record of a breadth-first search, and Closure.grow
-expands its frontier by one level.  bounded_closure grows one record;
-prove_bounded grows one from each side in turn and looks for meets among
-each level's new terms.  One parent walk turns a record's entries into the
-steps of a derivation.  Per expanded term, the kernel walks the term once,
-records each subterm with its parent's walk index and its argument index,
-and buckets the subterms by head symbol, so each side is matched only where
-its root symbol occurs.  Each side is compiled, once per theory, into one
-generated Python function that matches the side's source against a subterm
-and builds its target: straight-line class and symbol identity checks in
-place of a recursive matcher, an identity check for a repeated variable, the
-step's size change as one sum checked against the cap before building, and
-one App call per symbol node of the result.  The kernel rebuilds the whole
-result upward along the parent links, one App per ancestor.  Terms are
-hash-consed, so that bare term is the result's identity: each term record
-keeps the set of bare terms it has reached, and a result already in it costs
-nothing more.  Only a result new to the search gets its TermInContext, its
-position and its RewriteStep.  apply_step, and so replay, never runs
-generated code and never trusts the kernel: it substitutes a step's terms
-into the axiom's sides, compares, and swaps the result in with replace_at.
+expands its frontier by one level under a one-step relation: the term
+kernel, or word_bfs's string rewriting.  bounded_closure grows one record;
+_search, the one meet loop, grows one from each side in turn for
+prove_bounded and word_bfs.  One parent walk turns a record's entries into
+the steps of a derivation.  Per expanded term, the kernel walks the term
+once, records each subterm with its parent's walk index and its argument
+index, and buckets the subterms by head symbol, so each side is matched only
+where its root symbol occurs.  Each side is compiled, once per theory, into
+one generated Python function that matches the side's source against a
+subterm and builds its target; these functions are the package's only
+matcher.  Each is straight-line code: class and symbol identity checks, an
+identity check for a repeated variable, the step's size change as one sum
+checked against the cap before building, and one App call per symbol node of
+the result.  The kernel rebuilds the whole result upward along the parent
+links, one App per ancestor.  Terms are hash-consed, so that bare term is
+the result's identity: each term record keeps the set of bare terms it has
+reached, and a result already in it costs nothing more.  Only a result new
+to the search gets its TermInContext, its position and its RewriteStep.
+apply_step, and so replay, never runs generated code and never trusts the
+kernel: it substitutes a step's terms into the axiom's sides, compares, and
+swaps the result in with replace_at.
 
 Outcomes distinguish three cases: a derivation was found; the search was
 exhausted, which always certifies non-provability; or a bound cut the
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from typing import Optional
 
@@ -209,41 +213,6 @@ def apply_step(t: TermInContext, th: Theory, step: RewriteStep) -> TermInContext
     return TermInContext(replace_at(t.term, step.position, new_sub), t.context_len)
 
 
-def _match(pattern: Term, target: Term, bound: list) -> bool:
-    """Match pattern against target, filling bound[i-1] for variable i.
-
-    bound starts as [None] * k for the pattern's context of length k.  Terms
-    are hash-consed, so a repeated variable's bindings compare by identity.
-    """
-    if pattern.__class__ is Var:
-        i = pattern.index - 1
-        seen = bound[i]
-        if seen is None:
-            bound[i] = target
-            return True
-        return seen is target
-    if target.__class__ is not App or target.sym is not pattern.sym:
-        return False
-    for p, q in zip(pattern.args, target.args):
-        if not _match(p, q, bound):
-            return False
-    return True
-
-
-def match_side(side: TermInContext, target: Term, target_context: int) -> Optional[tuple]:
-    """First-order match of an axiom side against a subterm.
-
-    Returns the substitution as a tuple of terms in the target's context, or
-    None.  A match that leaves part of the axiom context unassigned is
-    rejected: applying such an axiom would have to invent terms, which is
-    outside one-step rewriting.
-    """
-    bound = [None] * side.context_len
-    if not _match(side.term, target, bound) or None in bound:
-        return None
-    return tuple(TermInContext(b, target_context) for b in bound)
-
-
 def _tuple(items: list) -> str:
     """Python source of a tuple display of the given expressions."""
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
@@ -333,8 +302,8 @@ def _compile(th: Theory) -> tuple[list[tuple], list[tuple]]:
     order.
 
     An orientation is kept when its source mentions every context variable;
-    one whose source does not is dropped, since match_side rejects every
-    match of it.  The expansion sides hold one kept orientation per renaming
+    one whose source does not is dropped, since no match of it binds the
+    whole context.  The expansion sides hold one kept orientation per renaming
     orbit: an orientation whose (source, target) pair, renumbered in
     first-occurrence order, equals an earlier one's rewrites every position
     to the result the earlier one already gave, so it is left out (comm R->L
@@ -386,9 +355,9 @@ def _kernel(th: Theory) -> tuple[list[tuple], bool, frozenset]:
 
 
 def _expand(
-    t: TermInContext,
     sides: list,
     size_cap: int,
+    t: TermInContext,
     reached: set,
     entries: dict,
     distance: int,
@@ -482,23 +451,21 @@ def successors(
         raise ValueError("size cap is smaller than the term itself")
     entries: dict = {}
     new: list = []
-    _expand(t, _kernel(th)[0], size_cap, set(), entries, 1, new)
+    _expand(_kernel(th)[0], size_cap, t, set(), entries, 1, new)
     return [(nt, entries[nt][2]) for nt in new]
 
 
 @dataclass
 class Closure:
-    """The record of one breadth-first search from start.
+    """The record of one breadth-first search from start, over terms or words.
 
-    entries maps every reached term to (distance, parent, step); frontier
-    holds the terms of the last level reached, still to be expanded, and
+    entries maps every reached node to (distance, parent, step); frontier
+    holds the nodes of the last level reached, still to be expanded, and
     depth_reached counts the levels completed.  expanded counts expanded
-    terms, cap_hit says the size cap pruned a result, and budget_hit says
+    nodes, cap_hit says the size cap pruned a result, and budget_hit says
     the node budget cut a level short (the frontier then stays the one that
-    level was expanding).  reached holds the bare term of every entry, so the
-    kernel tests a result by identity before it wraps it.  word_bfs fills
-    one with words in place of terms; it never calls grow and leaves reached
-    empty.
+    level was expanding).  reached holds every entry's bare identity, a
+    word or a bare term, so the kernel tests a result before it wraps it.
     """
 
     start: TermInContext
@@ -521,11 +488,14 @@ class Closure:
         cap never pruned a result, so entries is the start's whole class."""
         return not self.frontier and not self.cap_hit
 
-    def grow(self, sides: list, size_cap: int, node_budget: int) -> list:
-        """Expand the frontier by one level; returns the new terms in order.
+    def grow(self, expand, node_budget: int) -> list:
+        """Expand the frontier by one level; returns the new nodes in order.
 
-        When expanded reaches node_budget, sets budget_hit and returns the
-        terms reached so far, keeping the frontier and depth_reached.
+        expand(t, reached, entries, distance, new) is the one-step relation,
+        recording t's results that reached lacks, and says whether the size
+        cap pruned one.  When expanded reaches node_budget, sets budget_hit
+        and returns the nodes reached so far, keeping the frontier and
+        depth_reached.
         """
         new: list = []
         distance = self.depth_reached + 1
@@ -534,16 +504,16 @@ class Closure:
                 self.budget_hit = True
                 return new
             self.expanded += 1
-            if _expand(t, sides, size_cap, self.reached, self.entries, distance, new):
+            if expand(t, self.reached, self.entries, distance, new):
                 self.cap_hit = True
         self.frontier = new
         self.depth_reached = distance
         return new
 
     @classmethod
-    def of(cls, start) -> "Closure":
-        """A term search that has reached only start."""
-        return cls(start, {start: (0, None, None)}, [start], reached={start.term})
+    def of(cls, start, bare) -> "Closure":
+        """A search that has reached only start, whose bare identity is bare."""
+        return cls(start, {start: (0, None, None)}, [start], reached={bare})
 
     def __contains__(self, t: TermInContext) -> bool:
         return t in self.entries
@@ -626,35 +596,17 @@ class ProofOutcome:
         }
 
 
-def prove_bounded(
-    th: Theory,
-    goal: Equation,
-    depth: int,
-    *,
-    size_cap: Optional[int] = None,
-    slack: int = DEFAULT_SLACK,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> ProofOutcome:
-    """Search for a derivation of goal.lhs = goal.rhs of at most depth steps.
+def _search(left: Closure, right: Closure, one_way: bool, depth: int, expand, node_budget: int):
+    """The one meet loop: (meet, mu), the first meet of the shortest length
+    mu, or (None, depth + 1) when none lies within depth.
 
-    Bidirectional breadth-first search: one closure record grows from each
-    side, in turns under one shared node budget, the smaller frontier first,
-    and the search only commits to a meeting point once no shorter one can
-    exist, so a found derivation has minimal length among those within
-    bounds.  On a theory with a one-way axiom only the left side grows: depth counts
-    its levels.  The default size cap is max(size(lhs), size(rhs)) + slack.
+    The records grow by expand in turns, the smaller frontier first, under
+    one node budget.  Meets are looked for among a level's new nodes once it
+    ends, so a meet is committed to only when no shorter one can exist.
+    With one_way only left grows, and right's start is the only meet.
     """
-    lhs, rhs = goal.lhs, goal.rhs
-    cap = size_cap if size_cap is not None else max(term_size(lhs.term), term_size(rhs.term)) + slack
-    cap = max(cap, term_size(lhs.term), term_size(rhs.term))
-    bounds_doc = {"depth": depth, "size_cap": cap, "node_budget": node_budget}
-    sides, one_way, _ = _kernel(th)
-    left, right = Closure.of(lhs), Closure.of(rhs)
-    # The relation is not symmetric with a one-way axiom: only forward steps
-    # from lhs count, and the right record stays at rhs.
     searches = (left,) if one_way else (left, right)
-    # The first meet of the shortest length mu seen so far.
-    meet, mu = (lhs, 0) if lhs == rhs else (None, depth + 1)
+    meet, mu = (left.start, 0) if left.start == right.start else (None, depth + 1)
     while left.depth_reached + right.depth_reached < min(depth, mu):
         open_ = [s for s in searches if s.frontier]
         # Once a side's frontier empties, no new meet can appear: the other
@@ -666,14 +618,40 @@ def prove_bounded(
         grown = min(open_, key=lambda s: len(s.frontier))
         other = right if grown is left else left
         d_new = grown.depth_reached + 1
-        for nt in grown.grow(sides, cap, node_budget - other.expanded):
+        for nt in grown.grow(expand, node_budget - other.expanded):
             entry = other.entries.get(nt)
             if entry is not None and d_new + entry[0] < mu:
                 mu = d_new + entry[0]
                 meet = nt
         if grown.budget_hit:
             break
+    return meet, mu
 
+
+def prove_bounded(
+    th: Theory,
+    goal: Equation,
+    depth: int,
+    *,
+    size_cap: Optional[int] = None,
+    slack: int = DEFAULT_SLACK,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> ProofOutcome:
+    """Search for a derivation of goal.lhs = goal.rhs of at most depth steps.
+
+    Bidirectional breadth-first search by _search, so a found derivation has
+    minimal length among those within bounds.  On a theory with a one-way
+    axiom only forward steps from lhs count, so only the left side grows:
+    depth counts its levels.  The default size cap is
+    max(size(lhs), size(rhs)) + slack.
+    """
+    lhs, rhs = goal.lhs, goal.rhs
+    cap = size_cap if size_cap is not None else max(term_size(lhs.term), term_size(rhs.term)) + slack
+    cap = max(cap, term_size(lhs.term), term_size(rhs.term))
+    bounds_doc = {"depth": depth, "size_cap": cap, "node_budget": node_budget}
+    sides, one_way, _ = _kernel(th)
+    left, right = Closure.of(lhs, lhs.term), Closure.of(rhs, rhs.term)
+    meet, mu = _search(left, right, one_way, depth, partial(_expand, sides, cap), node_budget)
     stats = SearchStats(
         left.expanded + right.expanded, len(left.entries), len(right.entries),
         left.depth_reached, right.depth_reached,
@@ -703,10 +681,10 @@ def bounded_closure(
     """The closure record of start, grown level by level up to depth."""
     cap = size_cap if size_cap is not None else term_size(start.term) + slack
     cap = max(cap, term_size(start.term))
-    sides = _kernel(th)[0]
-    cl = Closure.of(start)
+    expand = partial(_expand, _kernel(th)[0], cap)
+    cl = Closure.of(start, start.term)
     while cl.frontier and cl.depth_reached < depth and not cl.budget_hit:
-        cl.grow(sides, cap, node_budget)
+        cl.grow(expand, node_budget)
     return cl
 
 

@@ -153,21 +153,21 @@ class TestSeedTheory:
 class TestWordTermCoding:
     def test_first_letter_outermost(self):
         th = compile_reduction(COMMUTES)
-        t = word_to_term(COMMUTES, "ab", Var(1))
+        t = word_to_term("ab", Var(1))
         assert render_term(t) == "a(b(x1))"
 
     def test_empty_word_is_base(self):
-        assert word_to_term(COMMUTES, "", Var(1)) == Var(1)
+        assert word_to_term("", Var(1)) == Var(1)
 
     def test_chain_to_word_inverse(self):
-        t = word_to_term(COMMUTES, "ba", App(COMMUTES_ALPHA, (Var(2),)))
+        t = word_to_term("ba", App(COMMUTES_ALPHA, (Var(2),)))
         w, below = chain_to_word(t)
         assert w == ("b", "a", "alpha")
         assert below == Var(2)
 
     def test_roundtrip_words(self):
         for text in ["", "a", "ab", "bba"]:
-            t = word_to_term(COMMUTES, text, Var(1))
+            t = word_to_term(text, Var(1))
             w, below = chain_to_word(t)
             assert w == tuple(text) and below == Var(1)
 
@@ -289,6 +289,28 @@ class TestFlabbyWitness:
         assert verify_report(report, th)
         assert render_term(report.term.term) == "m(a(alpha(x1)),x2)"
         assert len(report.derivation.steps) == 2
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            instance(["a", "b"], [("ab", "")], ("ab", "")),
+            instance(["a", "b"], [("ab", "")], ("", "ab")),
+            instance(["a", "b"], [("ab", "ba"), ("ab", "ba")], ("aabb", "bbaa")),
+            instance(["a"], [("a", "aa")], ("a", "aaa")),
+            instance(["a", "b"], [("aa", "b")], ("aaaa", "bb")),
+        ],
+    )
+    def test_substitutions_by_construction(self, inst):
+        # An empty relation side, a relation listed twice, and relations
+        # that grow or shrink the word: every substitution is built from the
+        # word step, and the witness verifies.
+        wd = word_bfs(inst, *inst.goal, depth=8).derivation
+        assert wd is not None and wd.steps
+        report = flabby_witness(inst, wd)
+        assert verify_report(report, compile_reduction(inst))
+        assert report.term == seed_interpretation(inst).image_of("l")
+        assert report.permutation.images == (2, 1)
+        assert len(report.derivation.steps) == 1 + len(wd.steps)
 
     def test_rejects_off_goal_derivation(self):
         d = WordDerivation(("b", "a"), (WordStep(0, "RL", 0),), ("a", "b"))

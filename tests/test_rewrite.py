@@ -9,6 +9,7 @@ import rigidlab.rewrite as rewrite
 from oracles import (
     naive_closure,
     naive_instantiate,
+    naive_match,
     naive_one_step,
     naive_positions,
     naive_replace,
@@ -18,6 +19,7 @@ from oracles import (
     random_term,
     random_walk,
 )
+from rigidlab.reduction import WordDerivation, WordOutcome, WordStep, instance, word_bfs
 from rigidlab.rewrite import (
     BOUNDS,
     EXHAUSTED,
@@ -35,7 +37,6 @@ from rigidlab.rewrite import (
     derivation_to_doc,
     flip_step,
     intermediates,
-    match_side,
     prove_bounded,
     replay,
     reverse_derivation,
@@ -379,8 +380,8 @@ class TestReachedSet:
         made = []
         of = rewrite.Closure.of.__func__
 
-        def recorded(cls, start):
-            made.append(of(cls, start))
+        def recorded(cls, *args):
+            made.append(of(cls, *args))
             return made[-1]
 
         monkeypatch.setattr(rewrite.Closure, "of", classmethod(recorded))
@@ -544,10 +545,11 @@ class TestSuccessorKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_case())
-    def test_generated_sides_agree_with_match_side(self, case):
+    def test_generated_sides_agree_with_naive_match(self, case):
         # At every position, each expansion side's generated function binds
-        # what match_side binds, and reports a cap hit exactly when the
-        # rewritten term is over the cap.
+        # what the oracle's matcher binds, and reports a cap hit exactly when
+        # the rewritten term is over the cap.  Every expansion side binds its
+        # whole context, so a match binds every variable.
         th, t, cap = case
         room = cap - term_size(t.term)
         for ai, direction, _, side in rewrite._kernel(th)[0]:
@@ -555,12 +557,13 @@ class TestSuccessorKernel:
             src, dst = (eq.lhs, eq.rhs) if direction == LR else (eq.rhs, eq.lhs)
             for pos, s in naive_positions(t.term):
                 got = side(s, room)
-                subst = match_side(src, s, t.context_len)
-                if subst is None:
+                binding = naive_match(src.term, s)
+                if binding is None:
                     assert got is None
                     continue
-                bound = tuple(b.term for b in subst)
-                result = naive_instantiate(dst.term, dict(enumerate(bound, 1)))
+                assert set(binding) == set(range(1, eq.context_len + 1))
+                bound = tuple(binding[i] for i in range(1, eq.context_len + 1))
+                result = naive_instantiate(dst.term, binding)
                 if naive_size(naive_replace(t.term, pos, result)) > cap:
                     assert got is False
                 else:
@@ -786,9 +789,80 @@ def loop_prove(succ, one_way, lhs, rhs, depth, cap, node_budget):
     return finish(BOUNDS, reason="depth")
 
 
+def naive_word_successors(inst, w, cap):
+    """One-step string rewrites of w within cap, each with its first
+    witnessing step in relation, direction, offset order, and a cap-hit flag."""
+    out: dict = {}
+    cap_hit = False
+    for ri, (u, v) in enumerate(inst.relations):
+        for direction, src, dst in ((LR, u, v), (RL, v, u)):
+            for offset in range(len(w) - len(src) + 1):
+                if w[offset : offset + len(src)] == src:
+                    nw = w[:offset] + dst + w[offset + len(src) :]
+                    if len(nw) > cap:
+                        cap_hit = True
+                    elif nw not in out:
+                        out[nw] = WordStep(ri, direction, offset)
+    return list(out.items()), cap_hit
+
+
+def loop_word_bfs(inst, w1, w2, depth, cap, node_budget, found_at_level_end):
+    """word_bfs's own loop as it was before it ran on the shared engine, over
+    naive_word_successors.  That loop stopped in mid-level on reaching w2;
+    with found_at_level_end it finishes the level (or the node budget's cut
+    of it) first, as the shared engine does."""
+    bounds = {"depth": depth, "length_cap": cap, "node_budget": node_budget}
+    if w1 == w2:
+        return WordOutcome(FOUND, WordDerivation(w1, (), w2), False, None, 0, bounds)
+    entries = {w1: (0, None, None)}
+    frontier, d, expanded = [w1], 0, 0
+    cap_hit = budget_hit = False
+
+    def found():
+        deriv = WordDerivation(w1, tuple(reversed(walk_back(entries, w2))), w2)
+        return WordOutcome(FOUND, deriv, False, None, expanded, bounds)
+
+    while frontier and d < depth:
+        new_frontier = []
+        for w in frontier:
+            if expanded >= node_budget:
+                budget_hit = True
+                break
+            expanded += 1
+            succs, hit = naive_word_successors(inst, w, cap)
+            cap_hit = cap_hit or hit
+            for nw, step in succs:
+                if nw in entries:
+                    continue
+                entries[nw] = (d + 1, w, step)
+                new_frontier.append(nw)
+                if nw == w2 and not found_at_level_end:
+                    return found()
+        if w2 in entries:
+            return found()
+        if budget_hit:
+            break
+        frontier = new_frontier
+        d += 1
+    if budget_hit:
+        return WordOutcome(BOUNDS, None, False, "nodes", expanded, bounds)
+    if not frontier:
+        if not cap_hit:
+            return WordOutcome(EXHAUSTED, None, True, None, expanded, bounds)
+        return WordOutcome(BOUNDS, None, False, "size", expanded, bounds)
+    return WordOutcome(BOUNDS, None, False, "depth", expanded, bounds)
+
+
+WORD_COMMUTES = instance(["a", "b"], [("ab", "ba")], ("ab", "ba"))
+WORD_IDEMPOTENT = instance(["a"], [("a", "aa")], ("a", "aa"))
+WORD_FREE = instance(["a", "b"], [], ("a", "b"))
+
+
 class TestEngineCuts:
     """Every node budget from 1 to 12 and depth from 0 to 4, against the two
-    search loops the engine replaced, run over the oracle's successors."""
+    search loops the engine replaced, run over the oracle's successors; and
+    every node budget from 1 to 12 and depth from 0 to 6 for word_bfs,
+    against the loop it replaced."""
 
     def check_sweep(self, th, lhs, rhs, cap):
         memo: dict = {}
@@ -831,6 +905,25 @@ class TestEngineCuts:
             lhs = tic(random_term(rng, KERNEL_POOL, 5, 2), 2)
             rhs = tic(random_term(rng, KERNEL_POOL, 5, 2), 2)
             self.check_sweep(th, lhs, rhs, 6)
+
+    @pytest.mark.parametrize("inst", [WORD_COMMUTES, WORD_IDEMPOTENT, WORD_FREE])
+    def test_word_search(self, inst):
+        # 20 seeded pairs of words of length up to 4, each under the default
+        # length cap or one at most two letters over the longer word.
+        rng = random.Random(13)
+        for _ in range(20):
+            w1, w2 = (tuple(rng.choices(inst.alphabet, k=rng.randint(0, 4))) for _ in range(2))
+            length_cap = rng.choice([None, max(len(w1), len(w2)) + rng.randint(0, 2)])
+            cap = length_cap if length_cap is not None else max(len(w1), len(w2)) + 8
+            for depth in range(7):
+                for budget in range(1, 13):
+                    out = word_bfs(inst, w1, w2, depth=depth, length_cap=length_cap, node_budget=budget)
+                    doc = out.to_doc()
+                    assert doc == loop_word_bfs(inst, w1, w2, depth, cap, budget, True).to_doc()
+                    old = loop_word_bfs(inst, w1, w2, depth, cap, budget, False).to_doc()
+                    if out.status != FOUND:
+                        assert doc == old
+                    assert {**doc, "expanded": 0} == {**old, "expanded": 0}
 
     @settings(max_examples=100, deadline=None)
     @given(kernel_case(), st.integers(0, 2**20))
@@ -935,24 +1028,6 @@ class TestRenamedOrientations:
             assert rewrite._kernel(doubled)[1] == rewrite._kernel(th)[1]
         assert not rewrite._kernel(self.COMM)[1]
         assert rewrite._kernel(once)[1]
-
-
-class TestMatchSide:
-    def test_unbound_context_variable(self):
-        assert match_side(tic(x(1), 2), App(U, (x(1),)), 1) is None
-        assert match_side(tic(x(1), 1), App(U, (x(1),)), 1) == sub(1, App(U, (x(1),)))
-
-    def test_repeated_variable_needs_identical_subterms(self):
-        side = tic(App(M, (x(1), x(1))), 1)
-        a = App(U, (x(2),))
-        assert match_side(side, App(M, (a, App(U, (x(2),)))), 2) == sub(2, a)
-        assert match_side(side, App(M, (a, App(U, (x(1),)))), 2) is None
-        assert match_side(side, App(M, (x(1), x(2))), 2) is None
-
-    def test_substitution_in_context_order(self):
-        side = tic(App(M, (x(2), x(1))), 2)
-        target = App(M, (App(U, (x(3),)), x(1)))
-        assert match_side(side, target, 3) == sub(3, x(1), App(U, (x(3),)))
 
 
 @st.composite
