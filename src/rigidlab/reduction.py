@@ -323,7 +323,7 @@ def compile_reduction(inst: WordProblemInstance) -> Theory:
     """The compiled theory: generators and the marker as unary symbols, the
     pairing symbol, one chain axiom per relation, and the goal axiom."""
     signature = tuple(Symbol(g, 1) for g in inst.alphabet) + (Symbol(MARKER, 1), Symbol(PAIRING, 2))
-    axioms = [word_equation(inst, u, v) for u, v in inst.relations]
+    axioms = [word_equation(u, v) for u, v in inst.relations]
     u, v = inst.goal
     axioms.append(
         Equation(TermInContext(_marked_pair(u, 1, 2), 2), TermInContext(_marked_pair(v, 2, 1), 2))
@@ -361,7 +361,7 @@ def seed_interpretation(inst: WordProblemInstance) -> Interpretation:
 
 # ---- the word problem through the compiled theory ----
 
-def word_equation(inst: WordProblemInstance, w1: Union[str, Word], w2: Union[str, Word]) -> Equation:
+def word_equation(w1: Union[str, Word], w2: Union[str, Word]) -> Equation:
     """The chain equation w1(x1) = w2(x1) in context 1."""
     return Equation(
         TermInContext(word_to_term(w1, Var(1)), 1),
@@ -391,7 +391,7 @@ def word_semidecide(
     th = _compiled(inst)
     outcome = prove_bounded(
         th,
-        word_equation(inst, w1, w2),
+        word_equation(w1, w2),
         depth,
         size_cap=cap + 1,
         node_budget=node_budget,

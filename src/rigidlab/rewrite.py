@@ -62,10 +62,11 @@ from typing import Optional
 
 from .terms import (
     App,
+    Symbol,
     Term,
     TermInContext,
     Var,
-    _graft,
+    canonical,
     render_term,
     replace_at,
     parse_term,
@@ -73,7 +74,6 @@ from .terms import (
     subterm_at,
     term_size,
     count_symbol,
-    var_occurrences,
 )
 from .theory import Equation, Theory
 
@@ -113,6 +113,8 @@ BOUNDS = "bounds"
 
 DEFAULT_SLACK = 8
 DEFAULT_NODE_BUDGET = 1_000_000
+
+_PAIR = Symbol("pair", 2)  # joins an orientation's source and target into one orbit key
 
 
 class RewriteError(ValueError):
@@ -317,14 +319,12 @@ def _compile(th: Theory) -> tuple[list[tuple], list[tuple]]:
         k = eq.context_len
         for direction in (LR, RL):
             src, dst = _oriented(eq, direction)
-            order = dict.fromkeys(var_occurrences(src))
-            if len(order) != k:
+            if len(canonical(src.term)[1]) != k:
                 continue
             kept.append((ai, direction))
-            renumber = [None] * k
-            for new, v in enumerate(order, 1):
-                renumber[v - 1] = Var(new)
-            orbit = (_graft(src.term, renumber), _graft(dst.term, renumber))
+            # The source mentions every variable of the target, so the pair
+            # reads its variables in the source's first-occurrence order.
+            orbit = canonical(App(_PAIR, (src.term, dst.term)))[0]
             if orbit in orbits:
                 continue
             orbits.add(orbit)

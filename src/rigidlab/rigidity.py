@@ -11,6 +11,15 @@ scans the closure: an entry of the same size that is a renaming of the term
 gives the permutation directly, read off in one walk of both terms.
 Canonical order loses no generality: t is flabby exactly when any renaming
 of t is.
+
+Rewriting commutes with renaming, so on a theory whose one-step relation is
+symmetric (no one-way axiom) a term is flabby exactly when every member of
+its class is.  A closure that completes without a witness therefore clears
+its whole class: a later enumerated term whose canonical form is among the
+class's entries is decided without a closure of its own (the
+canonical-representative reduction of Ip & Dill, "Better verification
+through symmetry", FMSD 1996).  With a one-way axiom a complete closure is
+only what the term reaches, not what reaches it, so nothing is shared.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .rewrite import (
     Derivation,
     EXHAUSTED,
     FOUND,
+    _kernel,
     bounded_closure,
     derivation_to_doc,
     replay,
@@ -35,6 +45,7 @@ from .terms import (
     Term,
     TermInContext,
     Var,
+    canonical,
     is_linear_regular,
     render_term,
     substitute_simple,
@@ -142,11 +153,15 @@ def verify_report(r: FlabbyReport, th: Theory) -> bool:
 class FlabbySearchResult:
     """Search outcome plus the exhaustion certificate data.
 
-    status is "found", "exhausted" (every enumerated term cleared and every
-    closure complete, with no size cap, node budget or depth bound ever
-    binding, certifying rigidity of the searched fragment), or "bounds" (no
-    witness, but some closure was truncated).  depth_hit is set when some
-    closure still had a frontier at the depth bound.
+    status is "found", "exhausted" (every enumerated term cleared and its
+    class known complete, with no size cap, node budget or depth bound ever
+    binding a closure that ran, certifying rigidity of the searched
+    fragment), or "bounds" (no witness, but some closure was truncated).
+    depth_hit is set when some closure still had a frontier at the depth
+    bound.  closures_computed counts every term with two or more variables,
+    and closure_terms_total adds up their closures' entries, a shared class
+    counting its size.  classes_shared counts the terms among them decided
+    by an earlier complete class, with no closure run.
     """
 
     status: str
@@ -159,6 +174,7 @@ class FlabbySearchResult:
     budget_hit: bool
     depth_hit: bool
     bounds: dict
+    classes_shared: int = 0
 
     @property
     def found(self) -> bool:
@@ -176,6 +192,7 @@ class FlabbySearchResult:
                 "caps_hit": self.caps_hit,
                 "budget_hit": self.budget_hit,
                 "depth_hit": self.depth_hit,
+                "classes_shared": self.classes_shared,
             },
             "bounds": self.bounds,
         }
@@ -221,7 +238,11 @@ def search_flabby(
     gives a non-identity permutation sigma with sigma(t) in the closure; the
     lexicographically least image tuple is kept.  The first witness in
     canonical order is returned, with the breadth-first (hence minimal-length)
-    derivation from the shared closure.
+    derivation from the shared closure.  On a theory with no one-way axiom, a
+    term whose canonical form an earlier complete closure without a witness
+    reached is cleared by that class instead, and counted in
+    classes_shared.  No flabby term is ever cleared so: the term whose
+    closure covered it would be flabby, and found first.
     """
     bounds_doc = {
         "max_size": max_size,
@@ -238,15 +259,25 @@ def search_flabby(
     budget_hit = False
     depth_hit = False
     complete = True
+    shared = 0
+    # Only a symmetric relation, with no one-way axiom, makes a complete
+    # class decide its members.
+    share = not _kernel(th)[1]
+    cleared: dict = {}  # canonical term -> size of the class that cleared it
     for t in enumerate_linear_regular(th, max_size, max_context):
         terms_enumerated += 1
         n = t.context_len
         if n < 2:
             continue
+        closures += 1
+        class_size = cleared.pop(t.term, None)
+        if class_size is not None:
+            shared += 1
+            closure_total += class_size
+            continue
         cl = bounded_closure(
             th, t, depth, size_cap=term_size(t.term) + slack, node_budget=node_budget
         )
-        closures += 1
         closure_total += len(cl.entries)
         max_closure = max(max_closure, len(cl.entries))
         caps_hit = caps_hit or cl.cap_hit
@@ -268,10 +299,19 @@ def search_flabby(
                 raise RuntimeError("internal error: flabby report failed verification")
             return FlabbySearchResult(
                 FOUND, report, terms_enumerated, closures, closure_total,
-                max_closure, caps_hit, budget_hit, depth_hit, bounds_doc,
+                max_closure, caps_hit, budget_hit, depth_hit, bounds_doc, shared,
             )
+        if share and cl.complete:
+            # A symmetric relation keeps t's variables in every entry, and
+            # entries smaller than t were enumerated before it.  A canonical
+            # form that repeats a variable is never enumerated, so never
+            # looked up.
+            for u in cl.entries:
+                v = u.term
+                if size <= v.size <= max_size and v is not t.term:
+                    cleared[canonical(v)[0]] = len(cl.entries)
     status = EXHAUSTED if complete else BOUNDS
     return FlabbySearchResult(
         status, None, terms_enumerated, closures, closure_total,
-        max_closure, caps_hit, budget_hit, depth_hit, bounds_doc,
+        max_closure, caps_hit, budget_hit, depth_hit, bounds_doc, shared,
     )

@@ -31,6 +31,7 @@ __all__ = [
     "Term",
     "TermInContext",
     "Var",
+    "canonical",
     "count_symbol",
     "is_linear_regular",
     "parse_term",
@@ -346,6 +347,33 @@ def substitute_simple(t: TermInContext, sigma: Permutation) -> TermInContext:
             f"permutation of {sigma.size} does not match context {t.context_len}"
         )
     return TermInContext(_graft(t.term, [Var(i) for i in sigma.images]), t.context_len)
+
+
+def canonical(term: Term) -> tuple[Term, tuple[int, ...]]:
+    """The term with its variables renumbered 1, 2, ... in first-occurrence
+    order, and the old indices in that order.
+
+    For a renaming u = sigma(t) of a canonical t, canonical(u) is t with the
+    image tuple of sigma.  A repeated variable is listed once, so the tuple
+    can be shorter than the term's context.  A term already canonical is
+    returned as it is.
+    """
+    order: dict = {}
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Var:
+            if t.index not in order:
+                order[t.index] = len(order) + 1
+        else:
+            stack.extend(reversed(t.args))
+    old = tuple(order)
+    if all(v == new for v, new in order.items()):
+        return term, old
+    renumber = [None] * term.max_var
+    for v, new in order.items():
+        renumber[v - 1] = Var(new)
+    return _graft(term, renumber), old
 
 
 def substitute_terms(

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rigidlab.rewrite as rewrite
+import rigidlab.rigidity as rigidity
 from oracles import naive_all_terms, random_term, term_key
 from rigidlab.reduction import compile_reduction, instance, seed_theory
 from rigidlab.rewrite import (
     BOUNDS,
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_SLACK,
     EXHAUSTED,
     FOUND,
     Derivation,
@@ -38,6 +42,7 @@ from rigidlab.theory import Equation, Theory, parse_theory
 
 SEED = seed_theory()
 COMMUTES = instance(["a", "b"], [("ab", "ba")], ("ab", "ba"))
+NOT_COMMUTES = instance(["a", "b"], [("ab", "ba")], ("a", "b"))
 IDEMPOTENT = instance(["a"], [("a", "aa")], ("a", "aa"))
 SINGLE = instance(["a"], [], ("a", "a"))
 
@@ -314,6 +319,14 @@ def image_loop_search(th, *, max_size, max_context, depth, slack, node_budget):
     )
 
 
+def scan_doc(result):
+    """A search's document without classes_shared: image_loop_search runs
+    every closure, so it shares no class."""
+    doc = result.to_doc()
+    del doc["certificate"]["classes_shared"]
+    return doc
+
+
 # Axioms for random theories: non-linear sides (a closure entry may then
 # repeat a variable, which no permutation image does), flabby ones in two
 # and three variables, and a unary and a nullary symbol to vary the shapes.
@@ -351,14 +364,14 @@ class TestClosureScan:
         bounds = dict(max_size=5, max_context=3, depth=depth, slack=2, node_budget=400)
         got = search_flabby(th, **bounds)
         want = image_loop_search(th, **bounds)
-        assert got.to_doc() == want.to_doc()
+        assert scan_doc(got) == scan_doc(want)
 
     def test_whole_pool_matches_image_loop(self):
         bounds = dict(max_size=5, max_context=3, depth=2, slack=2, node_budget=400)
         for k in range(len(FLABBY_POOL.axioms)):
             th = Theory(FLABBY_POOL.signature, FLABBY_POOL.axioms[: k + 1])
             got = search_flabby(th, **bounds)
-            assert got.to_doc() == image_loop_search(th, **bounds).to_doc()
+            assert scan_doc(got) == scan_doc(image_loop_search(th, **bounds))
 
     def test_least_permutation_is_kept(self):
         # Axiom 0 reaches the image (3,2,1) first, but (2,1,3), from axiom 1,
@@ -374,7 +387,20 @@ class TestClosureScan:
             out = search_flabby(th, depth=depth, **bounds)
             assert render_term(out.report.term.term) == "m(x1,m(x2,x3))"
             assert out.report.permutation.images == images
-            assert out.to_doc() == image_loop_search(th, depth=depth, **bounds).to_doc()
+            assert scan_doc(out) == scan_doc(image_loop_search(th, depth=depth, **bounds))
+
+    def test_shared_classes_match_image_loop(self):
+        # Axioms 1 to 6 of the pool are two-way, so complete classes are
+        # shared, and sharing must change no document.
+        bounds = dict(max_size=5, max_context=3, slack=2, node_budget=400)
+        shared = 0
+        for pair in itertools.combinations(FLABBY_POOL.axioms[1:], 2):
+            th = Theory(FLABBY_POOL.signature, pair)
+            for depth in (2, 3):
+                got = search_flabby(th, depth=depth, **bounds)
+                shared += got.classes_shared
+                assert scan_doc(got) == scan_doc(image_loop_search(th, depth=depth, **bounds))
+        assert shared > 0
 
     def test_repeated_variable_is_not_a_witness(self):
         # The closure of m(x1,x2) holds m(x1,x1), which has its size and shape
@@ -398,3 +424,68 @@ class TestClosureScan:
         out = search_flabby(th, max_size=8, max_context=3, depth=6)
         assert out.status == FOUND and out.closures_computed > 1
         assert calls == [th]
+
+
+def closures_run(monkeypatch) -> list:
+    """The start of every closure search_flabby runs from now on."""
+    starts = []
+    run = rigidity.bounded_closure
+
+    def counted(th, start, *args, **kw):
+        starts.append(start)
+        return run(th, start, *args, **kw)
+
+    monkeypatch.setattr(rigidity, "bounded_closure", counted)
+    return starts
+
+
+class TestSharedClasses:
+    """A complete class decides the canonical form of each of its entries, so
+    a later term in it runs no closure of its own, on a theory whose one-step
+    relation is symmetric."""
+
+    def test_no_instance_counts(self, monkeypatch):
+        run = closures_run(monkeypatch)
+        th = compile_reduction(NOT_COMMUTES)
+        out = search_flabby(th, max_size=8, max_context=3, depth=6)
+        assert out.status == BOUNDS
+        assert (out.closures_computed, out.classes_shared, len(run)) == (8844, 2376, 6468)
+        assert out.closure_terms_total == 16288
+
+    def test_seed_counts(self, monkeypatch):
+        run = closures_run(monkeypatch)
+        out = search_flabby(SEED, max_size=9, max_context=4, depth=8)
+        assert out.status == EXHAUSTED
+        assert (out.closures_computed, out.classes_shared, len(run)) == (156, 106, 50)
+        assert out.closure_terms_total == 680
+
+    def test_complete_class_strengthens_verdict(self):
+        # Run on its own, some term's closure still has terms to expand at
+        # depth 4; each such term lies in a class that an earlier term's
+        # closure completed, so that class decides it.
+        th = compile_reduction(instance(["a", "b"], [("aa", "bb")], ("ab", "ba")))
+        bounds = dict(
+            max_size=7, max_context=3, depth=4, slack=DEFAULT_SLACK, node_budget=DEFAULT_NODE_BUDGET
+        )
+        every = image_loop_search(th, **bounds)
+        assert every.status == BOUNDS and every.depth_hit
+        out = search_flabby(th, **bounds)
+        assert out.status == EXHAUSTED and not out.depth_hit
+        assert out.classes_shared > 0
+
+    def test_one_way_axiom_shares_nothing(self, monkeypatch):
+        # f(x1,x2) = g(g(x1)) is one-way, so the class of k(f(x1,c()),x2) is
+        # complete yet holds the flabby k(g(g(x1)),x2) and its swap, from
+        # which it cannot be reached back.  Sharing that class would clear
+        # the witness and certify the theory rigid.
+        th = parse_theory(
+            "symbol c 0\nsymbol k 2\nsymbol f 2\nsymbol g 1\n"
+            "axiom [2] f(x1,x2) = g(g(x1))\n"
+            "axiom [2] k(g(g(x1)),x2) = k(g(g(x2)),x1)\n"
+        )
+        run = closures_run(monkeypatch)
+        out = search_flabby(th, max_size=5, max_context=2, depth=4)
+        assert out.status == FOUND
+        assert render_term(out.report.term.term) == "k(g(g(x1)),x2)"
+        assert out.classes_shared == 0
+        assert len(run) == out.closures_computed

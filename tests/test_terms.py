@@ -15,6 +15,7 @@ from rigidlab.terms import (
     Symbol,
     TermInContext,
     Var,
+    canonical,
     count_symbol,
     is_linear_regular,
     parse_term,
@@ -172,6 +173,42 @@ class TestSubstituteSimple:
         once = substitute_simple(substitute_simple(t, sigma), tau)
         composed = Permutation(tuple(tau.apply(sigma.apply(i)) for i in (1, 2, 3)))
         assert once == substitute_simple(t, composed)
+
+
+class TestCanonical:
+    def test_bare_variable(self):
+        assert canonical(x(3)) == (x(1), (3,))
+
+    def test_ground_term(self):
+        t = App(F, (App(C, ()),))
+        out, order = canonical(t)
+        assert out is t and order == ()
+
+    def test_canonical_term_is_returned_as_it_is(self):
+        t = m(x(1), m(x(2), x(3)))
+        out, order = canonical(t)
+        assert out is t and order == (1, 2, 3)
+
+    def test_repeated_variables(self):
+        # Fewer indices than the context: each variable is listed once.
+        out, order = canonical(m(m(x(4), x(2)), x(4)))
+        assert out == m(m(x(1), x(2)), x(1))
+        assert order == (4, 2)
+
+    @given(st.permutations([1, 2, 3]))
+    def test_renaming_gives_its_image_tuple(self, images):
+        t = m(App(F, (x(1),)), m(x(2), x(3)))
+        u = substitute_simple(TermInContext(t, 3), Permutation(tuple(images)))
+        assert canonical(u.term) == (t, tuple(images))
+
+    @given(terms_strategy())
+    def test_renamings_share_one_canonical_form(self, term):
+        out, order = canonical(term)
+        assert canonical(out) == (out, tuple(range(1, len(order) + 1)))
+        assert len(order) == len(set(var_occurrences(in_context(term))))
+        for images in Permutation.all_of(3):
+            renamed = substitute_simple(in_context(term), images).term
+            assert canonical(renamed)[0] is out
 
 
 class TestSubstituteTerms:
