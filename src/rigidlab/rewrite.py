@@ -29,19 +29,22 @@ kernel, or word_bfs's string rewriting.  bounded_closure grows one record;
 _search, the one meet loop, grows one from each side in turn for
 prove_bounded and word_bfs.  One parent walk turns a record's entries into
 the steps of a derivation.  Per expanded term, the kernel walks the term
-once, records each subterm with its parent's walk index and its argument
-index, and buckets the subterms by head symbol, so each side is matched only
-where its root symbol occurs.  Each side is compiled, once per theory, into
-one generated Python function that matches the side's source against a
-subterm and builds its target; these functions are the package's only
-matcher.  Each is straight-line code: class and symbol identity checks, an
-identity check for a repeated variable, the step's size change as one sum
-checked against the cap before building, and one App call per symbol node of
-the result.  The kernel rebuilds the whole result upward along the parent
-links, one App per ancestor.  Terms are hash-consed, so that bare term is
-the result's identity: each term record keeps the set of bare terms it has
-reached, and a result already in it costs nothing more.  Only a result new
-to the search gets its TermInContext, its position and its RewriteStep.
+once into three parallel lists, each subterm with its parent's walk index
+and its argument index, and buckets the subterms by head symbol, so each
+side is matched only where its root symbol occurs.  Each side is compiled,
+once per theory, into one generated Python function that matches the side's
+source against a subterm and builds its target; these functions are the
+package's only matcher.  Each is straight-line code: class and symbol
+identity checks, an identity check for a repeated variable, the step's size
+change as one sum checked against the cap before building, and one table
+lookup per symbol node of the result, with an App call only on a miss.  The
+kernel rebuilds the whole result upward along the parent links the same
+way, one table lookup per ancestor.  Terms are hash-consed, so that bare
+term is the result's identity: each term record keeps the set of bare terms
+it has reached, and a result already in it costs nothing more; most results
+are such repeats, so they never call App at all.  Only a result new to the
+search gets its TermInContext, its position and its RewriteStep, the last in
+one call.
 apply_step, and so replay, never runs generated code and never trusts the
 kernel: it substitutes a step's terms into the axiom's sides, compares, and
 swaps the result in with replace_at.
@@ -115,13 +118,16 @@ DEFAULT_SLACK = 8
 DEFAULT_NODE_BUDGET = 1_000_000
 
 _PAIR = Symbol("pair", 2)  # joins an orientation's source and target into one orbit key
+# Stands in for a missing table entry's weak ref: calling it gives None, as a
+# dead ref does, so table.get(args, _NO_REF)() is the live node or None.
+_NO_REF = type(None)
 
 
 class RewriteError(ValueError):
     """An ill-formed or inapplicable rewrite step."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RewriteStep:
     """One oriented axiom application at a position, with its substitution.
 
@@ -131,8 +137,12 @@ class RewriteStep:
 
     # Slotted by hand: dataclass(slots=True) rebuilds the class, and its
     # frozen __setattr__ then raises TypeError, not FrozenInstanceError, for
-    # a name that is no field.  __reduce__ copies and pickles through the
-    # constructor, since the frozen __setattr__ refuses to restore slots.
+    # a name that is no field.  __init__ is written by hand too, so a step
+    # costs one call: it normalises and checks the fields and sets them
+    # through the slot descriptors, past the frozen __setattr__.
+    # dataclasses.replace goes through it.  __reduce__ copies and pickles
+    # through the constructor, since the frozen __setattr__ refuses to
+    # restore slots.
     __slots__ = ("axiom_index", "direction", "position", "subst")
 
     axiom_index: int
@@ -140,16 +150,25 @@ class RewriteStep:
     position: tuple
     subst: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", tuple(self.position))
-        object.__setattr__(self, "subst", tuple(self.subst))
-        if self.direction not in (LR, RL):
+    def __init__(self, axiom_index: int, direction: str, position, subst):
+        position, subst = tuple(position), tuple(subst)
+        if direction not in (LR, RL):
             raise ValueError(f"direction must be {LR!r} or {RL!r}")
-        if self.axiom_index < 0:
+        if axiom_index < 0:
             raise ValueError("axiom index must be non-negative")
+        _set_axiom_index(self, axiom_index)
+        _set_direction(self, direction)
+        _set_position(self, position)
+        _set_subst(self, subst)
 
     def __reduce__(self):
         return RewriteStep, (self.axiom_index, self.direction, self.position, self.subst)
+
+
+_set_axiom_index = RewriteStep.axiom_index.__set__
+_set_direction = RewriteStep.direction.__set__
+_set_position = RewriteStep.position.__set__
+_set_subst = RewriteStep.subst.__set__
 
 
 def flip_step(step: RewriteStep) -> RewriteStep:
@@ -231,15 +250,18 @@ def _side_code(src: Term, k: int, dst: Term) -> tuple[str, dict]:
     The body is straight-line code: a class and symbol identity check and a
     tuple unpacking per symbol node of src, an identity check for a ground
     subterm or a repeated variable (terms are hash-consed), the size change
-    as one sum of the bindings' sizes, and one App call per symbol node of
-    dst, innermost first, so no expression nests however deep the side.
-    The size check is left out when the step cannot grow the term, since
-    the kernel only expands terms within the cap, so room is never negative.
-    Symbols and ground subterms enter only as the globals S0, S1, ... and
+    as one sum of the bindings' sizes, and one node per symbol node of dst,
+    innermost first, so no expression nests however deep the side.  A node
+    is one table lookup: its args tuple is looked up in its symbol's table
+    of nodes, and App is called only on a miss or a dead weak ref, so App
+    stays the one place a node is made.  The size check is left out when the
+    step cannot grow the term, since the kernel only expands terms within
+    the cap, so room is never negative.  Symbols, their tables of nodes and
+    ground subterms enter only as the globals S0, S1, ..., A0, A1, ... and
     K0, K1, ..., and locals are numbered, so no symbol name or other input
     text is ever part of the source.
     """
-    names: dict = {"App": App}
+    names: dict = {"App": App, "NoRef": _NO_REF}
     syms: dict = {}
     consts: dict = {}
 
@@ -281,9 +303,13 @@ def _side_code(src: Term, k: int, dst: Term) -> tuple[str, dict]:
         if not p.max_var:
             return name(p, consts, "K")
         args = _tuple([build(q) for q in p.args])
-        node = f"r{len(builds)}"
-        builds.append(f"    {node} = App({name(p.sym, syms, 'S')}, {args})")
-        return node
+        sym = name(p.sym, syms, "S")
+        table = "A" + sym[1:]  # S3's table of nodes is A3
+        names[table] = p.sym._apps
+        r = len(builds) // 2  # two lines per node
+        builds.append(f"    a{r} = {args}")
+        builds.append(f"    r{r} = {table}.get(a{r}, NoRef)() or App({sym}, a{r})")
+        return f"r{r}"
 
     match(src, "t")
     result = build(dst)
@@ -365,64 +391,94 @@ def _expand(
 ) -> bool:
     """The successor kernel: record t's one-step rewrites that reached lacks.
 
-    Walks t once in pre-order, recording each subterm with its parent's walk
-    index and its argument index, and buckets the subterms by head symbol, so
-    a side is tried only where its root symbol occurs (everywhere when its
-    root is a variable), and there by its generated function.  t must lie
-    within size_cap.  A result over size_cap is never built; the return value
-    says whether one occurred.  A match's result is rebuilt upward along the
-    parent links, one App per ancestor.  Terms are hash-consed, so the bare
-    term is the result's identity: one already in reached is skipped before
-    its TermInContext, position or RewriteStep is built.  Each other result
-    goes into reached, into entries as (distance, t, its first witnessing
-    step), and is appended to new, in tie-break order.
+    Walks t once in pre-order into three parallel lists, each subterm with
+    its parent's walk index and its argument index, and buckets the
+    subterms by head symbol, so a side is tried only where its root symbol
+    occurs (everywhere when its root is a variable), and there by its
+    generated function.  t must lie within size_cap.  A result over size_cap
+    is never built; the return value says whether one occurred.  A match's
+    result is rebuilt upward along the parent links, one table lookup per
+    ancestor, with an App call only on a miss or a dead weak ref.  Terms are
+    hash-consed, so the bare term is the result's identity: one already in
+    reached is skipped before its TermInContext, position or RewriteStep is
+    built.  Each other result goes into reached, into entries as (distance,
+    t, its first witnessing step), and is appended to new, in tie-break
+    order.
     """
     term, n = t.term, t.context_len
-    walk = []  # (subterm, its parent's walk index or -1, its argument index)
+    # The walk: subs[w] is the w-th subterm in pre-order, ups[w] its parent's
+    # walk index and ats[w] its argument index.  A node's first argument
+    # follows it, and each next one follows the one before it, so every
+    # child's slot is known when its parent is reached, and one pass in walk
+    # order fills the lists with no stack.
+    size = term.size
+    subs = [term] * size
+    ups = [-1] * size
+    ats = [0] * size
     by_head: dict = {}
-    stack = [(term, -1, 0)]
-    while stack:
-        here = stack.pop()
-        sub = here[0]
-        w = len(walk)
-        walk.append(here)
-        if sub.__class__ is App:
-            bucket = by_head.get(sub.sym)
-            if bucket is None:
-                by_head[sub.sym] = [w]
-            else:
-                bucket.append(w)
-            args = sub.args
-            for i in range(len(args) - 1, -1, -1):
-                stack.append((args[i], w, i))
-    everywhere = range(len(walk))
-    room = size_cap - term.size
+    for w in range(size):
+        sub = subs[w]
+        if sub.__class__ is not App:
+            continue
+        bucket = by_head.get(sub.sym)
+        if bucket is None:
+            by_head[sub.sym] = [w]
+        else:
+            bucket.append(w)
+        args = sub.args
+        c = w + 1
+        if len(args) == 2:
+            a, b = args
+            subs[c] = a
+            ups[c] = w
+            c += a.size
+            subs[c] = b
+            ups[c] = w
+            ats[c] = 1
+        elif len(args) == 1:
+            subs[c] = args[0]
+            ups[c] = w
+        else:
+            for i, a in enumerate(args):
+                subs[c] = a
+                ups[c] = w
+                ats[c] = i
+                c += a.size
+    everywhere = range(size)
+    room = size_cap - size
     cap_hit = False
     for ai, direction, root, side in sides:
         for w in everywhere if root is None else by_head.get(root, ()):
-            sub, j, i = walk[w]
-            got = side(sub, room)
+            got = side(subs[w], room)
             if not got:
                 if got is False:
                     cap_hit = True
                 continue
             bound, result = got
+            j, i = ups[w], ats[w]
             while j >= 0:
-                parent, up, at = walk[j]
+                parent = subs[j]
                 args = parent.args
-                result = App(parent.sym, args[:i] + (result,) + args[i + 1 :])
-                j, i = up, at
+                if len(args) == 2:
+                    args = (result, args[1]) if i == 0 else (args[0], result)
+                elif len(args) == 1:
+                    args = (result,)
+                else:
+                    args = args[:i] + (result,) + args[i + 1 :]
+                sym = parent.sym
+                result = sym._apps.get(args, _NO_REF)() or App(sym, args)
+                j, i = ups[j], ats[j]
             if result in reached:
                 continue
             reached.add(result)
             pos = []
             j = w
             while j:
-                _, j, i = walk[j]
-                pos.append(i)
+                pos.append(ats[j])
+                j = ups[j]
             pos.reverse()
             nt = TermInContext(result, n)
-            step = RewriteStep(ai, direction, tuple(pos), tuple(TermInContext(s, n) for s in bound))
+            step = RewriteStep(ai, direction, pos, [TermInContext(s, n) for s in bound])
             entries[nt] = (distance, t, step)
             new.append(nt)
     return cap_hit

@@ -7,7 +7,10 @@ Terms are hash-consed (maximal sharing): every constructor returns the one
 live node with equal contents, so structurally equal terms are the same
 object, and == and hash are identity, O(1) whatever the depth.  A Symbol owns
 a weak-valued table of the App nodes it heads, so a node lives only as long
-as something outside the table holds it.  Each App carries its size and its
+as something outside the table holds it.  The App constructor is the one
+place a node is made; the successor kernel in rewrite reads a symbol's table
+directly for a node that already exists, and calls App only on a miss or a
+dead entry.  Each App carries its size and its
 largest variable index, computed once from its children.  Nodes are
 immutable, and copy, deepcopy and pickle go back through the constructors.
 

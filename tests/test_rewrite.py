@@ -1,5 +1,7 @@
+import gc
 import random
 import sys
+from weakref import KeyedRef
 
 import pytest
 from hypothesis import given, settings
@@ -615,6 +617,51 @@ class TestSuccessorKernel:
             self.check_against_oracle(th, t, cap)
             close = bounded_closure(th, t, 2, size_cap=cap)
             assert {u: close.distance(u) for u in close.entries} == naive_closure(t, th, 2, cap)
+
+    def test_dead_table_entry_is_survived(self):
+        # A symbol's table can hold a dead weak ref whose callback has not
+        # yet run.  The generated side (stale) and the upward rebuild (wrap)
+        # both read the table, and on a dead entry both must leave the node
+        # to App, which makes it and puts it in the table.
+        th = parse_theory("symbol stale 2\nsymbol wrap 1\naxiom [2] stale(x1,x2) = stale(x2,x1)\n")
+        stale, wrap = th.symbol("stale"), th.symbol("wrap")
+        t = tic(App(wrap, (App(stale, (App(wrap, (x(1),)), x(2))),)), 2)
+
+        def plant_dead_ref(sym, args):
+            node = App(sym, args)
+            ref = KeyedRef(node, lambda _: None, args)
+            del node
+            gc.collect()
+            assert ref() is None and args not in sym._apps
+            sym._apps[args] = ref
+
+        args = (x(2), App(wrap, (x(1),)))
+        plant_dead_ref(stale, args)
+        [(nt, _)] = successors(t, th, term_size(t.term))
+        swapped = nt.term.args[0]
+        assert swapped is App(stale, args) and stale._apps[args]() is swapped
+        del nt
+        plant_dead_ref(wrap, (swapped,))
+        [(nt, _)] = successors(t, th, term_size(t.term))
+        assert nt.term is App(wrap, (swapped,)) and wrap._apps[(swapped,)]() is nt.term
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_case())
+    def test_results_are_maximally_shared(self, case):
+        # Every node the kernel hands out, in a closure's entries and in its
+        # steps' substitutions, is the one node App gives for its contents.
+        th, t, cap = case
+        close = bounded_closure(th, t, 3, size_cap=cap)
+        stack = []
+        for u, (_, _, step) in close.entries.items():
+            stack.append(u.term)
+            if step is not None:
+                stack.extend(s.term for s in step.subst)
+        while stack:
+            node = stack.pop()
+            if node.__class__ is App:
+                assert App(node.sym, node.args) is node
+                stack.extend(node.args)
 
     @settings(max_examples=60, deadline=None)
     @given(kernel_case())

@@ -1,5 +1,7 @@
-"""RewriteStep is a slotted frozen dataclass: copies, pickles, equality,
-hashing and its read-only fields behave as for any frozen dataclass.
+"""RewriteStep is a slotted frozen dataclass with a hand-written __init__:
+copies, pickles, dataclasses.replace, equality, hashing and its read-only
+fields behave as for any frozen dataclass, and every way of making a step,
+replace included, normalises and checks its fields.
 
 Needs neither pytest nor hypothesis, so it also runs as a plain script on
 the oldest supported Python:
@@ -31,6 +33,18 @@ def test_fields_are_normalised_and_checked():
         except ValueError:
             continue
         raise AssertionError(f"RewriteStep{bad} was accepted")
+
+
+def test_replace_checks_fields():
+    s = step()
+    for change in ({"direction": "up"}, {"axiom_index": -1}):
+        try:
+            dataclasses.replace(s, **change)
+        except ValueError:
+            continue
+        raise AssertionError(f"replace with {change} was accepted")
+    moved = dataclasses.replace(s, position=[1, 0])
+    assert moved.position == (1, 0) and moved.subst is s.subst
 
 
 def test_equality_and_hash():
