@@ -39,7 +39,6 @@ from .rewrite import (
     LR,
     RL,
     RewriteStep,
-    _path,
     _search,
     _verdict,
     apply_step,
@@ -197,28 +196,47 @@ def reverse_word_derivation(d: WordDerivation) -> WordDerivation:
     return WordDerivation(d.end, flipped, d.start)
 
 
-def _word_expand(inst: WordProblemInstance, length_cap: int, w: Word, reached, entries, distance, new):
+def _word_sides(inst: WordProblemInstance) -> list:
+    """The string route's sides, in tie-break order: (relation index,
+    direction, source word, target word)."""
+    return [
+        (ri, direction, *((u, v) if direction == LR else (v, u)))
+        for ri, (u, v) in enumerate(inst.relations)
+        for direction in (LR, RL)
+    ]
+
+
+def _word_expand(sides: list, length_cap: int, w: Word, reached, entries, distance, new):
     """The string route's one-step relation, as Closure.grow takes it: records
-    w's rewrites within the length cap that reached lacks, each with its first
-    step in relation, direction, offset order, and says whether the cap pruned
-    one.  A word is its own bare identity."""
+    w's rewrites within the length cap that reached lacks, each as (distance,
+    w, side, offset) for its first step in side, offset order, and says
+    whether the cap pruned one.  A word is its own bare identity."""
     cap_hit = False
-    for ri, (u, v) in enumerate(inst.relations):
-        for direction in (LR, RL):
-            src, dst = (u, v) if direction == LR else (v, u)
-            for offset in range(len(w) - len(src) + 1):
-                if w[offset : offset + len(src)] != src:
-                    continue
-                nw = w[:offset] + dst + w[offset + len(src) :]
-                if len(nw) > length_cap:
-                    cap_hit = True
-                    continue
-                if nw in reached:
-                    continue
-                reached.add(nw)
-                entries[nw] = (distance, w, WordStep(ri, direction, offset))
-                new.append(nw)
+    for side in sides:
+        src, dst = side[2], side[3]
+        for offset in range(len(w) - len(src) + 1):
+            if w[offset : offset + len(src)] != src:
+                continue
+            nw = w[:offset] + dst + w[offset + len(src) :]
+            if len(nw) > length_cap:
+                cap_hit = True
+                continue
+            if nw in reached:
+                continue
+            reached.add(nw)
+            entries[nw] = (distance, w, side, offset)
+            new.append(nw)
     return cap_hit
+
+
+def _word_step(parent: Word, child: Word, side: tuple, offset: int) -> WordStep:
+    """The step a string-route entry records, as Closure.step reads it; a
+    record that does not join parent to child is an internal error."""
+    ri, direction, src, dst = side
+    end = offset + len(src)
+    if parent[offset:end] != src or parent[:offset] + dst + parent[end:] != child:
+        raise RuntimeError(f"internal error: the word entry {word_to_text(child)} does not record a step")
+    return WordStep(ri, direction, offset)
 
 
 @dataclass
@@ -268,10 +286,10 @@ def word_bfs(
     cap = length_cap if length_cap is not None else max(len(w1), len(w2)) + slack
     cap = max(cap, len(w1), len(w2))
     bounds_doc = {"depth": depth, "length_cap": cap, "node_budget": node_budget}
-    left, right = Closure.of(w1, w1), Closure.of(w2, w2)
-    meet, _ = _search(left, right, True, depth, partial(_word_expand, inst, cap), node_budget)
+    left, right = Closure.of(w1, w1, _word_step), Closure.of(w2, w2, _word_step)
+    meet, _ = _search(left, right, True, depth, partial(_word_expand, _word_sides(inst), cap), node_budget)
     if meet is not None:
-        deriv = WordDerivation(w1, tuple(_path(left.entries, meet)), w2)
+        deriv = WordDerivation(w1, tuple(left.path(meet)), w2)
         return WordOutcome(FOUND, deriv, False, None, left.expanded, bounds_doc)
     status, reason = _verdict(left)
     return WordOutcome(status, None, status == EXHAUSTED, reason, left.expanded, bounds_doc)

@@ -27,8 +27,7 @@ A Closure is the one record of a breadth-first search, and Closure.grow
 expands its frontier by one level under a one-step relation: the term
 kernel, or word_bfs's string rewriting.  bounded_closure grows one record;
 _search, the one meet loop, grows one from each side in turn for
-prove_bounded and word_bfs.  One parent walk turns a record's entries into
-the steps of a derivation.  Per expanded term, the kernel walks the term
+prove_bounded and word_bfs.  Per expanded term, the kernel walks the term
 once into three parallel lists, each subterm with its parent's walk index
 and its argument index, and buckets the subterms by head symbol, so each
 side is matched only where its root symbol occurs.  Each side is compiled,
@@ -43,8 +42,14 @@ way, one table lookup per ancestor.  Terms are hash-consed, so that bare
 term is the result's identity: each term record keeps the set of bare terms
 it has reached, and a result already in it costs nothing more; most results
 are such repeats, so they never call App at all.  Only a result new to the
-search gets its TermInContext, its position and its RewriteStep, the last in
-one call.
+search gets its TermInContext and an entry, which records its parent, the
+side that reached it and that side's walk index in the parent; no position,
+substitution or RewriteStep is built while the search runs.  One parent
+walk turns a record's entries into the steps of a derivation when it is
+read.  Closure.step rebuilds a step once from its entry: it calls that one
+side at that one subterm of the parent, requires the result to be the
+entry's subterm there (an internal error otherwise), and keeps the step.
+So the rebuilt step is the one the search first found.
 apply_step, and so replay, never runs generated code and never trusts the
 kernel: it substitutes a step's terms into the axiom's sides, compares, and
 swaps the result in with replace_at.
@@ -61,7 +66,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
-from typing import Optional
+from typing import Callable, Optional
 
 from .terms import (
     App,
@@ -127,7 +132,7 @@ class RewriteError(ValueError):
     """An ill-formed or inapplicable rewrite step."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RewriteStep:
     """One oriented axiom application at a position, with its substitution.
 
@@ -137,12 +142,8 @@ class RewriteStep:
 
     # Slotted by hand: dataclass(slots=True) rebuilds the class, and its
     # frozen __setattr__ then raises TypeError, not FrozenInstanceError, for
-    # a name that is no field.  __init__ is written by hand too, so a step
-    # costs one call: it normalises and checks the fields and sets them
-    # through the slot descriptors, past the frozen __setattr__.
-    # dataclasses.replace goes through it.  __reduce__ copies and pickles
-    # through the constructor, since the frozen __setattr__ refuses to
-    # restore slots.
+    # a name that is no field.  __reduce__ copies and pickles through the
+    # constructor, since the frozen __setattr__ refuses to restore slots.
     __slots__ = ("axiom_index", "direction", "position", "subst")
 
     axiom_index: int
@@ -150,25 +151,16 @@ class RewriteStep:
     position: tuple
     subst: tuple
 
-    def __init__(self, axiom_index: int, direction: str, position, subst):
-        position, subst = tuple(position), tuple(subst)
-        if direction not in (LR, RL):
+    def __post_init__(self):
+        if self.direction not in (LR, RL):
             raise ValueError(f"direction must be {LR!r} or {RL!r}")
-        if axiom_index < 0:
+        if self.axiom_index < 0:
             raise ValueError("axiom index must be non-negative")
-        _set_axiom_index(self, axiom_index)
-        _set_direction(self, direction)
-        _set_position(self, position)
-        _set_subst(self, subst)
+        object.__setattr__(self, "position", tuple(self.position))
+        object.__setattr__(self, "subst", tuple(self.subst))
 
     def __reduce__(self):
         return RewriteStep, (self.axiom_index, self.direction, self.position, self.subst)
-
-
-_set_axiom_index = RewriteStep.axiom_index.__set__
-_set_direction = RewriteStep.direction.__set__
-_set_position = RewriteStep.position.__set__
-_set_subst = RewriteStep.subst.__set__
 
 
 def flip_step(step: RewriteStep) -> RewriteStep:
@@ -400,10 +392,13 @@ def _expand(
     result is rebuilt upward along the parent links, one table lookup per
     ancestor, with an App call only on a miss or a dead weak ref.  Terms are
     hash-consed, so the bare term is the result's identity: one already in
-    reached is skipped before its TermInContext, position or RewriteStep is
-    built.  Each other result goes into reached, into entries as (distance,
-    t, its first witnessing step), and is appended to new, in tie-break
-    order.
+    reached is skipped before its TermInContext is built.  Each other result
+    goes into reached, into entries as (distance, t, side, w), and is
+    appended to new, in tie-break order.  side is the expansion side that
+    first reached it and w the walk index of the subterm it matched: the
+    record of its first witnessing step, which no position, substitution or
+    RewriteStep is built for here; Closure.step builds that step from the
+    record when a derivation is read.
     """
     term, n = t.term, t.context_len
     # The walk: subs[w] is the w-th subterm in pre-order, ups[w] its parent's
@@ -447,14 +442,15 @@ def _expand(
     everywhere = range(size)
     room = size_cap - size
     cap_hit = False
-    for ai, direction, root, side in sides:
+    for side in sides:
+        root, match = side[2], side[3]
         for w in everywhere if root is None else by_head.get(root, ()):
-            got = side(subs[w], room)
+            got = match(subs[w], room)
             if not got:
                 if got is False:
                     cap_hit = True
                 continue
-            bound, result = got
+            result = got[1]
             j, i = ups[w], ats[w]
             while j >= 0:
                 parent = subs[j]
@@ -471,28 +467,48 @@ def _expand(
             if result in reached:
                 continue
             reached.add(result)
-            pos = []
-            j = w
-            while j:
-                pos.append(ats[j])
-                j = ups[j]
-            pos.reverse()
             nt = TermInContext(result, n)
-            step = RewriteStep(ai, direction, pos, [TermInContext(s, n) for s in bound])
-            entries[nt] = (distance, t, step)
+            entries[nt] = (distance, t, side, w)
             new.append(nt)
     return cap_hit
 
 
-def _path(entries: dict, t) -> list:
-    """The steps on the parent links of entries from the root to t, in order."""
-    steps = []
-    _, parent, step = entries[t]
-    while parent is not None:
-        steps.append(step)
-        _, parent, step = entries[parent]
-    steps.reverse()
-    return steps
+def _rebuild(parent: TermInContext, child: TermInContext, side: tuple, w: int) -> RewriteStep:
+    """The step an entry records, rebuilt: side applied to parent's subterm
+    at walk index w gives child.
+
+    Descends parent and child together to w, checking at each level that
+    they agree off the path, then calls side's generated function there and
+    requires its result to be child's subterm, by identity.  Any mismatch is
+    an internal error, never a step that does not join the two.
+    """
+    p, c = parent.term, child.term
+    position = []
+    j = 0  # p's walk index in parent
+    while j < w:
+        if p.__class__ is not App or c.__class__ is not App or p.sym is not c.sym:
+            break
+        j += 1
+        for i, a in enumerate(p.args):
+            if w < j + a.size:
+                break
+            j += a.size
+        else:
+            break
+        pa, ca = p.args, c.args
+        if pa[:i] != ca[:i] or pa[i + 1 :] != ca[i + 1 :]:
+            break
+        position.append(i)
+        p, c = pa[i], ca[i]
+    else:  # the descent reached w
+        got = side[3](p, c.size - p.size)
+        if got and got[1] is c:
+            n = parent.context_len
+            return RewriteStep(side[0], side[1], position, [TermInContext(s, n) for s in got[0]])
+    raise RuntimeError(
+        f"internal error: the closure entry {render_term(child.term)} does not "
+        f"record a step from {render_term(parent.term)}"
+    )
 
 
 def successors(
@@ -501,27 +517,34 @@ def successors(
     """Distinct one-step rewrites of t within the size cap.
 
     Each result term appears once, paired with its first witnessing step in
-    tie-break order; the list order is deterministic.
+    tie-break order; the list order is deterministic.  Nothing counts as
+    reached beforehand, so t itself is listed when a step returns to it.
     """
     if size_cap < term_size(t.term):
         raise ValueError("size cap is smaller than the term itself")
-    entries: dict = {}
-    new: list = []
-    _expand(_kernel(th)[0], size_cap, t, set(), entries, 1, new)
-    return [(nt, entries[nt][2]) for nt in new]
+    cl = Closure(t, {}, [t])
+    cl.grow(partial(_expand, _kernel(th)[0], size_cap), 1)
+    return [(nt, cl.step(nt)) for nt in cl.frontier]
 
 
 @dataclass
 class Closure:
     """The record of one breadth-first search from start, over terms or words.
 
-    entries maps every reached node to (distance, parent, step); frontier
-    holds the nodes of the last level reached, still to be expanded, and
-    depth_reached counts the levels completed.  expanded counts expanded
-    nodes, cap_hit says the size cap pruned a result, and budget_hit says
-    the node budget cut a level short (the frontier then stays the one that
-    level was expanding).  reached holds every entry's bare identity, a
-    word or a bare term, so the kernel tests a result before it wraps it.
+    entries maps every reached node to (distance, parent, side, at): parent
+    is the node it was first reached from, side the one-step relation's side
+    that reached it and at where that side matched, a walk index in the
+    term kernel and a letter offset in the string route.  The start's entry
+    is (0, None, None, None).  No step is built while the search runs:
+    step(t) builds the one an entry records, by rebuild(parent, t, side, at),
+    when a derivation is read, and keeps it, so derivations that share a
+    prefix share its step objects.  frontier holds the nodes of the last level reached,
+    still to be expanded, and depth_reached counts the levels completed.
+    expanded counts expanded nodes, cap_hit says the size cap pruned a
+    result, and budget_hit says the node budget cut a level short (the
+    frontier then stays the one that level was expanding).  reached holds
+    every entry's bare identity, a word or a bare term, so the kernel tests
+    a result before it wraps it.
     """
 
     start: TermInContext
@@ -532,6 +555,8 @@ class Closure:
     cap_hit: bool = False
     budget_hit: bool = False
     reached: set = field(default_factory=set)
+    rebuild: Callable = field(default=_rebuild, repr=False, compare=False)
+    steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def exhausted(self) -> bool:
@@ -567,9 +592,11 @@ class Closure:
         return new
 
     @classmethod
-    def of(cls, start, bare) -> "Closure":
-        """A search that has reached only start, whose bare identity is bare."""
-        return cls(start, {start: (0, None, None)}, [start], reached={bare})
+    def of(cls, start, bare, rebuild=_rebuild) -> "Closure":
+        """A search that has reached only start, whose bare identity is bare;
+        rebuild turns an entry's record into its step, the term kernel's by
+        default."""
+        return cls(start, {start: (0, None, None, None)}, [start], reached={bare}, rebuild=rebuild)
 
     def __contains__(self, t: TermInContext) -> bool:
         return t in self.entries
@@ -577,8 +604,34 @@ class Closure:
     def distance(self, t: TermInContext) -> int:
         return self.entries[t][0]
 
+    def parent(self, t):
+        """The node t was first reached from; None for the start."""
+        return self.entries[t][1]
+
+    def step(self, t):
+        """The step from t's parent to t, built from t's record on first
+        read and kept; None for the start."""
+        step = self.steps.get(t)
+        if step is None:
+            _, parent, side, at = self.entries[t]
+            if parent is None:
+                return None
+            step = self.steps[t] = self.rebuild(parent, t, side, at)
+        return step
+
+    def path(self, t) -> list:
+        """The steps on the parent links from start to t, in order."""
+        steps = []
+        parent = self.entries[t][1]
+        while parent is not None:
+            steps.append(self.step(t))
+            t = parent
+            parent = self.entries[t][1]
+        steps.reverse()
+        return steps
+
     def derivation_to(self, t: TermInContext) -> Derivation:
-        return Derivation(self.start, tuple(_path(self.entries, t)), t)
+        return Derivation(self.start, tuple(self.path(t)), t)
 
 
 def _verdict(*searches: Closure) -> tuple[str, Optional[str]]:
@@ -716,8 +769,8 @@ def prove_bounded(
     if meet is not None:
         # Every meet lies within depth: a level is expanded only while the
         # two levels sum to less than depth.
-        back = [flip_step(s) for s in reversed(_path(right.entries, meet))]
-        deriv = Derivation(lhs, tuple(_path(left.entries, meet) + back), rhs)
+        back = [flip_step(s) for s in reversed(right.path(meet))]
+        deriv = Derivation(lhs, tuple(left.path(meet) + back), rhs)
         if len(deriv.steps) != mu or not replay(deriv, th):
             raise RuntimeError("internal error: assembled derivation failed replay")
         return ProofOutcome(FOUND, deriv, False, None, stats, bounds_doc)

@@ -79,7 +79,8 @@ def closure(th, n, text, depth, **kw):
     start = TermInContext(parse_term(text, th.symbols_by_name()), n)
     cl = bounded_closure(th, start, depth, **kw)
     entries = []
-    for t, (distance, parent, step) in cl.entries.items():
+    for t in cl.entries:
+        distance, parent, step = cl.distance(t), cl.parent(t), cl.step(t)
         entries.append(
             {
                 "term": render_term(t.term),

@@ -21,7 +21,7 @@ from oracles import (
     random_term,
     random_walk,
 )
-from rigidlab.reduction import WordDerivation, WordOutcome, WordStep, instance, word_bfs
+from rigidlab.reduction import WordDerivation, WordOutcome, WordStep, _word_step, instance, word_bfs
 from rigidlab.rewrite import (
     BOUNDS,
     EXHAUSTED,
@@ -136,6 +136,16 @@ class TestSuccessors:
         t = tic(App(A, (App(B, (x(1),)),)), 1)
         out = successors(t, COMPILED_LIKE, 5)
         assert [got for got, _ in out] == [tic(App(B, (App(A, (x(1),)),)), 1)]
+
+    def test_self_loop_keeps_its_witness(self):
+        # successors counts nothing as reached beforehand, so a step that
+        # returns to t lists t itself, with that first witnessing step.
+        th = parse_theory("symbol c 0\nsymbol m 2\naxiom [2] m(x1,x2) = m(x2,x1)\n")
+        t = tic(parse_term("m(c(),c())", th.symbols_by_name()), 0)
+        [(nt, step)] = successors(t, th, term_size(t.term))
+        c = tic(t.term.args[0], 0)
+        assert nt == t and step == RewriteStep(0, LR, (), (c, c))
+        assert apply_step(t, th, step) == t
 
     def test_cap_below_term_size_rejected(self):
         t = tic(App(L, (x(1), x(2))), 2)
@@ -337,6 +347,85 @@ class TestBoundedClosure:
 AC = parse_theory(
     "symbol m 2\naxiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\naxiom [2] m(x1,x2) = m(x2,x1)\n"
 )
+
+
+class TestDerivationsOnDemand:
+    """A closure records how each entry was reached, and builds a step only
+    when a derivation reads it, once per entry."""
+
+    def comb(self):
+        start = tic(parse_term("m(m(m(m(x1,x2),x3),x4),x5)", AC.symbols_by_name()), 5)
+        return bounded_closure(AC, start, 20)
+
+    def siblings(self, close):
+        """The first two children of one of the deepest parents that has two."""
+        children: dict = {}
+        for u in close.entries:
+            if u != close.start:
+                children.setdefault(close.parent(u), []).append(u)
+        return max((kids for kids in children.values() if len(kids) > 1), key=lambda k: close.distance(k[0]))[:2]
+
+    def test_steps_are_built_on_read_and_kept(self, monkeypatch):
+        made = []
+        check = RewriteStep.__post_init__
+
+        def counted(step):
+            made.append(step)
+            check(step)
+
+        monkeypatch.setattr(RewriteStep, "__post_init__", counted)
+        close = self.comb()
+        assert close.complete and len(close.entries) == 1680 and made == []
+        t, sibling = self.siblings(close)
+        d = close.distance(t)
+        assert d >= 3
+        deriv = close.derivation_to(t)
+        assert len(made) == len(deriv.steps) == d and replay(deriv, AC)
+        assert close.derivation_to(t).steps == deriv.steps and len(made) == d
+        # A sibling shares every step but its last with t.
+        other = close.derivation_to(sibling)
+        assert len(made) == d + 1 and replay(other, AC)
+        assert all(a is b for a, b in zip(other.steps[:-1], deriv.steps[:-1], strict=True))
+
+    def test_corrupted_record_is_an_internal_error(self):
+        # Two children of one parent with their records' (side, walk index)
+        # swapped: each record now rebuilds its sibling, so reading either
+        # raises rather than returning a derivation that does not replay.
+        close = self.comb()
+        t, sibling = self.siblings(close)
+        parent = close.parent(t)
+        good = close.derivation_to(close.parent(parent))
+        a, b = close.entries[t], close.entries[sibling]
+        close.entries[t], close.entries[sibling] = a[:2] + b[2:], b[:2] + a[2:]
+        for u in (t, sibling):
+            with pytest.raises(RuntimeError, match="internal error"):
+                close.derivation_to(u)
+        # A walk index past the parent's last subterm is no record either.
+        close.entries[t] = a[:3] + (term_size(parent.term),)
+        with pytest.raises(RuntimeError, match="internal error"):
+            close.step(t)
+        assert close.derivation_to(close.parent(parent)) == good
+
+    def test_parent_must_agree_off_the_path(self):
+        # An entry's record names a parent that has the matched subterm at
+        # the step's position but differs beside it: the side still gives
+        # the entry's subterm there, yet the parent is no one-step source.
+        close = self.comb()
+        t = next(u for u in close.entries if u != close.start and close.step(u).position[:1] == (0,))
+        parent = close.parent(t).term
+        stranger = tic(App(parent.sym, (parent.args[0], App(parent.sym, parent.args[1:] * 2))), 5)
+        close.entries[t] = (close.distance(t), stranger) + close.entries[t][2:]
+        close.steps.clear()
+        with pytest.raises(RuntimeError, match="internal error"):
+            close.step(t)
+
+    def test_corrupted_word_record_is_an_internal_error(self):
+        side = (0, LR, ("a", "b"), ("b", "a"))
+        assert _word_step(("a", "a", "b"), ("a", "b", "a"), side, 1) == WordStep(0, LR, 1)
+        # The side does not match at the offset; it matches but gives another word.
+        for parent, child, offset in ((("a", "a", "b"), ("a", "b", "a"), 0), (("a", "b"), ("a", "b"), 0)):
+            with pytest.raises(RuntimeError, match="internal error"):
+                _word_step(parent, child, side, offset)
 
 
 def reached_matches_entries(cl):
@@ -653,8 +742,9 @@ class TestSuccessorKernel:
         th, t, cap = case
         close = bounded_closure(th, t, 3, size_cap=cap)
         stack = []
-        for u, (_, _, step) in close.entries.items():
+        for u in close.entries:
             stack.append(u.term)
+            step = close.step(u)
             if step is not None:
                 stack.extend(s.term for s in step.subst)
         while stack:
@@ -924,7 +1014,7 @@ class TestEngineCuts:
             for budget in range(1, 13):
                 cl = bounded_closure(th, lhs, depth, size_cap=cap, node_budget=budget)
                 entries, *flags = loop_closure(succ, lhs, depth, budget)
-                got = [(t, d, p, as_witness(s)) for t, (d, p, s) in cl.entries.items()]
+                got = [(t, cl.distance(t), cl.parent(t), as_witness(cl.step(t))) for t in cl.entries]
                 assert got == [(t, *e) for t, e in entries.items()]
                 assert cl.start == lhs and reached_matches_entries(cl)
                 assert [cl.exhausted, cl.cap_hit, cl.budget_hit, cl.expanded, cl.depth_reached] == flags
