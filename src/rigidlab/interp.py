@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice, permutations
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
@@ -33,7 +34,6 @@ from .rewrite import (
 from .rigidity import _shapes
 from .terms import (
     App,
-    Permutation,
     Term,
     TermInContext,
     Var,
@@ -41,7 +41,6 @@ from .terms import (
     is_linear_regular,
     parse_term,
     render_term,
-    substitute_simple,
     term_size,
 )
 from .theory import Equation, Theory, _check_signature_terms, load_theory
@@ -245,6 +244,17 @@ class ConservativityReport:
         }
 
 
+def _graft_shared(term: Term, args: list, grafted: dict) -> Term:
+    """_graft(term, args), reading and filling grafted, a map from the nodes
+    of earlier calls with the same args to their grafts."""
+    if term.__class__ is Var:
+        return args[term.index - 1]
+    out = grafted.get(term)
+    if out is None:
+        out = grafted[term] = App(term.sym, [_graft_shared(a, args, grafted) for a in term.args])
+    return out
+
+
 def probe_conservativity(
     i: Interpretation,
     *,
@@ -290,10 +300,18 @@ def probe_conservativity(
     targets_complete = True
 
     for n, canonical in sorted(by_context.items()):
+        # Every renaming but the identity, which comes first and keeps t
+        # itself.  The canonical terms share subterms, so each renaming
+        # grafts a shared node once.
+        renamings = [
+            ([Var(v) for v in images], {})
+            for images in islice(permutations(range(1, n + 1)), 1, None)
+        ]
         pool: list[tuple[TermInContext, bool]] = []
         for t in canonical:
-            for sigma in Permutation.all_of(n):
-                pool.append((substitute_simple(t, sigma), sigma.is_identity()))
+            pool.append((t, True))
+            for args, grafted in renamings:
+                pool.append((TermInContext(_graft_shared(t.term, args, grafted), n), False))
         if len(pool) < 2:
             continue
         images = {t: extend(i, t) for t, _ in pool}

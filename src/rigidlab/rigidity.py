@@ -20,6 +20,12 @@ class's entries is decided without a closure of its own (the
 canonical-representative reduction of Ip & Dill, "Better verification
 through symmetry", FMSD 1996).  With a one-way axiom a complete closure is
 only what the term reaches, not what reaches it, so nothing is shared.
+
+A term that no side of the one-step relation matches anywhere is inert: it
+is in normal form, its class is itself, and it is decided without a closure,
+counted as its one-entry closure would count.  Inertness is compositional,
+so it is read off each node's children and the sides rooted at its symbol,
+with one memo per search.
 """
 
 from __future__ import annotations
@@ -161,7 +167,10 @@ class FlabbySearchResult:
     bound.  closures_computed counts every term with two or more variables,
     and closure_terms_total adds up their closures' entries, a shared class
     counting its size.  classes_shared counts the terms among them decided
-    by an earlier complete class, with no closure run.
+    by an earlier complete class, with no closure run.  An inert term, which
+    no side matches anywhere, runs no closure either: it counts in
+    closures_computed and adds 1 to closure_terms_total, as its one-entry
+    closure would.
     """
 
     status: str
@@ -222,6 +231,29 @@ def _renaming(t: Term, u: Term, n: int) -> Optional[tuple]:
     return tuple(images)
 
 
+def _inert(node: Term, at_root: dict, memo: dict, max_size: int) -> bool:
+    """No side matches node or any of its subterms.
+
+    at_root maps a root symbol to the generated functions of the sides
+    rooted at it.  memo maps a node to its flag, and keeps only nodes
+    smaller than max_size: a term of max_size is never a subterm of an
+    enumerated one.  This is a module function because a recursive nested
+    one is a reference cycle, which would hold memo after the search
+    returns, until the next full collection.
+    """
+    if node.__class__ is Var:
+        return True
+    flag = memo.get(node)
+    if flag is None:
+        # Any match, even one over the size cap (False), is a rewrite.
+        flag = all(_inert(a, at_root, memo, max_size) for a in node.args) and all(
+            match(node, 0) is None for match in at_root.get(node.sym, ())
+        )
+        if node.size < max_size:
+            memo[node] = flag
+    return flag
+
+
 def search_flabby(
     th: Theory,
     *,
@@ -242,7 +274,8 @@ def search_flabby(
     term whose canonical form an earlier complete closure without a witness
     reached is cleared by that class instead, and counted in
     classes_shared.  No flabby term is ever cleared so: the term whose
-    closure covered it would be flabby, and found first.
+    closure covered it would be flabby, and found first.  An inert term is
+    cleared as its own class, with no closure run.
     """
     bounds_doc = {
         "max_size": max_size,
@@ -260,10 +293,21 @@ def search_flabby(
     depth_hit = False
     complete = True
     shared = 0
+    sides, one_way, _ = _kernel(th)
     # Only a symmetric relation, with no one-way axiom, makes a complete
     # class decide its members.
-    share = not _kernel(th)[1]
+    share = not one_way
     cleared: dict = {}  # canonical term -> size of the class that cleared it
+    # The sides by root symbol.  A term no side matches anywhere is inert:
+    # its class is itself, and its closure would be one entry, complete,
+    # with no flag set.  That holds only when the closure expands the term
+    # (depth and budget at least 1), and is checked by root symbol only when
+    # no side's root is a variable.
+    at_root: dict = {}
+    for side in sides:
+        at_root.setdefault(side[2], []).append(side[3])
+    decide_inert = depth >= 1 and node_budget >= 1 and None not in at_root
+    inert: dict = {}  # node smaller than max_size -> whether it is inert
     for t in enumerate_linear_regular(th, max_size, max_context):
         terms_enumerated += 1
         n = t.context_len
@@ -274,6 +318,10 @@ def search_flabby(
         if class_size is not None:
             shared += 1
             closure_total += class_size
+            continue
+        if decide_inert and _inert(t.term, at_root, inert, max_size):
+            closure_total += 1
+            max_closure = max(max_closure, 1)
             continue
         cl = bounded_closure(
             th, t, depth, size_cap=term_size(t.term) + slack, node_budget=node_budget

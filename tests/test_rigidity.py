@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import rigidlab.rewrite as rewrite
 import rigidlab.rigidity as rigidity
-from oracles import naive_all_terms, random_term, term_key
+from oracles import naive_all_terms, naive_one_step, random_term, term_key
 from rigidlab.reduction import compile_reduction, instance, seed_theory
 from rigidlab.rewrite import (
     BOUNDS,
@@ -38,7 +38,7 @@ from rigidlab.terms import (
     substitute_simple,
     term_size,
 )
-from rigidlab.theory import Equation, Theory, parse_theory
+from rigidlab.theory import Equation, Theory, parse_equation, parse_theory
 
 SEED = seed_theory()
 COMMUTES = instance(["a", "b"], [("ab", "ba")], ("ab", "ba"))
@@ -357,14 +357,35 @@ def flabby_case(draw):
     return Theory(FLABBY_POOL.signature, tuple(picks))
 
 
+# A side rooted at a variable, which matches everywhere, and a one-way
+# axiom: the right side of m(x1,x2) = u(x1) does not mention x2.
+GUARD_AXIOMS = tuple(
+    parse_equation(text, FLABBY_POOL) for text in ("[1] x1 = u(x1)", "[2] m(x1,x2) = u(x1)")
+)
+
+
 class TestClosureScan:
     @settings(max_examples=60, deadline=None)
-    @given(flabby_case(), st.integers(1, 3))
-    def test_matches_image_loop(self, th, depth):
-        bounds = dict(max_size=5, max_context=3, depth=depth, slack=2, node_budget=400)
+    @given(flabby_case(), st.integers(0, 3), st.sampled_from((1, 400)))
+    def test_matches_image_loop(self, th, depth, node_budget):
+        # Depth 0 and a budget of 1 leave an inert term's closure
+        # incomplete, so search_flabby must run it.
+        bounds = dict(max_size=5, max_context=3, depth=depth, slack=2, node_budget=node_budget)
         got = search_flabby(th, **bounds)
         want = image_loop_search(th, **bounds)
         assert scan_doc(got) == scan_doc(want)
+
+    @pytest.mark.parametrize("guard", GUARD_AXIOMS, ids=("variable_root", "one_way"))
+    def test_guard_axioms_match_image_loop(self, guard):
+        for k in (1, 3):
+            th = Theory(FLABBY_POOL.signature, (guard,) + FLABBY_POOL.axioms[1:k])
+            for depth in range(4):
+                for node_budget in (1, 400):
+                    bounds = dict(
+                        max_size=5, max_context=3, depth=depth, slack=2, node_budget=node_budget
+                    )
+                    got = search_flabby(th, **bounds)
+                    assert scan_doc(got) == scan_doc(image_loop_search(th, **bounds))
 
     def test_whole_pool_matches_image_loop(self):
         bounds = dict(max_size=5, max_context=3, depth=2, slack=2, node_budget=400)
@@ -439,25 +460,49 @@ def closures_run(monkeypatch) -> list:
     return starts
 
 
+def inert_terms(th, max_size, max_context, count=None) -> int:
+    """The enumerated terms with two or more variables that have no one-step
+    rewrite, by the reference relation; only the first count terms when
+    count is given."""
+    terms = itertools.islice(enumerate_linear_regular(th, max_size, max_context), count)
+    return sum(1 for t in terms if t.context_len >= 2 and not naive_one_step(t, th))
+
+
 class TestSharedClasses:
     """A complete class decides the canonical form of each of its entries, so
     a later term in it runs no closure of its own, on a theory whose one-step
-    relation is symmetric."""
+    relation is symmetric.  An inert term, which no step rewrites, runs none
+    either: its class is itself."""
 
     def test_no_instance_counts(self, monkeypatch):
         run = closures_run(monkeypatch)
         th = compile_reduction(NOT_COMMUTES)
         out = search_flabby(th, max_size=8, max_context=3, depth=6)
         assert out.status == BOUNDS
-        assert (out.closures_computed, out.classes_shared, len(run)) == (8844, 2376, 6468)
+        assert (out.closures_computed, out.classes_shared, len(run)) == (8844, 2376, 1612)
+        assert inert_terms(th, 8, 3) == 4856
         assert out.closure_terms_total == 16288
 
     def test_seed_counts(self, monkeypatch):
         run = closures_run(monkeypatch)
         out = search_flabby(SEED, max_size=9, max_context=4, depth=8)
         assert out.status == EXHAUSTED
-        assert (out.closures_computed, out.classes_shared, len(run)) == (156, 106, 50)
+        assert (out.closures_computed, out.classes_shared, len(run)) == (156, 106, 42)
+        assert inert_terms(SEED, 9, 4) == 8
         assert out.closure_terms_total == 680
+
+    def test_inert_theory_runs_no_closure(self, monkeypatch):
+        # No term of five nodes or fewer holds m(m(x1,x2),m(x3,x4)), so no
+        # step applies to any, and each is decided as its own class.
+        th = parse_theory("symbol m 2\naxiom [4] m(m(x1,x2),m(x3,x4)) = m(m(x2,x1),m(x3,x4))\n")
+        bounds = dict(max_size=5, max_context=3, depth=3, slack=2, node_budget=400)
+        run = closures_run(monkeypatch)
+        out = search_flabby(th, **bounds)
+        assert run == []
+        assert out.status == EXHAUSTED
+        assert out.closures_computed == inert_terms(th, 5, 3) == 3
+        assert out.closure_terms_total == 3 and out.max_closure == 1
+        assert scan_doc(out) == scan_doc(image_loop_search(th, **bounds))
 
     def test_complete_class_strengthens_verdict(self):
         # Run on its own, some term's closure still has terms to expand at
@@ -488,4 +533,6 @@ class TestSharedClasses:
         assert out.status == FOUND
         assert render_term(out.report.term.term) == "k(g(g(x1)),x2)"
         assert out.classes_shared == 0
-        assert len(run) == out.closures_computed
+        inert = inert_terms(th, 5, 2, out.terms_enumerated)
+        assert inert > 0
+        assert len(run) + inert == out.closures_computed
