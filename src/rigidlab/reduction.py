@@ -447,8 +447,9 @@ def flabby_witness(inst: WordProblemInstance, word_derivation: WordDerivation) -
         raise ValueError("word derivation does not prove the goal pair")
     if not word_replay(inst, word_derivation):
         raise ValueError("word derivation does not replay")
-    th = compile_reduction(inst)
-    term = seed_interpretation(inst).image_of("l")
+    interp = seed_interpretation(inst)
+    th = interp.target
+    term = interp.image_of("l")
     sigma = Permutation.transposition(2, 1, 2)
 
     swap = (TermInContext(Var(1), 2), TermInContext(Var(2), 2))

@@ -6,9 +6,10 @@ The search enumerates canonical linear-regular terms (variables numbered in
 first-occurrence order, so each shape appears once) and computes one bounded
 rewrite closure per term.  One memoised depth-first recursion builds the
 terms already in canonical order (pre-order tags, variables before symbols,
-symbols in signature order), so no batch is sorted.  Rather than build every permutation image, it
-scans the closure: an entry of the same size that is a renaming of the term
-gives the permutation directly, read off in one walk of both terms.
+symbols in signature order), so no batch is sorted.  Rather than build
+every permutation image, it scans the closure once: an entry of the term's
+size whose canonical form (terms.canonical) is the term renames it, and
+canonical's renaming is the permutation's image tuple.
 Canonical order loses no generality: t is flabby exactly when any renaming
 of t is.
 
@@ -160,17 +161,18 @@ class FlabbySearchResult:
     """Search outcome plus the exhaustion certificate data.
 
     status is "found", "exhausted" (every enumerated term cleared and its
-    class known complete, with no size cap, node budget or depth bound ever
-    binding a closure that ran, certifying rigidity of the searched
-    fragment), or "bounds" (no witness, but some closure was truncated).
-    depth_hit is set when some closure still had a frontier at the depth
-    bound.  closures_computed counts every term with two or more variables,
-    and closure_terms_total adds up their closures' entries, a shared class
-    counting its size.  classes_shared counts the terms among them decided
-    by an earlier complete class, with no closure run.  An inert term, which
-    no side matches anywhere, runs no closure either: it counts in
-    closures_computed and adds 1 to closure_terms_total, as its one-entry
-    closure would.
+    class known complete, certifying rigidity of the searched fragment), or
+    "bounds" (no witness, but some closure was truncated).  With no witness
+    it is read off the three flags: "exhausted" exactly when caps_hit,
+    budget_hit and depth_hit are all false, since a closure that ran is
+    incomplete exactly when it sets one of them.  depth_hit is set when
+    some closure still had a frontier at the depth bound.  closures_computed
+    counts every term with two or more variables, and closure_terms_total
+    adds up their closures' entries, a shared class counting its size.
+    classes_shared counts the terms among them decided by an earlier
+    complete class, with no closure run.  An inert term, which no side
+    matches anywhere, runs no closure either: it counts in closures_computed
+    and adds 1 to closure_terms_total, as its one-entry closure would.
     """
 
     status: str
@@ -207,30 +209,6 @@ class FlabbySearchResult:
         }
 
 
-def _renaming(t: Term, u: Term, n: int) -> Optional[tuple]:
-    """The image tuple of the permutation sigma with sigma(t) = u, or None.
-
-    t is canonical, so its variables read 1..n in pre-order; u must have the
-    same symbols and shape, with a variable wherever t has one.  u may repeat
-    a variable (a non-linear axiom can make it), and then no sigma exists.
-    """
-    images = []
-    stack = [(t, u)]
-    while stack:
-        a, b = stack.pop()
-        if a.__class__ is Var:
-            if b.__class__ is not Var:
-                return None
-            images.append(b.index)
-        elif b.__class__ is not App or a.sym is not b.sym:
-            return None
-        else:
-            stack.extend(zip(reversed(a.args), reversed(b.args)))
-    if len(set(images)) != n:
-        return None
-    return tuple(images)
-
-
 def _inert(node: Term, at_root: dict, memo: dict, max_size: int) -> bool:
     """No side matches node or any of its subterms.
 
@@ -265,34 +243,31 @@ def search_flabby(
 ) -> FlabbySearchResult:
     """Look for a flabby term among all linear-regular terms within bounds.
 
-    One bounded closure is computed per canonical term t.  Each closure
-    entry other than t, of t's size, that renames t's variables bijectively
-    gives a non-identity permutation sigma with sigma(t) in the closure; the
-    lexicographically least image tuple is kept.  The first witness in
-    canonical order is returned, with the breadth-first (hence minimal-length)
-    derivation from the shared closure.  On a theory with no one-way axiom, a
+    One bounded closure is computed per canonical term t, and its entries
+    are walked once.  Each entry other than t whose canonical form is t
+    gives a non-identity permutation sigma with sigma(t) in the closure,
+    its image tuple the renaming canonical returns; the lexicographically
+    least image tuple is kept.  The first witness in canonical order is
+    returned, with the breadth-first (hence minimal-length) derivation from
+    the shared closure.  On a theory with no one-way axiom, a
     term whose canonical form an earlier complete closure without a witness
     reached is cleared by that class instead, and counted in
     classes_shared.  No flabby term is ever cleared so: the term whose
     closure covered it would be flabby, and found first.  An inert term is
-    cleared as its own class, with no closure run.
+    cleared as its own class, with no closure run.  With no witness the
+    status is "exhausted" when no closure set caps_hit, budget_hit or
+    depth_hit, and "bounds" otherwise.
     """
-    bounds_doc = {
-        "max_size": max_size,
-        "max_context": max_context,
-        "depth": depth,
-        "slack": slack,
-        "node_budget": node_budget,
-    }
-    terms_enumerated = 0
-    closures = 0
-    closure_total = 0
-    max_closure = 0
-    caps_hit = False
-    budget_hit = False
-    depth_hit = False
-    complete = True
-    shared = 0
+    res = FlabbySearchResult(
+        BOUNDS, None, 0, 0, 0, 0, False, False, False,
+        {
+            "max_size": max_size,
+            "max_context": max_context,
+            "depth": depth,
+            "slack": slack,
+            "node_budget": node_budget,
+        },
+    )
     sides, one_way, _ = _kernel(th)
     # Only a symmetric relation, with no one-way axiom, makes a complete
     # class decide its members.
@@ -309,57 +284,55 @@ def search_flabby(
     decide_inert = depth >= 1 and node_budget >= 1 and None not in at_root
     inert: dict = {}  # node smaller than max_size -> whether it is inert
     for t in enumerate_linear_regular(th, max_size, max_context):
-        terms_enumerated += 1
-        n = t.context_len
-        if n < 2:
+        res.terms_enumerated += 1
+        if t.context_len < 2:
             continue
-        closures += 1
+        res.closures_computed += 1
         class_size = cleared.pop(t.term, None)
         if class_size is not None:
-            shared += 1
-            closure_total += class_size
+            res.classes_shared += 1
+            res.closure_terms_total += class_size
             continue
         if decide_inert and _inert(t.term, at_root, inert, max_size):
-            closure_total += 1
-            max_closure = max(max_closure, 1)
+            res.closure_terms_total += 1
+            res.max_closure = max(res.max_closure, 1)
             continue
         cl = bounded_closure(
             th, t, depth, size_cap=term_size(t.term) + slack, node_budget=node_budget
         )
-        closure_total += len(cl.entries)
-        max_closure = max(max_closure, len(cl.entries))
-        caps_hit = caps_hit or cl.cap_hit
-        budget_hit = budget_hit or cl.budget_hit
-        depth_hit = depth_hit or not (cl.exhausted or cl.budget_hit)
-        complete = complete and cl.complete
+        count = len(cl.entries)
+        res.closure_terms_total += count
+        res.max_closure = max(res.max_closure, count)
+        res.caps_hit = res.caps_hit or cl.cap_hit
+        res.budget_hit = res.budget_hit or cl.budget_hit
+        res.depth_hit = res.depth_hit or not (cl.exhausted or cl.budget_hit)
+        # An entry of t's size whose canonical form is t renames t, and the
+        # renaming's image tuple comes with it.  A complete class of a
+        # symmetric relation also clears the canonical form of each member
+        # up to max_size: the relation keeps t's variables in every entry,
+        # and entries smaller than t were enumerated before it.  A canonical
+        # form that repeats a variable is never enumerated, so never looked
+        # up.
+        clear = share and cl.complete
         size = t.term.size
+        top = max_size if clear else size
         best = None
         for u in cl.entries:
-            if u.term.size != size or u == t:
+            v = u.term
+            if not size <= v.size <= top:
                 continue
-            images = _renaming(t.term, u.term, n)
-            if images is not None and (best is None or images < best[0]):
-                best = (images, u)
+            c, images = canonical(v)
+            if c is t.term:
+                if v is not t.term and (best is None or images < best[0]):
+                    best = (images, u)
+            elif clear:
+                cleared[c] = count
         if best is not None:
             images, target = best
-            report = FlabbyReport(t, Permutation(images), cl.derivation_to(target))
-            if not verify_report(report, th):
+            res.status = FOUND
+            res.report = FlabbyReport(t, Permutation(images), cl.derivation_to(target))
+            if not verify_report(res.report, th):
                 raise RuntimeError("internal error: flabby report failed verification")
-            return FlabbySearchResult(
-                FOUND, report, terms_enumerated, closures, closure_total,
-                max_closure, caps_hit, budget_hit, depth_hit, bounds_doc, shared,
-            )
-        if share and cl.complete:
-            # A symmetric relation keeps t's variables in every entry, and
-            # entries smaller than t were enumerated before it.  A canonical
-            # form that repeats a variable is never enumerated, so never
-            # looked up.
-            for u in cl.entries:
-                v = u.term
-                if size <= v.size <= max_size and v is not t.term:
-                    cleared[canonical(v)[0]] = len(cl.entries)
-    status = EXHAUSTED if complete else BOUNDS
-    return FlabbySearchResult(
-        status, None, terms_enumerated, closures, closure_total,
-        max_closure, caps_hit, budget_hit, depth_hit, bounds_doc, shared,
-    )
+            return res
+    res.status = BOUNDS if res.caps_hit or res.budget_hit or res.depth_hit else EXHAUSTED
+    return res

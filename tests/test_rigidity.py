@@ -327,6 +327,14 @@ def scan_doc(result):
     return doc
 
 
+def assert_status_from_flags(result):
+    """With no witness, a search is exhausted exactly when no closure set a
+    flag: a closure that ran is incomplete exactly when it sets one."""
+    if not result.found:
+        flagged = result.caps_hit or result.budget_hit or result.depth_hit
+        assert (result.status == EXHAUSTED) == (not flagged)
+
+
 # Axioms for random theories: non-linear sides (a closure entry may then
 # repeat a variable, which no permutation image does), flabby ones in two
 # and three variables, and a unary and a nullary symbol to vary the shapes.
@@ -374,6 +382,7 @@ class TestClosureScan:
         got = search_flabby(th, **bounds)
         want = image_loop_search(th, **bounds)
         assert scan_doc(got) == scan_doc(want)
+        assert_status_from_flags(got)
 
     @pytest.mark.parametrize("guard", GUARD_AXIOMS, ids=("variable_root", "one_way"))
     def test_guard_axioms_match_image_loop(self, guard):
@@ -386,6 +395,7 @@ class TestClosureScan:
                     )
                     got = search_flabby(th, **bounds)
                     assert scan_doc(got) == scan_doc(image_loop_search(th, **bounds))
+                    assert_status_from_flags(got)
 
     def test_whole_pool_matches_image_loop(self):
         bounds = dict(max_size=5, max_context=3, depth=2, slack=2, node_budget=400)

@@ -3,7 +3,7 @@ import gc
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from oracles import naive_positions, naive_replace
 from rigidlab.rewrite import bounded_closure, prove_bounded
@@ -72,6 +72,30 @@ def terms_strategy(max_vars=3, max_leaves=10):
 
 def in_context(term, n=3):
     return TermInContext(term, n)
+
+
+def linearised(term):
+    """term with its variable occurrences numbered 1, 2, ... in pre-order:
+    a canonical linear-regular term of the same shape."""
+    leaves = iter(range(1, term.size + 1))
+
+    def walk(s):
+        if s.__class__ is Var:
+            return Var(next(leaves))
+        return App(s.sym, [walk(a) for a in s.args])
+
+    return walk(term)
+
+
+@st.composite
+def terms_of_size(draw, size, n):
+    """Any term of exactly size nodes over F, G, C and variables 1..n."""
+    if size == 1:
+        return draw(st.one_of(st.integers(1, n).map(Var), st.just(App(C, ()))))
+    if size == 2 or draw(st.booleans()):
+        return App(F, (draw(terms_of_size(size - 1, n)),))
+    left = draw(st.integers(1, size - 2))
+    return App(G, (draw(terms_of_size(left, n)), draw(terms_of_size(size - 1 - left, n))))
 
 
 class TestConstruction:
@@ -200,6 +224,31 @@ class TestCanonical:
         t = m(App(F, (x(1),)), m(x(2), x(3)))
         u = substitute_simple(TermInContext(t, 3), Permutation(tuple(images)))
         assert canonical(u.term) == (t, tuple(images))
+
+    @given(st.data())
+    def test_canonical_form_is_t_exactly_for_renamings(self, data):
+        # u has t's size and variables among 1..n: a renaming of t, t's
+        # shape with any variables (repeats included), or any other shape.
+        t = linearised(data.draw(terms_strategy(max_leaves=5)))
+        n = t.max_var
+        assume(n >= 2)
+        tc = TermInContext(t, n)
+        u = data.draw(
+            st.one_of(
+                st.permutations(range(1, n + 1)).map(
+                    lambda images: substitute_simple(tc, Permutation(tuple(images))).term
+                ),
+                st.lists(st.integers(1, n), min_size=n, max_size=n).map(
+                    lambda vs: substitute_terms(tc, [TermInContext(Var(v), n) for v in vs]).term
+                ),
+                terms_of_size(t.size, n),
+            )
+        )
+        renamings = [s for s in Permutation.all_of(n) if substitute_simple(tc, s).term is u]
+        out, order = canonical(u)
+        assert (out is t) == bool(renamings)
+        if renamings:
+            assert [order] == [s.images for s in renamings]
 
     @given(terms_strategy())
     def test_renamings_share_one_canonical_form(self, term):
