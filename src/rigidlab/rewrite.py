@@ -27,18 +27,22 @@ A Closure is the one record of a breadth-first search, and Closure.grow
 expands its frontier by one level under a one-step relation: the term
 kernel, or word_bfs's string rewriting.  bounded_closure grows one record;
 _search, the one meet loop, grows one from each side in turn for
-prove_bounded and word_bfs.  Per expanded term, the kernel walks the term
-once into three parallel lists, each subterm with its parent's walk index
-and its argument index, and buckets the subterms by head symbol, so each
-side is matched only where its root symbol occurs.  Each side is compiled,
-once per theory, into one generated Python function that matches the side's
-source against a subterm and builds its target; these functions are the
-package's only matcher.  Each is straight-line code: class and symbol
-identity checks, an identity check for a repeated variable, the step's size
-change as one sum checked against the cap before building, and one table
-lookup per symbol node of the result, with an App call only on a miss.  The
-kernel rebuilds the whole result upward along the parent links the same
-way, one table lookup per ancestor.  Terms are hash-consed, so that bare
+prove_bounded and word_bfs.  The term kernel is one generated Python
+function per theory, the expansion function, compiled once with the sides.
+Per expanded term it walks the term once into three parallel lists, each
+subterm with its parent's walk index and its argument index, and lists the
+subterms by head symbol, so each side is tried only where its root symbol
+occurs.  Then comes one straight-line block per side, in tie-break order,
+that matches the side's source against a subterm and builds its target:
+class and symbol identity checks, an identity check for a repeated
+variable, the step's size change as one sum checked against the cap before
+building, and one table lookup per symbol node of the result, with an App
+call only on a miss.  After each block the result is rebuilt upward along
+the parent links the same way, one table lookup per ancestor.  The same
+generator also compiles each side alone into a function that matches one
+subterm and returns the bindings with the result; Closure.step and
+search_flabby's inert test call those.  Generated code is the package's
+only matcher.  Terms are hash-consed, so that bare
 term is the result's identity: each term record keeps the set of bare terms
 it has reached, and a result already in it costs nothing more; most results
 are such repeats, so they never call App at all.  Only a result new to the
@@ -47,9 +51,9 @@ side that reached it and that side's walk index in the parent; no position,
 substitution or RewriteStep is built while the search runs.  One parent
 walk turns a record's entries into the steps of a derivation when it is
 read.  Closure.step rebuilds a step once from its entry: it calls that one
-side at that one subterm of the parent, requires the result to be the
-entry's subterm there (an internal error otherwise), and keeps the step.
-So the rebuilt step is the one the search first found.
+side's function at that one subterm of the parent, requires the result to
+be the entry's subterm there (an internal error otherwise), and keeps the
+step.  So the rebuilt step is the one the search first found.
 apply_step, and so replay, never runs generated code and never trusts the
 kernel: it substitutes a step's terms into the axiom's sides, compares, and
 swaps the result in with replace_at.
@@ -231,40 +235,60 @@ def _tuple(items: list) -> str:
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
-def _side_code(src: Term, k: int, dst: Term) -> tuple[str, dict]:
-    """The source of the generated function for one expansion side, and the
-    globals it names.
+class _Globals:
+    """The globals of one generated function.
 
-    side(t, room) matches src, in a context of length k, against the subterm
-    t.  It returns None when src does not match; False when the step would
-    grow the term by more than room; and otherwise (bound, result), where
-    bound[i-1] is the binding of variable i and result is dst under bound.
-    The body is straight-line code: a class and symbol identity check and a
-    tuple unpacking per symbol node of src, an identity check for a ground
-    subterm or a repeated variable (terms are hash-consed), the size change
-    as one sum of the bindings' sizes, and one node per symbol node of dst,
-    innermost first, so no expression nests however deep the side.  A node
-    is one table lookup: its args tuple is looked up in its symbol's table
-    of nodes, and App is called only on a miss or a dead weak ref, so App
-    stays the one place a node is made.  The size check is left out when the
-    step cannot grow the term, since the kernel only expands terms within
-    the cap, so room is never negative.  Symbols, their tables of nodes and
-    ground subterms enter only as the globals S0, S1, ..., A0, A1, ... and
-    K0, K1, ..., and locals are numbered, so no symbol name or other input
-    text is ever part of the source.
+    names is the dict the function runs in.  Calling the object names a
+    symbol, a ground subterm or an expansion side by a prefix and a number,
+    once per object, so no symbol name or other input text is ever part of
+    the source, and a symbol that several sides share is one global.
     """
-    names: dict = {"App": App, "NoRef": _NO_REF}
-    syms: dict = {}
-    consts: dict = {}
 
-    def name(obj, table: dict, prefix: str) -> str:
-        g = table.get(obj)
+    def __init__(self, **fixed):
+        self.names = {"App": App, "NoRef": _NO_REF, **fixed}
+        self._ids: dict = {}
+
+    def __call__(self, obj, prefix: str) -> str:
+        g = self._ids.get(obj)
         if g is None:
-            g = table[obj] = f"{prefix}{len(table)}"
-            names[g] = obj
+            g = self._ids[obj] = f"{prefix}{len(self._ids)}"
+            self.names[g] = obj
         return g
 
-    lines = ["def side(t, room):"]
+
+def _side_lines(src: Term, k: int, dst: Term, glob: _Globals, inline: bool) -> tuple[list, list, str]:
+    """The straight-line code of one expansion side: its lines, the locals
+    holding the bindings, and the expression of its result.
+
+    The lines match src, in a context of length k, against the subterm in
+    the local t0, give up when it does not match or when the step would grow
+    the term by more than the local room, and otherwise leave dst under the
+    bindings in the result's expression; binding[i-1] holds variable i.
+    They are a class and symbol identity check and a tuple unpacking per
+    symbol node of src, an identity check for a ground subterm or a
+    repeated variable (terms are hash-consed), the size change as one sum of
+    the bindings' sizes, and one node per symbol node of dst, innermost
+    first, so no expression nests however deep the side.  A node is one
+    table lookup: its args tuple is looked up in its symbol's table of
+    nodes, and App is called only on a miss or a dead weak ref, so App stays
+    the one place a node is made.  The size check is left out when the step
+    cannot grow the term, since only terms within the cap are expanded, so
+    room is never negative.  Symbols, their tables of nodes and ground
+    subterms enter only as glob's globals, S<n>, A<n> and K<n>, and locals
+    are numbered, so no symbol name or other input text is ever part of the
+    source.
+
+    Standalone, the lines are a function body: they return None on no match
+    and False over the cap.  Inline, they are a block in the expansion
+    function's loop over walk indices: they continue on no match, set cap_hit
+    and continue over the cap, and leave out t0's root check, since the loop
+    runs only where src's root symbol heads t0.
+    """
+    if inline:
+        pad, fail, over = " " * 8, "continue", "cap_hit = True; continue"
+    else:
+        pad, fail, over = " " * 4, "return None", "return False"
+    lines: list = []
     builds: list = []  # run after the size check
     fresh = count(1)
     at = [None] * k  # the local holding variable i's binding, at [i-1]
@@ -277,14 +301,15 @@ def _side_code(src: Term, k: int, dst: Term) -> tuple[str, dict]:
             if at[i] is None:
                 at[i] = here
             else:
-                lines.append(f"    if {here} is not {at[i]}: return None")
+                lines.append(f"{pad}if {here} is not {at[i]}: {fail}")
         elif not p.max_var:
-            lines.append(f"    if {here} is not {name(p, consts, 'K')}: return None")
+            lines.append(f"{pad}if {here} is not {glob(p, 'K')}: {fail}")
         else:
-            sym = name(p.sym, syms, "S")
-            lines.append(f"    if {here}.__class__ is not App or {here}.sym is not {sym}: return None")
+            sym = glob(p.sym, "S")
+            if not (inline and p is src):
+                lines.append(f"{pad}if {here}.__class__ is not App or {here}.sym is not {sym}: {fail}")
             kids = [f"t{next(fresh)}" for _ in p.args]
-            lines.append(f"    {_tuple(kids)} = {here}.args")
+            lines.append(f"{pad}{_tuple(kids)} = {here}.args")
             for q, kid in zip(p.args, kids):
                 match(q, kid)
 
@@ -293,17 +318,17 @@ def _side_code(src: Term, k: int, dst: Term) -> tuple[str, dict]:
             grow[p.index - 1] += 1
             return at[p.index - 1]
         if not p.max_var:
-            return name(p, consts, "K")
+            return glob(p, "K")
         args = _tuple([build(q) for q in p.args])
-        sym = name(p.sym, syms, "S")
+        sym = glob(p.sym, "S")
         table = "A" + sym[1:]  # S3's table of nodes is A3
-        names[table] = p.sym._apps
+        glob.names[table] = p.sym._apps
         r = len(builds) // 2  # two lines per node
-        builds.append(f"    a{r} = {args}")
-        builds.append(f"    r{r} = {table}.get(a{r}, NoRef)() or App({sym}, a{r})")
+        builds.append(f"{pad}a{r} = {args}")
+        builds.append(f"{pad}r{r} = {table}.get(a{r}, NoRef)() or App({sym}, a{r})")
         return f"r{r}"
 
-    match(src, "t")
+    match(src, "t0")
     result = build(dst)
     fixed = dst.size - src.size - sum(grow)  # symbol nodes gained
     if fixed > 0 or max(grow, default=0) > 0:
@@ -311,115 +336,46 @@ def _side_code(src: Term, k: int, dst: Term) -> tuple[str, dict]:
         for i, c in enumerate(grow):
             if c:
                 terms.append(f"{at[i]}.size" if c == 1 else f"{c} * {at[i]}.size")
-        lines.append(f"    if {' + '.join(terms)} > room: return False")
-    lines += builds
-    lines.append(f"    return {_tuple(at)}, {result}")
-    return "\n".join(lines) + "\n", names
+        lines.append(f"{pad}if {' + '.join(terms)} > room: {over}")
+    return lines + builds, at, result
 
 
-def _compile(th: Theory) -> tuple[list[tuple], list[tuple]]:
-    """The theory's expansion sides and its kept orientations, in tie-break
-    order.
+def _side_code(src: Term, k: int, dst: Term) -> tuple[str, dict]:
+    """The source of the standalone function for one expansion side, and
+    the globals it names.
 
-    An orientation is kept when its source mentions every context variable;
-    one whose source does not is dropped, since no match of it binds the
-    whole context.  The expansion sides hold one kept orientation per renaming
-    orbit: an orientation whose (source, target) pair, renumbered in
-    first-occurrence order, equals an earlier one's rewrites every position
-    to the result the earlier one already gave, so it is left out (comm R->L
-    repeats comm L->R).  Each side is (axiom index, direction, the source's
-    root symbol or None, the side's function), the function generated here
-    from _side_code's source, so once per theory.  Each kept orientation is
-    (axiom index, direction).
+    side(t0, room) runs _side_lines on the subterm t0.  It returns None when
+    src does not match; False when the step would grow the term by more than
+    room; and otherwise (bound, result), where bound[i-1] is the binding of
+    variable i and result is dst under bound.  Closure.step's rebuild and
+    search_flabby's inert test call it; expansion runs the same lines
+    inlined in the theory's expansion function (_expand_code).
     """
-    sides, kept, orbits = [], [], set()
-    for ai, eq in enumerate(th.axioms):
-        k = eq.context_len
-        for direction in (LR, RL):
-            src, dst = _oriented(eq, direction)
-            if len(canonical(src.term)[1]) != k:
-                continue
-            kept.append((ai, direction))
-            # The source mentions every variable of the target, so the pair
-            # reads its variables in the source's first-occurrence order.
-            orbit = canonical(App(_PAIR, (src.term, dst.term)))[0]
-            if orbit in orbits:
-                continue
-            orbits.add(orbit)
-            root = src.term.sym if isinstance(src.term, App) else None
-            code, names = _side_code(src.term, k, dst.term)
-            exec(compile(code, f"<rewrite side {ai} {direction}>", "exec"), names)
-            sides.append((ai, direction, root, names["side"]))
-    return sides, kept
+    glob = _Globals()
+    body, at, result = _side_lines(src, k, dst, glob, False)
+    lines = ["def side(t0, room):", *body, f"    return {_tuple(at)}, {result}"]
+    return "\n".join(lines) + "\n", glob.names
 
 
-def _kernel(th: Theory) -> tuple[list[tuple], bool, frozenset]:
-    """th's expansion sides, whether th has a one-way axiom, and the set of
-    (axiom index, direction) pairs the kernel keeps.
-
-    The one-way flag and the kept set cover every kept orientation, also
-    those the expansion sides leave out as renamings, so apply_step and
-    replay accept a step in either.  Computed on first use and kept on th,
-    the way Theory keeps its symbol table; a Theory is frozen, so the result
-    never goes stale.
-    """
-    kernel = getattr(th, "_kernel", None)
-    if kernel is None:
-        sides, kept = _compile(th)
-        one_way = 1 in Counter(ai for ai, _ in kept).values()
-        kernel = (sides, one_way, frozenset(kept))
-        object.__setattr__(th, "_kernel", kernel)
-    return kernel
-
-
-def _expand(
-    sides: list,
-    size_cap: int,
-    t: TermInContext,
-    reached: set,
-    entries: dict,
-    distance: int,
-    new: list,
-) -> bool:
-    """The successor kernel: record t's one-step rewrites that reached lacks.
-
-    Walks t once in pre-order into three parallel lists, each subterm with
-    its parent's walk index and its argument index, and buckets the
-    subterms by head symbol, so a side is tried only where its root symbol
-    occurs (everywhere when its root is a variable), and there by its
-    generated function.  t must lie within size_cap.  A result over size_cap
-    is never built; the return value says whether one occurred.  A match's
-    result is rebuilt upward along the parent links, one table lookup per
-    ancestor, with an App call only on a miss or a dead weak ref.  Terms are
-    hash-consed, so the bare term is the result's identity: one already in
-    reached is skipped before its TermInContext is built.  Each other result
-    goes into reached, into entries as (distance, t, side, w), and is
-    appended to new, in tie-break order.  side is the expansion side that
-    first reached it and w the walk index of the subterm it matched: the
-    record of its first witnessing step, which no position, substitution or
-    RewriteStep is built for here; Closure.step builds that step from the
-    record when a derivation is read.
-    """
-    term, n = t.term, t.context_len
-    # The walk: subs[w] is the w-th subterm in pre-order, ups[w] its parent's
-    # walk index and ats[w] its argument index.  A node's first argument
-    # follows it, and each next one follows the one before it, so every
-    # child's slot is known when its parent is reached, and one pass in walk
-    # order fills the lists with no stack.
+# The expansion function's walk: subs[w] is the w-th subterm of t in
+# pre-order, ups[w] its parent's walk index and ats[w] its argument index.  A
+# node's first argument follows it, and each next one follows the one before
+# it, so every child's slot is known when its parent is reached, and one pass
+# in walk order fills the lists with no stack.  {buckets} puts each node's
+# walk index in the list of its head symbol, for the symbols some side is
+# rooted at.
+_WALK = """\
+    term = t.term
     size = term.size
     subs = [term] * size
     ups = [-1] * size
     ats = [0] * size
-    by_head: dict = {}
+{lists}
     for w in range(size):
         sub = subs[w]
         if sub.__class__ is not App:
             continue
-        bucket = by_head.get(sub.sym)
-        if bucket is None:
-            by_head[sub.sym] = [w]
-        else:
-            bucket.append(w)
+{buckets}
         args = sub.args
         c = w + 1
         if len(args) == 2:
@@ -439,38 +395,137 @@ def _expand(
                 ups[c] = w
                 ats[c] = i
                 c += a.size
-    everywhere = range(size)
+    n = t.context_len
     room = size_cap - size
-    cap_hit = False
+    cap_hit = False"""
+
+# After a side's block: its result is rebuilt upward along the parent links,
+# one table lookup per ancestor with an App call only on a miss or a dead
+# weak ref, and recorded unless reached holds it.
+_RECORD = """\
+        j, i = ups[w], ats[w]
+        while j >= 0:
+            p = subs[j]
+            args = p.args
+            if len(args) == 2:
+                args = (result, args[1]) if i == 0 else (args[0], result)
+            elif len(args) == 1:
+                args = (result,)
+            else:
+                args = args[:i] + (result,) + args[i + 1 :]
+            sym = p.sym
+            result = sym._apps.get(args, NoRef)() or App(sym, args)
+            j, i = ups[j], ats[j]
+        if result in reached:
+            continue
+        reached.add(result)
+        nt = TermInContext(result, n)
+        entries[nt] = (distance, t, {side}, w)
+        new.append(nt)"""
+
+
+def _expand_code(th: Theory, sides: list) -> tuple[str, dict]:
+    """The source of th's expansion function, and the globals it names.
+
+    expand(size_cap, t, reached, entries, distance, new) is the successor
+    kernel: it records t's one-step rewrites that reached lacks, and says
+    whether a result over size_cap occurred; such a result is never built.
+    t must lie within size_cap.  After the walk come the sides' blocks, in
+    tie-break order: each side's lines from _side_lines, run at each walk
+    index its root symbol heads (everywhere when its root is a variable),
+    then the result's upward rebuild.  Terms are hash-consed, so the rebuilt
+    bare term is the result's identity: one already in reached is skipped
+    before its TermInContext is built.  Each other result goes into
+    reached, into entries as (distance, t, side, w), and onto new, in
+    tie-break order.  side, the same tuple _kernel lists, and w, the walk
+    index of the subterm it matched, record its first witnessing step, which
+    Closure.step builds when a derivation is read.
+    """
+    glob = _Globals(TermInContext=TermInContext)
+    roots = dict.fromkeys(side[2] for side in sides if side[2] is not None)
+    heads = {sym: f"h{i}" for i, sym in enumerate(roots)}  # the local listing sym's walk indices
+    buckets = ["        head = sub.sym"] if heads else []
+    for i, (sym, h) in enumerate(heads.items()):
+        buckets.append(f"        {'elif' if i else 'if'} head is {glob(sym, 'S')}:")
+        buckets.append(f"            {h}.append(w)")
+    lists = "\n".join(f"    {h} = []" for h in heads.values())
+    lines = [
+        "def expand(size_cap, t, reached, entries, distance, new):",
+        _WALK.format(lists=lists, buckets="\n".join(buckets)),
+    ]
     for side in sides:
-        root, match = side[2], side[3]
-        for w in everywhere if root is None else by_head.get(root, ()):
-            got = match(subs[w], room)
-            if not got:
-                if got is False:
-                    cap_hit = True
+        ai, direction, root, _ = side
+        eq = th.axioms[ai]
+        src, dst = _oriented(eq, direction)
+        body, _, result = _side_lines(src.term, eq.context_len, dst.term, glob, True)
+        lines.append(f"    for w in {'range(size)' if root is None else heads[root]}:")
+        lines.append("        t0 = subs[w]")
+        lines += body
+        lines.append(f"        result = {result}")
+        lines.append(_RECORD.format(side=glob(side, "E")))
+    lines.append("    return cap_hit")
+    return "\n".join(lines) + "\n", glob.names
+
+
+def _compile(th: Theory) -> tuple[list[tuple], list[tuple], Callable]:
+    """The theory's expansion sides and its kept orientations, in tie-break
+    order, and its expansion function.
+
+    An orientation is kept when its source mentions every context variable;
+    one whose source does not is dropped, since no match of it binds the
+    whole context.  The expansion sides hold one kept orientation per renaming
+    orbit: an orientation whose (source, target) pair, renumbered in
+    first-occurrence order, equals an earlier one's rewrites every position
+    to the result the earlier one already gave, so it is left out (comm R->L
+    repeats comm L->R).  Each side is (axiom index, direction, the source's
+    root symbol or None, the side's standalone function), and each kept
+    orientation is (axiom index, direction).  The side functions, from
+    _side_code, and the expansion function, from _expand_code, which inlines
+    the same sides' lines, are generated here, so once per theory.
+    """
+    sides, kept, orbits = [], [], set()
+    for ai, eq in enumerate(th.axioms):
+        k = eq.context_len
+        for direction in (LR, RL):
+            src, dst = _oriented(eq, direction)
+            if len(canonical(src.term)[1]) != k:
                 continue
-            result = got[1]
-            j, i = ups[w], ats[w]
-            while j >= 0:
-                parent = subs[j]
-                args = parent.args
-                if len(args) == 2:
-                    args = (result, args[1]) if i == 0 else (args[0], result)
-                elif len(args) == 1:
-                    args = (result,)
-                else:
-                    args = args[:i] + (result,) + args[i + 1 :]
-                sym = parent.sym
-                result = sym._apps.get(args, _NO_REF)() or App(sym, args)
-                j, i = ups[j], ats[j]
-            if result in reached:
+            kept.append((ai, direction))
+            # The source mentions every variable of the target, so the pair
+            # reads its variables in the source's first-occurrence order.
+            orbit = canonical(App(_PAIR, (src.term, dst.term)))[0]
+            if orbit in orbits:
                 continue
-            reached.add(result)
-            nt = TermInContext(result, n)
-            entries[nt] = (distance, t, side, w)
-            new.append(nt)
-    return cap_hit
+            orbits.add(orbit)
+            root = src.term.sym if isinstance(src.term, App) else None
+            code, names = _side_code(src.term, k, dst.term)
+            exec(compile(code, f"<rewrite side {ai} {direction}>", "exec"), names)
+            sides.append((ai, direction, root, names["side"]))
+    code, names = _expand_code(th, sides)
+    exec(compile(code, "<rewrite expand>", "exec"), names)
+    return sides, kept, names["expand"]
+
+
+def _kernel(th: Theory) -> tuple[list[tuple], bool, frozenset, Callable]:
+    """th's expansion sides, whether th has a one-way axiom, the set of
+    (axiom index, direction) pairs the kernel keeps, and th's expansion
+    function.
+
+    The expansion function is the successor kernel every term search grows
+    by; the side functions serve Closure.step's rebuild and search_flabby's
+    inert test.  The one-way flag and the kept set cover every kept
+    orientation, also those the expansion sides leave out as renamings, so
+    apply_step and replay accept a step in either.  Computed on first use
+    and kept on th, the way Theory keeps its symbol table; a Theory is
+    frozen, so the result never goes stale.
+    """
+    kernel = getattr(th, "_kernel", None)
+    if kernel is None:
+        sides, kept, expand = _compile(th)
+        one_way = 1 in Counter(ai for ai, _ in kept).values()
+        kernel = (sides, one_way, frozenset(kept), expand)
+        object.__setattr__(th, "_kernel", kernel)
+    return kernel
 
 
 def _rebuild(parent: TermInContext, child: TermInContext, side: tuple, w: int) -> RewriteStep:
@@ -478,7 +533,7 @@ def _rebuild(parent: TermInContext, child: TermInContext, side: tuple, w: int) -
     at walk index w gives child.
 
     Descends parent and child together to w, checking at each level that
-    they agree off the path, then calls side's generated function there and
+    they agree off the path, then calls side's standalone function there and
     requires its result to be child's subterm, by identity.  Any mismatch is
     an internal error, never a step that does not join the two.
     """
@@ -523,7 +578,7 @@ def successors(
     if size_cap < term_size(t.term):
         raise ValueError("size cap is smaller than the term itself")
     cl = Closure(t, {}, [t])
-    cl.grow(partial(_expand, _kernel(th)[0], size_cap), 1)
+    cl.grow(partial(_kernel(th)[3], size_cap), 1)
     return [(nt, cl.step(nt)) for nt in cl.frontier]
 
 
@@ -758,9 +813,9 @@ def prove_bounded(
     cap = size_cap if size_cap is not None else max(term_size(lhs.term), term_size(rhs.term)) + slack
     cap = max(cap, term_size(lhs.term), term_size(rhs.term))
     bounds_doc = {"depth": depth, "size_cap": cap, "node_budget": node_budget}
-    sides, one_way, _ = _kernel(th)
+    _, one_way, _, expand = _kernel(th)
     left, right = Closure.of(lhs, lhs.term), Closure.of(rhs, rhs.term)
-    meet, mu = _search(left, right, one_way, depth, partial(_expand, sides, cap), node_budget)
+    meet, mu = _search(left, right, one_way, depth, partial(expand, cap), node_budget)
     stats = SearchStats(
         left.expanded + right.expanded, len(left.entries), len(right.entries),
         left.depth_reached, right.depth_reached,
@@ -790,7 +845,7 @@ def bounded_closure(
     """The closure record of start, grown level by level up to depth."""
     cap = size_cap if size_cap is not None else term_size(start.term) + slack
     cap = max(cap, term_size(start.term))
-    expand = partial(_expand, _kernel(th)[0], cap)
+    expand = partial(_kernel(th)[3], cap)
     cl = Closure.of(start, start.term)
     while cl.frontier and cl.depth_reached < depth and not cl.budget_hit:
         cl.grow(expand, node_budget)

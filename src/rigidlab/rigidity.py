@@ -268,7 +268,7 @@ def search_flabby(
             "node_budget": node_budget,
         },
     )
-    sides, one_way, _ = _kernel(th)
+    sides, one_way = _kernel(th)[:2]
     # Only a symmetric relation, with no one-way axiom, makes a complete
     # class decide its members.
     share = not one_way

@@ -209,3 +209,57 @@ def random_walk(
         steps.append(step)
         cur = nt
     return Derivation(start, tuple(steps), cur)
+
+
+def reference_expand(
+    sides: list, size_cap: int, t: TermInContext, reached: set, entries: dict, distance: int, new: list
+) -> bool:
+    """The successor kernel as a plain loop over a theory's expansion sides,
+    to check the generated expansion function against.
+
+    Walks t once in pre-order into three parallel lists, each subterm with
+    its parent's walk index and its argument index, and buckets the subterms
+    by head symbol.  Each side, in order, is called by its standalone
+    function at each subterm its root symbol heads (everywhere when its root
+    is a variable); a match's result is rebuilt upward along the parent
+    links.  A result already in reached is skipped; each other one goes into
+    reached, into entries as (distance, t, side, w), and onto new.  Returns
+    whether a result over size_cap occurred.
+    """
+    term, n = t.term, t.context_len
+    size = term.size
+    subs = [term] * size
+    ups = [-1] * size
+    ats = [0] * size
+    by_head: dict = {}
+    for w in range(size):
+        sub = subs[w]
+        if not isinstance(sub, App):
+            continue
+        by_head.setdefault(sub.sym, []).append(w)
+        c = w + 1
+        for i, a in enumerate(sub.args):
+            subs[c], ups[c], ats[c] = a, w, i
+            c += a.size
+    room = size_cap - size
+    cap_hit = False
+    for side in sides:
+        root, match = side[2], side[3]
+        for w in range(size) if root is None else by_head.get(root, ()):
+            got = match(subs[w], room)
+            if not got:
+                cap_hit = cap_hit or got is False
+                continue
+            result = got[1]
+            j, i = ups[w], ats[w]
+            while j >= 0:
+                args = subs[j].args
+                result = App(subs[j].sym, args[:i] + (result,) + args[i + 1 :])
+                j, i = ups[j], ats[j]
+            if result in reached:
+                continue
+            reached.add(result)
+            nt = TermInContext(result, n)
+            entries[nt] = (distance, t, side, w)
+            new.append(nt)
+    return cap_hit

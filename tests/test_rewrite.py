@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+from functools import partial
 from weakref import KeyedRef
 
 import pytest
@@ -20,14 +21,18 @@ from oracles import (
     naive_successors,
     random_term,
     random_walk,
+    reference_expand,
 )
 from rigidlab.reduction import WordDerivation, WordOutcome, WordStep, _word_step, instance, word_bfs
 from rigidlab.rewrite import (
     BOUNDS,
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_SLACK,
     EXHAUSTED,
     FOUND,
     LR,
     RL,
+    Closure,
     Derivation,
     ProofOutcome,
     RewriteError,
@@ -579,29 +584,28 @@ class TestSuccessorKernel:
 
     def test_ac_closure_result_count(self):
         # comm R->L renames comm L->R, so each expanded term of the AC left
-        # comb builds 7 result terms at n = 5, not 11.  A side's function
-        # returns a truthy value exactly when it builds a result; the counting
-        # wrappers stay on this test's own theory.
-        built = []
+        # comb builds 7 result terms at n = 5, not 11.  The expansion
+        # function tests each result it builds against the reached set once,
+        # so a set that counts its membership tests counts the results; it
+        # is this test's own closure record.
+        class Counted(set):
+            tests = 0
 
-        def counted(side):
-            def wrapper(t, room):
-                got = side(t, room)
-                if got:
-                    built.append(None)
-                return got
-
-            return wrapper
+            def __contains__(self, item):
+                self.tests += 1
+                return super().__contains__(item)
 
         ac = parse_theory(
             "symbol m 2\naxiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\naxiom [2] m(x1,x2) = m(x2,x1)\n"
         )
-        sides = rewrite._kernel(ac)[0]
-        sides[:] = [(ai, direction, root, counted(side)) for ai, direction, root, side in sides]
         start = tic(parse_term("m(m(m(m(x1,x2),x3),x4),x5)", ac.symbols_by_name()), 5)
-        close = bounded_closure(ac, start, 20)
+        close = Closure.of(start, start.term)
+        close.reached = built = Counted(close.reached)
+        expand = partial(rewrite._kernel(ac)[3], term_size(start.term) + DEFAULT_SLACK)
+        while close.frontier:
+            close.grow(expand, DEFAULT_NODE_BUDGET)
         assert close.complete and len(close.entries) == 1680
-        assert (close.expanded, len(built)) == (1680, 11760)
+        assert (close.expanded, built.tests) == (1680, 11760)
 
     def test_deep_term(self):
         # Matches at every depth of a 300-deep term, the deepest at its
@@ -636,6 +640,26 @@ class TestSuccessorKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_case())
+    def test_expansion_function_matches_reference(self, case):
+        # The generated expansion function and the plain loop over the
+        # standalone sides record the same new results in the same order,
+        # the same entries and the same cap flags.  Two levels are grown, so
+        # the second runs against a reached set the first one filled.
+        th, t, cap = case
+        sides, _, _, expand = rewrite._kernel(th)
+        runs = []
+        for fn in (partial(expand, cap), partial(reference_expand, sides, cap)):
+            reached, entries, frontier, log = {t.term}, {}, [t], []
+            for distance in (1, 2):
+                new = []
+                log.append([fn(u, reached, entries, distance, new) for u in frontier])
+                log.append(new)
+                frontier = new
+            runs.append((log, list(entries.items()), reached))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_case())
     def test_generated_sides_agree_with_naive_match(self, case):
         # At every position, each expansion side's generated function binds
         # what the oracle's matcher binds, and reports a cap hit exactly when
@@ -661,13 +685,18 @@ class TestSuccessorKernel:
                     assert got == (bound, result)
 
     def test_deep_sides(self):
-        # A generated function nests no expression, so a side deeper than
-        # Python's parser would accept as one nested expression compiles.
+        # Generated code nests no expression, so a side deeper than Python's
+        # parser would accept as one nested expression compiles, both as its
+        # standalone function and as its block in the expansion function,
+        # whose lines are indented at most four levels however deep the side.
         n = 300
         a, b = ("a(" * n + "x1" + ")" * n, "b(" * n + "x1" + ")" * n)
         th = parse_theory(f"symbol a 1\nsymbol b 1\naxiom [1] {a} = {b}\n")
         symbols = th.symbols_by_name()
         start, other = tic(parse_term(a, symbols), 1), tic(parse_term(b, symbols), 1)
+        code = rewrite._expand_code(th, rewrite._kernel(th)[0])[0]
+        assert max(len(line) - len(line.lstrip()) for line in code.splitlines()) <= 16
+        assert code.count("\n        t0 = subs[w]\n") == 2
         close = bounded_closure(th, start, 3)
         assert close.complete and set(close.entries) == {start, other}
         assert replay(close.derivation_to(other), th)
@@ -675,8 +704,8 @@ class TestSuccessorKernel:
     def test_hostile_symbol_names(self):
         # Symbol names that are Python keywords, builtins or names the
         # generated code uses never reach its source: renaming every symbol
-        # leaves every side's source unchanged, and the kernel still agrees
-        # with the oracle.
+        # leaves every side's source and the expansion function's source
+        # unchanged, and the kernel still agrees with the oracle.
         text = (
             "symbol {0} 0\nsymbol {1} 2\nsymbol {2} 1\nsymbol {3} 2\nsymbol {4} 1\nsymbol {5} 3\n"
             "axiom [1] {1}(x1,x1) = {2}(x1)\n"
@@ -696,6 +725,8 @@ class TestSuccessorKernel:
             ]
 
         assert sources(th) == sources(plain)
+        expand_code = [rewrite._expand_code(u, rewrite._kernel(u)[0])[0] for u in (th, plain)]
+        assert expand_code[0] == expand_code[1]
         rng = random.Random(7)
         symbols = th.symbols_by_name()
         starts = [parse_term(text, symbols) for text in ("return(App(x1,x2),lambda(x1))", "room(x2,x1,x1)")]
