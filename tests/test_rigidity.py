@@ -546,3 +546,42 @@ class TestSharedClasses:
         inert = inert_terms(th, 5, 2, out.terms_enumerated)
         assert inert > 0
         assert len(run) + inert == out.closures_computed
+
+
+TSEITIN = [("ac", "ca"), ("ad", "da"), ("bc", "cb"), ("bd", "db"), ("eca", "ce"), ("edb", "de"), ("cca", "ccae")]
+
+
+class TestTseitin:
+    """Tseitin's semigroup, whose word problem is undecidable: the one wide
+    signature (7 symbols, 8 axioms) the suite sweeps.  Found documents count
+    every term enumerated before the witness, so they pin the counters kept
+    for terms skipped on the way to it."""
+
+    @pytest.mark.parametrize(
+        "goal, size, status, counts, witness",
+        [
+            (("a", "b"), 6, BOUNDS, (11726, 2395, 3882, 36, True, 319), None),
+            (("a", "b"), 7, BOUNDS, (77822, 21835, 54750, 119, True, 4699), None),
+            (("ac", "ca"), 6, FOUND, (11150, 1819, 2850, 36, True, 210), "m(a(c(alpha(x1))),x2)"),
+            (("eca", "ce"), 6, FOUND, (11390, 2059, 3357, 36, True, 250), "m(c(e(alpha(x1))),x2)"),
+        ],
+    )
+    def test_counts(self, goal, size, status, counts, witness):
+        th = compile_reduction(instance(list("abcde"), TSEITIN, goal))
+        out = search_flabby(th, max_size=size, max_context=2, depth=6)
+        got = (
+            out.terms_enumerated,
+            out.closures_computed,
+            out.closure_terms_total,
+            out.max_closure,
+            out.depth_hit,
+            out.classes_shared,
+        )
+        assert (out.status, got) == (status, counts)
+        assert not out.caps_hit and not out.budget_hit
+        if witness is None:
+            assert out.report is None
+        else:
+            assert render_term(out.report.term.term) == witness
+            assert out.report.permutation.images == (2, 1)
+            assert verify_report(out.report, th)
