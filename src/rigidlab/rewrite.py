@@ -40,9 +40,8 @@ building, and one table lookup per symbol node of the result, with an App
 call only on a miss.  After each block the result is rebuilt upward along
 the parent links the same way, one table lookup per ancestor.  The same
 generator also compiles each side alone into a function that matches one
-subterm and returns the bindings with the result; Closure.step and
-search_flabby's inert test call those.  Generated code is the package's
-only matcher.  Terms are hash-consed, so that bare
+subterm and returns the bindings with the result; Closure.step calls
+those.  Generated code is the package's only matcher.  Terms are hash-consed, so that bare
 term is the result's identity: each term record keeps the set of bare terms
 it has reached, and a result already in it costs nothing more; most results
 are such repeats, so they never call App at all.  Only a result new to the
@@ -127,6 +126,7 @@ DEFAULT_SLACK = 8
 DEFAULT_NODE_BUDGET = 1_000_000
 
 _PAIR = Symbol("pair", 2)  # joins an orientation's source and target into one orbit key
+_COMPILES = count(1)  # numbers each theory's generated code in its file names
 # Stands in for a missing table entry's weak ref: calling it gives None, as a
 # dead ref does, so table.get(args, _NO_REF)() is the live node or None.
 _NO_REF = type(None)
@@ -347,9 +347,9 @@ def _side_code(src: Term, k: int, dst: Term) -> tuple[str, dict]:
     side(t0, room) runs _side_lines on the subterm t0.  It returns None when
     src does not match; False when the step would grow the term by more than
     room; and otherwise (bound, result), where bound[i-1] is the binding of
-    variable i and result is dst under bound.  Closure.step's rebuild and
-    search_flabby's inert test call it; expansion runs the same lines
-    inlined in the theory's expansion function (_expand_code).
+    variable i and result is dst under bound.  Closure.step's rebuild calls
+    it; expansion runs the same lines inlined in the theory's expansion
+    function (_expand_code).
     """
     glob = _Globals()
     body, at, result = _side_lines(src, k, dst, glob, False)
@@ -481,9 +481,13 @@ def _compile(th: Theory) -> tuple[list[tuple], list[tuple], Callable]:
     root symbol or None, the side's standalone function), and each kept
     orientation is (axiom index, direction).  The side functions, from
     _side_code, and the expansion function, from _expand_code, which inlines
-    the same sides' lines, are generated here, so once per theory.
+    the same sides' lines, are generated here, so once per theory.  Their
+    file names carry the compile's serial number, as in <rewrite expand 3>,
+    so a profile keeps each theory's functions apart; no symbol name or
+    other input text is part of them.
     """
     sides, kept, orbits = [], [], set()
+    serial = next(_COMPILES)
     for ai, eq in enumerate(th.axioms):
         k = eq.context_len
         for direction in (LR, RL):
@@ -499,10 +503,10 @@ def _compile(th: Theory) -> tuple[list[tuple], list[tuple], Callable]:
             orbits.add(orbit)
             root = src.term.sym if isinstance(src.term, App) else None
             code, names = _side_code(src.term, k, dst.term)
-            exec(compile(code, f"<rewrite side {ai} {direction}>", "exec"), names)
+            exec(compile(code, f"<rewrite side {serial} {ai} {direction}>", "exec"), names)
             sides.append((ai, direction, root, names["side"]))
     code, names = _expand_code(th, sides)
-    exec(compile(code, "<rewrite expand>", "exec"), names)
+    exec(compile(code, f"<rewrite expand {serial}>", "exec"), names)
     return sides, kept, names["expand"]
 
 
@@ -512,8 +516,7 @@ def _kernel(th: Theory) -> tuple[list[tuple], bool, frozenset, Callable]:
     function.
 
     The expansion function is the successor kernel every term search grows
-    by; the side functions serve Closure.step's rebuild and search_flabby's
-    inert test.  The one-way flag and the kept set cover every kept
+    by; the side functions serve Closure.step's rebuild.  The one-way flag and the kept set cover every kept
     orientation, also those the expansion sides leave out as renamings, so
     apply_step and replay accept a step in either.  Computed on first use
     and kept on th, the way Theory keeps its symbol table; a Theory is

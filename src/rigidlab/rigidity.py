@@ -24,9 +24,14 @@ only what the term reaches, not what reaches it, so nothing is shared.
 
 A term that no side of the one-step relation matches anywhere is inert: it
 is in normal form, its class is itself, and it is decided without a closure,
-counted as its one-entry closure would count.  Inertness is compositional,
-so it is read off each node's children and the sides rooted at its symbol,
-with one memo per search.
+counted as its one-entry closure would count.  A term with fewer than two
+variables has no renaming to find.  The search builds neither kind.  A
+bottom-up matching automaton of the sides' sources gives each subterm a
+state, the memoised recursion labels each node it keeps once, and the last
+argument of a term of the top size is drawn only from the terms that make
+the whole a candidate.  The skipped terms are counted by a recurrence over
+(size, next variable, state), and the top size's terms are built one at a
+time and never kept.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .rewrite import (
     EXHAUSTED,
     FOUND,
     _kernel,
+    _oriented,
     bounded_closure,
     derivation_to_doc,
     replay,
@@ -69,7 +75,9 @@ __all__ = [
 ]
 
 
-def _shapes(th: Theory, budget: int, next_var: int, max_context: int, memo: dict) -> list[Term]:
+def _shapes(
+    th: Theory, budget: int, next_var: int, max_context: int, memo: dict, label=None
+) -> list[Term]:
     """Terms of at most `budget` nodes whose variables read next_var,
     next_var+1, ... once each, left to right, none above max_context; in
     canonical order.
@@ -83,7 +91,8 @@ def _shapes(th: Theory, budget: int, next_var: int, max_context: int, memo: dict
 
     memo maps (budget, next_var) to the list already built for it, for one
     theory and max_context; the lists are shared, so callers must not mutate
-    them.
+    them.  label, when given, is called on each list as it is memoised, after
+    the lists its terms' arguments come from.
     """
     key = (budget, next_var)
     out = memo.get(key)
@@ -96,16 +105,299 @@ def _shapes(th: Theory, budget: int, next_var: int, max_context: int, memo: dict
         k = sym.arity
         if k >= budget:
             continue
-        # (arguments so far, next variable, nodes left for the rest)
-        partial = [((), next_var, budget - 1)]
-        for rest in range(k - 1, -1, -1):
-            partial = [
-                (args + (a,), max(v, a.max_var + 1), left - a.size)
-                for args, v, left in partial
-                for a in _shapes(th, left - rest, v, max_context, memo)
-            ]
-        out.extend(App(sym, args) for args, _, _ in partial)
+        top = [((), next_var, budget - 1)]
+        out.extend(App(sym, args) for args, _, _ in _fill(th, top, k, 0, max_context, memo, label))
+    if label is not None:
+        label(out)
     return out
+
+
+def _fill(th: Theory, partial: list, k: int, last: int, max_context: int, memo: dict, label) -> list:
+    """Each (arguments so far, next variable, nodes left) in partial,
+    extended by its arguments up to the last `last` of k, from _shapes'
+    lists, keeping one node for each argument still to come."""
+    for rest in range(k - 1, last - 1, -1):
+        partial = [
+            (args + (a,), max(v, a.max_var + 1), left - a.size)
+            for args, v, left in partial
+            for a in _shapes(th, left - rest, v, max_context, memo, label)
+        ]
+    return partial
+
+
+class _Automaton:
+    """The bottom-up matching automaton of a set of sources (Hoffmann &
+    O'Donnell, "Pattern matching in trees", JACM 1982).
+
+    A node's state is the set of source subterms it matches, every variable
+    read as a wildcard, together with whether the node is inert: neither it
+    nor any of its subterms matches a whole source.  Both follow from the
+    node's symbol and its children's states, so a state costs one transition
+    per node, memoised by (symbol, child states).  The terms with no redex of
+    a left-linear system form a regular tree language (Comon et al., Tree
+    Automata Techniques and Applications, 2007, ch. 1), and for linear
+    sources the automaton is exact.  A source that repeats a variable is
+    read with a wildcard for each occurrence, so a node the source does not
+    match may be called a redex; that only sends an inert term to its
+    closure.  A variable source matches every node, so then no node is
+    inert.  States are small ints: inert[q] is state q's flag, and states
+    maps each node labelled so far to its state.
+    """
+
+    def __init__(self, sources: list[Term]):
+        self.everywhere = any(s.__class__ is Var for s in sources)
+        wholes = [_wildcards(s) for s in sources if s.__class__ is App]
+        self.wholes = frozenset(wholes)
+        self.by_root: dict = {}  # symbol -> the wildcard subterms it roots
+        seen = set()
+        stack = list(wholes)
+        while stack:
+            p = stack.pop()
+            if p.__class__ is App and p not in seen:
+                seen.add(p)
+                self.by_root.setdefault(p.sym, []).append(p)
+                stack.extend(p.args)
+        self.delta: dict = {}  # (symbol, child states) -> state
+        self.ids: dict = {}  # (matched subterms, inert) -> state
+        self.matched: list = []
+        self.inert: list = []
+        self.states: dict = {}
+        self.var = self._state(frozenset(), not self.everywhere)
+
+    def _state(self, matched: frozenset, inert: bool) -> int:
+        q = self.ids.get((matched, inert))
+        if q is None:
+            q = self.ids[(matched, inert)] = len(self.inert)
+            self.matched.append(matched)
+            self.inert.append(inert)
+        return q
+
+    def step(self, sym, kids: tuple) -> int:
+        """The state of a node headed by sym whose arguments have the states
+        kids."""
+        q = self.delta.get((sym, kids))
+        if q is None:
+            below = [self.matched[c] for c in kids]
+            matched = frozenset(
+                p
+                for p in self.by_root.get(sym, ())
+                if all(a.__class__ is Var or a in m for a, m in zip(p.args, below))
+            )
+            inert = (
+                not self.everywhere
+                and all(self.inert[c] for c in kids)
+                and not matched & self.wholes
+            )
+            q = self.delta[(sym, kids)] = self._state(matched, inert)
+        return q
+
+    def label(self, nodes: list) -> None:
+        """Give each node not yet labelled its state; its arguments must
+        have theirs."""
+        states = self.states
+        for t in nodes:
+            if t not in states:
+                if t.__class__ is Var:
+                    states[t] = self.var
+                else:
+                    states[t] = self.step(t.sym, tuple([states[a] for a in t.args]))
+
+
+def _wildcards(p: Term) -> Term:
+    """p with every variable replaced by x1, the wildcard."""
+    if p.__class__ is Var:
+        return Var(1)
+    return App(p.sym, tuple(_wildcards(a) for a in p.args))
+
+
+class _Enumeration:
+    """The canonical linear-regular terms of one theory up to max_context, in
+    canonical order, one size at a time.
+
+    of_size streams the terms of one size.  A term's arguments before its
+    last come from _shapes' lists, and its last argument from the list of
+    exactly the nodes left (sized), which is built by the same generator and
+    memoised, so the top size's terms are never kept.  With an automaton,
+    candidates streams only the terms the flabby search visits: two or more
+    variables, and not inert.  The lists of last arguments it reads hold
+    only terms that give the whole term two variables, filtered once per
+    (symbol, states of the arguments before, next variable, size) by the
+    state they would give it.  The terms it skips are counted, never built,
+    by count, the counting twin of _shapes: a recurrence over (size, next
+    variable, automaton state).
+    """
+
+    def __init__(self, th: Theory, max_context: int, auto: Optional[_Automaton] = None):
+        self.th = th
+        self.max_context = max_context
+        self.auto = auto
+        self.label = auto.label if auto else None
+        self.memo: dict = {}  # _shapes' lists
+        self.lists: dict = {}  # (size, next_var, two) -> sized's list
+        self.classified: dict = {}  # (size, next_var, two) -> classes of sized's list
+        self.counts: dict = {}  # (size, next_var) -> {(state, next var after): terms}
+        self.lasts: dict = {}  # _last's lists, by its key
+        self.at: tuple = ()  # where candidates is: see there
+
+    def shapes(self, budget: int, next_var: int) -> list[Term]:
+        return _shapes(self.th, budget, next_var, self.max_context, self.memo, self.label)
+
+    def sized(self, size: int, next_var: int, two: bool) -> list[Term]:
+        """The terms of exactly `size` nodes whose variables read next_var,
+        next_var+1, ..., in canonical order; if two, only those after which
+        the next variable is 3 or more, so that with the arguments before
+        them a term has two variables or more."""
+        key = (size, next_var, two)
+        out = self.lists.get(key)
+        if out is None:
+            out = self.lists[key] = list(self.of_size(size, next_var, two))
+            if self.label:
+                self.label(out)
+        return out
+
+    def classes(self, size: int, next_var: int, two: bool) -> list[tuple[int, int]]:
+        """The class of each term of sized(size, next_var, two): its state
+        and the next variable after it."""
+        key = (size, next_var, two)
+        out = self.classified.get(key)
+        if out is None:
+            states = self.auto.states
+            out = self.classified[key] = [
+                (states[a], max(next_var, a.max_var + 1)) for a in self.sized(*key)
+            ]
+        return out
+
+    def count(self, size: int, next_var: int) -> dict:
+        """The terms of sized(size, next_var, False) by class, (state, next
+        variable after the term) -> how many, with none built."""
+        key = (size, next_var)
+        out = self.counts.get(key)
+        if out is not None:
+            return out
+        out = self.counts[key] = {}
+        auto = self.auto
+        if size == 1 and next_var <= self.max_context:
+            out[(auto.var, next_var + 1)] = 1
+        for sym in self.th.signature:
+            k = sym.arity
+            if k >= size or (k == 0 and size > 1):
+                continue
+            # (states of the arguments so far, next variable, nodes left) -> terms
+            partial = {((), next_var, size - 1): 1}
+            for rest in range(k - 1, -1, -1):
+                grown: dict = {}
+                for (kids, v, left), n in partial.items():
+                    for r in range(1, left - rest + 1) if rest else (left,):
+                        for (q, w), m in self.count(r, v).items():
+                            c = (kids + (q,), w, left - r)
+                            grown[c] = grown.get(c, 0) + n * m
+                partial = grown
+            for (kids, v, _), n in partial.items():
+                c = (auto.step(sym, kids), v)
+                out[c] = out.get(c, 0) + n
+        return out
+
+    def skipped(self, max_size: int) -> tuple[int, int]:
+        """How many terms up to max_size nodes have fewer than two
+        variables, and how many others the automaton calls inert."""
+        one_var = inert = 0
+        for size in range(1, max_size + 1):
+            for (q, w), n in self.count(size, 1).items():
+                if w < 3:
+                    one_var += n
+                elif self.auto.inert[q]:
+                    inert += n
+        return one_var, inert
+
+    def _last(self, sym, kids: tuple, next_var: int, size: int) -> tuple:
+        """The last arguments, of exactly `size` nodes from next_var, that
+        make sym(args..., a) a candidate when the arguments before it have
+        the states kids: (the arguments in order; the kind of each class,
+        0 to keep, 1 for fewer than two variables in all, 2 for inert; and
+        how many terms of kinds 1 and 2 it skips)."""
+        key = (sym, kids, next_var, size)
+        got = self.lasts.get(key)
+        if got is not None:
+            return got
+        auto = self.auto
+        kinds = {}
+        skipped = [0, 0, 0]
+        for (q, w), n in self.count(size, next_var).items():
+            kind = 1 if w < 3 else 2 if auto.inert[auto.step(sym, kids + (q,))] else 0
+            kinds[q, w] = kind
+            skipped[kind] += n
+        terms = []
+        if skipped[0]:
+            keep = {c for c, kind in kinds.items() if not kind}
+            pairs = zip(self.sized(size, next_var, True), self.classes(size, next_var, True))
+            terms = [a for a, c in pairs if c in keep]
+        got = self.lasts[key] = (terms, kinds, skipped[1], skipped[2])
+        return got
+
+    def _prefixes(self, size: int, next_var: int) -> Iterator[tuple]:
+        """(symbol, arguments before the last, next variable, nodes left for
+        the last) for the terms of exactly size > 1 nodes from next_var, in
+        canonical order."""
+        th = self.th
+        for sym in th.signature:
+            k = sym.arity
+            if 0 < k < size:
+                top = [((), next_var, size - 1)]
+                for args, v, left in _fill(th, top, k, 1, self.max_context, self.memo, self.label):
+                    yield sym, args, v, left
+
+    def of_size(self, size: int, next_var: int, two: bool = False) -> Iterator[Term]:
+        """The terms of sized(size, next_var, two) in order, as they are
+        built."""
+        if size == 1:
+            for t in self.shapes(1, next_var):
+                if not two or max(next_var, t.max_var + 1) >= 3:
+                    yield t
+            return
+        for sym, args, v, left in self._prefixes(size, next_var):
+            for a in self.sized(left, v, two):
+                yield App(sym, args + (a,))
+
+    def candidates(self, max_size: int) -> Iterator[Term]:
+        """The terms up to max_size nodes that the flabby search visits, in
+        canonical order.  at holds the counts of the terms skipped before
+        the last one yielded's arguments before its last, and their key."""
+        states = self.auto.states
+        for size in range(2, max_size + 1):
+            one_var, inert = self.skipped(size - 1)
+            for sym, args, v, left in self._prefixes(size, 1):
+                key = (sym, tuple([states[a] for a in args]), v, left)
+                lasts, _, skip_one, skip_inert = self._last(*key)
+                self.at = (one_var, inert, key)
+                for a in lasts:
+                    yield App(sym, args + (a,))
+                one_var += skip_one
+                inert += skip_inert
+
+    def skipped_before(self, term: Term) -> tuple[int, int]:
+        """How many terms with fewer than two variables, and how many inert
+        ones, come before term, the candidate yielded last: the counts kept
+        up to its arguments before the last, plus those before its last
+        argument in sized's whole list, which is built for this."""
+        one_var, inert, key = self.at
+        kinds = self.lasts[key][1]
+        next_var, size = key[2:]
+        at = self.sized(size, next_var, False).index(term.args[-1])
+        before = [0, 0, 0]
+        for c in self.classes(size, next_var, False)[:at]:
+            before[kinds[c]] += 1
+        return one_var + before[1], inert + before[2]
+
+
+def _enumeration(th: Theory, max_context: int, skip_inert: bool) -> _Enumeration:
+    """The enumeration search_flabby reads: its automaton is built from the
+    sources of th's expansion sides, or from a variable source, which
+    matches every node, when inert terms must run their closures too."""
+    if skip_inert:
+        sources = [_oriented(th.axioms[ai], direction)[0].term for ai, direction, _, _ in _kernel(th)[0]]
+    else:
+        sources = [Var(1)]
+    return _Enumeration(th, max_context, _Automaton(sources))
 
 
 def enumerate_linear_regular(
@@ -118,11 +410,10 @@ def enumerate_linear_regular(
     Within one size the order is lexicographic on pre-order keys (variables
     first, then symbols in signature order), the order _shapes builds.
     """
-    memo: dict = {}
+    terms = _Enumeration(th, max_context)
     for size in range(1, max_size + 1):
-        for term in _shapes(th, size, 1, max_context, memo):
-            if term.size == size:
-                yield TermInContext(term, term.max_var)
+        for term in terms.of_size(size, 1):
+            yield TermInContext(term, term.max_var)
 
 
 @dataclass(frozen=True)
@@ -173,6 +464,8 @@ class FlabbySearchResult:
     complete class, with no closure run.  An inert term, which no side
     matches anywhere, runs no closure either: it counts in closures_computed
     and adds 1 to closure_terms_total, as its one-entry closure would.
+    Neither inert terms nor terms with fewer than two variables are built:
+    they are counted, and a found document counts those before the witness.
     """
 
     status: str
@@ -209,29 +502,6 @@ class FlabbySearchResult:
         }
 
 
-def _inert(node: Term, at_root: dict, memo: dict, max_size: int) -> bool:
-    """No side matches node or any of its subterms.
-
-    at_root maps a root symbol to the generated functions of the sides
-    rooted at it.  memo maps a node to its flag, and keeps only nodes
-    smaller than max_size: a term of max_size is never a subterm of an
-    enumerated one.  This is a module function because a recursive nested
-    one is a reference cycle, which would hold memo after the search
-    returns, until the next full collection.
-    """
-    if node.__class__ is Var:
-        return True
-    flag = memo.get(node)
-    if flag is None:
-        # Any match, even one over the size cap (False), is a rewrite.
-        flag = all(_inert(a, at_root, memo, max_size) for a in node.args) and all(
-            match(node, 0) is None for match in at_root.get(node.sym, ())
-        )
-        if node.size < max_size:
-            memo[node] = flag
-    return flag
-
-
 def search_flabby(
     th: Theory,
     *,
@@ -254,9 +524,11 @@ def search_flabby(
     reached is cleared by that class instead, and counted in
     classes_shared.  No flabby term is ever cleared so: the term whose
     closure covered it would be flabby, and found first.  An inert term is
-    cleared as its own class, with no closure run.  With no witness the
-    status is "exhausted" when no closure set caps_hit, budget_hit or
-    depth_hit, and "bounds" otherwise.
+    cleared as its own class, with no closure run.  Only the candidates,
+    terms with two or more variables that the automaton does not call
+    inert, are built and visited; the others are counted, up to the witness
+    when there is one.  With no witness the status is "exhausted" when no
+    closure set caps_hit, budget_hit or depth_hit, and "bounds" otherwise.
     """
     res = FlabbySearchResult(
         BOUNDS, None, 0, 0, 0, 0, False, False, False,
@@ -268,35 +540,21 @@ def search_flabby(
             "node_budget": node_budget,
         },
     )
-    sides, one_way = _kernel(th)[:2]
     # Only a symmetric relation, with no one-way axiom, makes a complete
     # class decide its members.
-    share = not one_way
+    share = not _kernel(th)[1]
     cleared: dict = {}  # canonical term -> size of the class that cleared it
-    # The sides by root symbol.  A term no side matches anywhere is inert:
-    # its class is itself, and its closure would be one entry, complete,
-    # with no flag set.  That holds only when the closure expands the term
-    # (depth and budget at least 1), and is checked by root symbol only when
-    # no side's root is a variable.
-    at_root: dict = {}
-    for side in sides:
-        at_root.setdefault(side[2], []).append(side[3])
-    decide_inert = depth >= 1 and node_budget >= 1 and None not in at_root
-    inert: dict = {}  # node smaller than max_size -> whether it is inert
-    for t in enumerate_linear_regular(th, max_size, max_context):
-        res.terms_enumerated += 1
-        if t.context_len < 2:
-            continue
+    # An inert term's closure would be one entry, complete, with no flag
+    # set, when the closure expands it (depth and budget at least 1).
+    terms = _enumeration(th, max_context, depth >= 1 and node_budget >= 1)
+    for term in terms.candidates(max_size):
         res.closures_computed += 1
-        class_size = cleared.pop(t.term, None)
+        class_size = cleared.pop(term, None)
         if class_size is not None:
             res.classes_shared += 1
             res.closure_terms_total += class_size
             continue
-        if decide_inert and _inert(t.term, at_root, inert, max_size):
-            res.closure_terms_total += 1
-            res.max_closure = max(res.max_closure, 1)
-            continue
+        t = TermInContext(term, term.max_var)
         cl = bounded_closure(
             th, t, depth, size_cap=term_size(t.term) + slack, node_budget=node_budget
         )
@@ -333,6 +591,18 @@ def search_flabby(
             res.report = FlabbyReport(t, Permutation(images), cl.derivation_to(target))
             if not verify_report(res.report, th):
                 raise RuntimeError("internal error: flabby report failed verification")
+            _skipped(res, *terms.skipped_before(term))
             return res
+    _skipped(res, *terms.skipped(max_size))
     res.status = BOUNDS if res.caps_hit or res.budget_hit or res.depth_hit else EXHAUSTED
     return res
+
+
+def _skipped(res: FlabbySearchResult, one_var: int, inert: int) -> None:
+    """Count the terms the search skipped: one_var with fewer than two
+    variables, and inert ones, each as its one-entry closure would count."""
+    res.terms_enumerated = res.closures_computed + one_var + inert
+    res.closures_computed += inert
+    res.closure_terms_total += inert
+    if inert:
+        res.max_closure = max(res.max_closure, 1)

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import sys
 from functools import partial
 from weakref import KeyedRef
@@ -727,6 +728,11 @@ class TestSuccessorKernel:
         assert sources(th) == sources(plain)
         expand_code = [rewrite._expand_code(u, rewrite._kernel(u)[0])[0] for u in (th, plain)]
         assert expand_code[0] == expand_code[1]
+        # Nor do they reach the generated code's file names.
+        sides, _, _, expand = rewrite._kernel(th)
+        assert re.fullmatch(r"<rewrite expand \d+>", expand.__code__.co_filename)
+        for side in sides:
+            assert re.fullmatch(r"<rewrite side \d+ \d+ (LR|RL)>", side[3].__code__.co_filename)
         rng = random.Random(7)
         symbols = th.symbols_by_name()
         starts = [parse_term(text, symbols) for text in ("return(App(x1,x2),lambda(x1))", "room(x2,x1,x1)")]
@@ -737,6 +743,16 @@ class TestSuccessorKernel:
             self.check_against_oracle(th, t, cap)
             close = bounded_closure(th, t, 2, size_cap=cap)
             assert {u: close.distance(u) for u in close.entries} == naive_closure(t, th, 2, cap)
+
+    def test_each_theory_has_its_own_file_names(self):
+        # A profile keys functions by file, line and name, so two theories'
+        # generated functions must not share a file name.
+        text = "symbol m 2\naxiom [2] m(x1,x2) = m(x2,x1)\n"
+        one, two = parse_theory(text), parse_theory(text + "axiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\n")
+        expands = [rewrite._kernel(th)[3].__code__.co_filename for th in (one, two)]
+        assert expands[0] != expands[1]
+        sides = [rewrite._kernel(th)[0][0][3].__code__.co_filename for th in (one, two)]
+        assert sides[0] != sides[1]
 
     def test_dead_table_entry_is_survived(self):
         # A symbol's table can hold a dead weak ref whose callback has not

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from rigidlab.rigidity import (
     verify_report,
 )
 from rigidlab.terms import (
+    App,
     Permutation,
     TermInContext,
     Var,
@@ -546,6 +548,139 @@ class TestSharedClasses:
         inert = inert_terms(th, 5, 2, out.terms_enumerated)
         assert inert > 0
         assert len(run) + inert == out.closures_computed
+
+
+def kernel_sources(th) -> list:
+    """The sources of th's expansion sides."""
+    return [(th.axioms[ai].lhs if d == "LR" else th.axioms[ai].rhs).term for ai, d, _, _ in rewrite._kernel(th)[0]]
+
+
+def is_linear_term(term) -> bool:
+    occurrences = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            occurrences.append(t.index)
+        else:
+            stack.extend(t.args)
+    return len(occurrences) == len(set(occurrences))
+
+
+def automaton_state(auto, term) -> int:
+    """term's state, its subterms labelled first."""
+    if term not in auto.states:
+        if isinstance(term, App):
+            for a in term.args:
+                automaton_state(auto, a)
+        auto.label([term])
+    return auto.states[term]
+
+
+# Small theories for the counting recurrence: an arity-0 and an arity-3
+# symbol, a ground subterm in a source and a ground source; a side rooted at
+# a variable; and a source that repeats a variable.
+COUNT_THEORIES = {
+    "ternary_ground": parse_theory(
+        "symbol c 0\nsymbol u 1\nsymbol t 3\n"
+        "axiom [2] t(x1,c(),x2) = t(x2,c(),x1)\n"
+        "axiom [0] u(c()) = c()\n"
+    ),
+    "variable_root": parse_theory("symbol c 0\nsymbol m 2\naxiom [1] x1 = m(x1,c())\n"),
+    "repeated_variable": parse_theory(
+        "symbol u 1\nsymbol m 2\n"
+        "axiom [1] m(x1,x1) = u(x1)\n"
+        "axiom [2] m(u(x1),x2) = u(m(x2,x1))\n"
+    ),
+}
+
+
+class TestCandidateStream:
+    """search_flabby reads only the candidates: terms with two or more
+    variables that its matching automaton does not call inert.  The others
+    are counted by a recurrence over (size, next variable, state), and the
+    stream keeps count of those it skipped before each candidate."""
+
+    @pytest.mark.parametrize("name", sorted(COUNT_THEORIES))
+    def test_counts_match_brute_force(self, name):
+        th = COUNT_THEORIES[name]
+        max_context = 3
+        terms = rigidity._enumeration(th, max_context, True)
+        auto = terms.auto
+        linear = all(is_linear_term(src) for src in kernel_sources(th))
+        assert linear == (name != "repeated_variable")
+        overcalled = 0
+        for size in range(1, 7):
+            want_all, want_inert, called_inert = Counter(), Counter(), Counter()
+            for t in TestEnumerate._brute_force(th, size, max_context):
+                want_all[t.context_len] += 1
+                inert = not naive_one_step(t, th)
+                want_inert[t.context_len] += inert
+                called = auto.inert[automaton_state(auto, t.term)]
+                called_inert[t.context_len] += called
+                # The automaton never calls a term with a redex inert, and
+                # with linear sources it misses no inert term.
+                assert inert if called else not (linear and inert)
+                overcalled += inert and not called
+            got_all, got_inert = Counter(), Counter()
+            for (q, w), n in terms.count(size, 1).items():
+                got_all[w - 1] += n
+                got_inert[w - 1] += n if auto.inert[q] else 0
+            assert got_all == want_all
+            assert got_inert == called_inert
+            if linear:
+                assert got_inert == want_inert
+        # m(x1,x2) matches m(x1,x1) with x1 read as a wildcard, and no other
+        # source, so it is inert and called a redex.
+        assert (overcalled > 0) == (name == "repeated_variable")
+        if name == "variable_root":
+            assert not any(auto.inert)
+
+    @settings(max_examples=60, deadline=None)
+    @given(flabby_case(), st.integers(1, 3))
+    def test_stream_is_the_filtered_enumeration(self, th, max_context):
+        max_size = 5
+        every = list(enumerate_linear_regular(th, max_size, max_context))
+        rank = {t.term: i for i, t in enumerate(every)}
+        want = [t.term for t in every if t.context_len >= 2 and naive_one_step(t, th)]
+        terms = rigidity._enumeration(th, max_context, True)
+        got = []
+        for term in terms.candidates(max_size):
+            before = every[: rank[term]]
+            one_var = sum(1 for t in before if t.context_len < 2)
+            assert terms.skipped_before(term) == (one_var, len(before) - one_var - len(got))
+            got.append(term)
+        one_var = sum(1 for t in every if t.context_len < 2)
+        assert terms.skipped(max_size) == (one_var, len(every) - one_var - len(got))
+        if all(is_linear_term(src) for src in kernel_sources(th)):
+            assert got == want
+        else:
+            assert [rank[term] for term in got] == sorted(rank[term] for term in got)
+            chosen = set(want)
+            assert [term for term in got if term in chosen] == want
+            for term in got:
+                if term not in chosen:
+                    t = TermInContext(term, term.max_var)
+                    assert t.context_len >= 2 and not naive_one_step(t, th)
+        # With inert terms closed too, every term with two variables is one.
+        closed = rigidity._enumeration(th, max_context, False)
+        assert list(closed.candidates(max_size)) == [t.term for t in every if t.context_len >= 2]
+
+    def test_top_size_is_streamed(self):
+        # Only lists of smaller terms are kept: the top size's terms are
+        # built as they are read.
+        th = compile_reduction(NOT_COMMUTES)
+        terms = rigidity._enumeration(th, 3, True)
+        assert sum(1 for _ in terms.candidates(8)) == 3988
+        plain = rigidity._Enumeration(th, 3)
+        assert sum(1 for size in range(1, 9) for _ in plain.of_size(size, 1)) == 12124
+        for e in (terms, plain):
+            kept = [t for lists in (e.memo, e.lists) for out in lists.values() for t in out]
+            assert kept and max(t.size for t in kept) == 7
+        # The candidates' last arguments come from lists of only the terms
+        # that give the whole term two variables.
+        for (_, next_var, two), out in terms.lists.items():
+            assert two and all(max(next_var, t.max_var + 1) >= 3 for t in out)
 
 
 TSEITIN = [("ac", "ca"), ("ad", "da"), ("bc", "cb"), ("bd", "db"), ("eca", "ce"), ("edb", "de"), ("cca", "ccae")]
