@@ -41,14 +41,15 @@ call only on a miss.  After each block the result is rebuilt upward along
 the parent links the same way, one table lookup per ancestor.  The same
 generator also compiles each side alone into a function that matches one
 subterm and returns the bindings with the result; Closure.step calls
-those.  Generated code is the package's only matcher.  Terms are hash-consed, so that bare
-term is the result's identity: each term record keeps the set of bare terms
-it has reached, and a result already in it costs nothing more; most results
-are such repeats, so they never call App at all.  Only a result new to the
-search gets its TermInContext and an entry, which records its parent, the
-side that reached it and that side's walk index in the parent; no position,
-substitution or RewriteStep is built while the search runs.  One parent
-walk turns a record's entries into the steps of a derivation when it is
+those.  Generated code is the package's only matcher.  Terms are
+hash-consed, so that bare term is the result's identity: each term record
+keeps the set of bare terms it has reached, and a result already in it
+costs nothing more; most results are such repeats, so they never call App
+at all.  Only a result new to the search gets its TermInContext and an
+entry, which records its parent, the side that reached it and that side's
+walk index in the parent; no position, substitution or RewriteStep is
+built while the search runs.  One parent walk turns a record's entries
+into the steps of a derivation when it is
 read.  Closure.step rebuilds a step once from its entry: it calls that one
 side's function at that one subterm of the parent, requires the result to
 be the entry's subterm there (an internal error otherwise), and keeps the
@@ -516,10 +517,10 @@ def _kernel(th: Theory) -> tuple[list[tuple], bool, frozenset, Callable]:
     function.
 
     The expansion function is the successor kernel every term search grows
-    by; the side functions serve Closure.step's rebuild.  The one-way flag and the kept set cover every kept
-    orientation, also those the expansion sides leave out as renamings, so
-    apply_step and replay accept a step in either.  Computed on first use
-    and kept on th, the way Theory keeps its symbol table; a Theory is
+    by; the side functions serve Closure.step's rebuild.  The one-way flag
+    and the kept set cover every kept orientation, also those the expansion
+    sides leave out as renamings, so apply_step and replay accept a step in
+    either.  Computed on first use and kept on th, the way Theory keeps its symbol table; a Theory is
     frozen, so the result never goes stale.
     """
     kernel = getattr(th, "_kernel", None)

@@ -237,10 +237,7 @@ class _Enumeration:
         self.classified: dict = {}  # (size, next_var, two) -> classes of sized's list
         self.counts: dict = {}  # (size, next_var) -> {(state, next var after): terms}
         self.lasts: dict = {}  # _last's lists, by its key
-        self.at: tuple = ()  # where candidates is: see there
-
-    def shapes(self, budget: int, next_var: int) -> list[Term]:
-        return _shapes(self.th, budget, next_var, self.max_context, self.memo, self.label)
+        self.at: tuple = ()  # where candidates is, for skipped_before
 
     def sized(self, size: int, next_var: int, two: bool) -> list[Term]:
         """The terms of exactly `size` nodes whose variables read next_var,
@@ -350,7 +347,7 @@ class _Enumeration:
         """The terms of sized(size, next_var, two) in order, as they are
         built."""
         if size == 1:
-            for t in self.shapes(1, next_var):
+            for t in _shapes(self.th, 1, next_var, self.max_context, self.memo, self.label):
                 if not two or max(next_var, t.max_var + 1) >= 3:
                     yield t
             return
@@ -360,8 +357,10 @@ class _Enumeration:
 
     def candidates(self, max_size: int) -> Iterator[Term]:
         """The terms up to max_size nodes that the flabby search visits, in
-        canonical order.  at holds the counts of the terms skipped before
-        the last one yielded's arguments before its last, and their key."""
+        canonical order.  While a run of candidates that share their
+        arguments before the last is read, at holds the terms with fewer
+        than two variables and the inert ones skipped before the run, and
+        the run's _last key."""
         states = self.auto.states
         for size in range(2, max_size + 1):
             one_var, inert = self.skipped(size - 1)
