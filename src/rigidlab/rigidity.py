@@ -30,8 +30,8 @@ bottom-up matching automaton of the sides' sources gives each subterm a
 state, the memoised recursion labels each node it keeps once, and the last
 argument of a term of the top size is drawn only from the terms that make
 the whole a candidate.  The skipped terms are counted by a recurrence over
-(size, next variable, state), and the top size's terms are built one at a
-time and never kept.
+(size, next variable, state).  No list of the top size is memoised; the
+search holds one size's candidates at a time.
 """
 
 from __future__ import annotations
@@ -217,8 +217,8 @@ class _Enumeration:
     of_size streams the terms of one size.  A term's arguments before its
     last come from _shapes' lists, and its last argument from the list of
     exactly the nodes left (sized), which is built by the same generator and
-    memoised, so the top size's terms are never kept.  With an automaton,
-    candidates streams only the terms the flabby search visits: two or more
+    memoised, so no list of the top size is memoised.  With an automaton,
+    candidates gives only the terms the flabby search visits: two or more
     variables, and not inert.  The lists of last arguments it reads hold
     only terms that give the whole term two variables, filtered once per
     (symbol, states of the arguments before, next variable, size) by the
@@ -357,21 +357,29 @@ class _Enumeration:
 
     def candidates(self, max_size: int) -> Iterator[Term]:
         """The terms up to max_size nodes that the flabby search visits, in
-        canonical order.  While a run of candidates that share their
-        arguments before the last is read, at holds the terms with fewer
-        than two variables and the inert ones skipped before the run, and
-        the run's _last key."""
+        canonical order.
+
+        Each size's candidates are built as one batch and kept until the
+        next size: a closure's canonical successors of that size are later
+        candidates, and with their nodes alive the expansion finds them in
+        the hash-cons table rather than building each twice.  The batch is
+        a list of runs of candidates that share their arguments before the
+        last; while a run is read, at holds the terms with fewer than two
+        variables and the inert ones skipped before it, and its _last key.
+        """
         states = self.auto.states
         for size in range(2, max_size + 1):
             one_var, inert = self.skipped(size - 1)
+            runs = []
             for sym, args, v, left in self._prefixes(size, 1):
                 key = (sym, tuple([states[a] for a in args]), v, left)
                 lasts, _, skip_one, skip_inert = self._last(*key)
-                self.at = (one_var, inert, key)
-                for a in lasts:
-                    yield App(sym, args + (a,))
+                if lasts:
+                    runs.append(((one_var, inert, key), [App(sym, args + (a,)) for a in lasts]))
                 one_var += skip_one
                 inert += skip_inert
+            for self.at, run in runs:
+                yield from run
 
     def skipped_before(self, term: Term) -> tuple[int, int]:
         """How many terms with fewer than two variables, and how many inert
