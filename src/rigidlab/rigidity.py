@@ -112,11 +112,11 @@ def _shapes(
     return out
 
 
-def _fill(th: Theory, partial: list, k: int, last: int, max_context: int, memo: dict, label) -> list:
-    """Each (arguments so far, next variable, nodes left) in partial,
-    extended by its arguments up to the last `last` of k, from _shapes'
-    lists, keeping one node for each argument still to come."""
-    for rest in range(k - 1, last - 1, -1):
+def _fill(th: Theory, partial: list, k: int, spare: int, max_context: int, memo: dict, label) -> list:
+    """Each (arguments so far, next variable, nodes left) in partial, given
+    all but the last `spare` of its k arguments from _shapes' lists, keeping
+    one node for each argument still to come."""
+    for rest in range(k - 1, spare - 1, -1):
         partial = [
             (args + (a,), max(v, a.max_var + 1), left - a.size)
             for args, v, left in partial
