@@ -667,8 +667,7 @@ class TestCandidateStream:
         assert list(closed.candidates(max_size)) == [t.term for t in every if t.context_len >= 2]
 
     def test_top_size_is_streamed(self):
-        # Only lists of smaller terms are kept: the top size's terms are
-        # built as they are read.
+        # No memoised list holds a term of the top size.
         th = compile_reduction(NOT_COMMUTES)
         terms = rigidity._enumeration(th, 3, True)
         assert sum(1 for _ in terms.candidates(8)) == 3988
