@@ -19,8 +19,12 @@ its class is.  A closure that completes without a witness therefore clears
 its whole class: a later enumerated term whose canonical form is among the
 class's entries is decided without a closure of its own (the
 canonical-representative reduction of Ip & Dill, "Better verification
-through symmetry", FMSD 1996).  With a one-way axiom a complete closure is
-only what the term reaches, not what reaches it, so nothing is shared.
+through symmetry", FMSD 1996).  Symmetry also gives a witness before one
+closure holds a renaming of its term: two entries u and v = rho(u) of the
+term's size give t ->* v, and the path to u renamed by rho and reversed
+gives v ->* rho(t).  With a one-way axiom a complete closure is only what
+the term reaches, not what reaches it, so nothing is shared, and a path
+cannot be reversed, so no such pair is sought.
 
 A term that no side of the one-step relation matches anywhere is inert: it
 is in normal form, its class is itself, and it is decided without a closure,
@@ -43,13 +47,16 @@ from .rewrite import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_SLACK,
     BOUNDS,
+    Closure,
     Derivation,
     EXHAUSTED,
     FOUND,
+    RewriteStep,
     _kernel,
     _oriented,
     bounded_closure,
     derivation_to_doc,
+    flip_step,
     replay,
 )
 from .terms import (
@@ -460,7 +467,10 @@ class FlabbySearchResult:
 
     status is "found", "exhausted" (every enumerated term cleared and its
     class known complete, certifying rigidity of the searched fragment), or
-    "bounds" (no witness, but some closure was truncated).  With no witness
+    "bounds" (no witness, but some closure was truncated).  A found
+    report's derivation is breadth-first, hence minimal-length, only when
+    the closure held a renaming of the term; one joined from two closure
+    paths has at most twice the depth bound in steps.  With no witness
     it is read off the three flags: "exhausted" exactly when caps_hit,
     budget_hit and depth_hit are all false, since a closure that ran is
     incomplete exactly when it sets one of them.  depth_hit is set when
@@ -524,13 +534,20 @@ def search_flabby(
     are walked once.  Each entry other than t whose canonical form is t
     gives a non-identity permutation sigma with sigma(t) in the closure,
     its image tuple the renaming canonical returns; the lexicographically
-    least image tuple is kept.  The first witness in canonical order is
-    returned, with the breadth-first (hence minimal-length) derivation from
-    the shared closure.  On a theory with no one-way axiom, a
-    term whose canonical form an earlier complete closure without a witness
-    reached is cleared by that class instead, and counted in
-    classes_shared.  No flabby term is ever cleared so: the term whose
-    closure covered it would be flabby, and found first.  An inert term is
+    least image tuple is kept.  This direct witness comes with the
+    breadth-first (hence minimal-length) derivation from the shared
+    closure.  Failing one, on a theory with no one-way axiom, two entries
+    u and v of t's size with one canonical form, so v = rho(u), give the
+    witness t ->* v ->* rho(t), of at most 2 * depth steps: the first such
+    v in the scan, with the first entry of its form as u (symmetry within
+    one closure, after Emerson & Sistla, "Symmetry and model checking",
+    FMSD 1996).  A complete class that holds such a pair also holds
+    rho(t), so only a depth-bounded search can find a witness this way.
+    The first witness in canonical order is returned.  On a theory with no
+    one-way axiom, a term whose canonical form an earlier complete closure
+    without a witness reached is cleared by that class instead, and
+    counted in classes_shared.  No flabby term is ever cleared so: the term
+    whose closure covered it would be flabby, and found first.  An inert term is
     cleared as its own class, with no closure run.  Only the candidates,
     terms with two or more variables that the automaton does not call
     inert, are built and visited; the others are counted, up to the witness
@@ -577,11 +594,14 @@ def search_flabby(
         # up to max_size: the relation keeps t's variables in every entry,
         # and entries smaller than t were enumerated before it.  A canonical
         # form that repeats a variable is never enumerated, so never looked
-        # up.
+        # up.  On an incomplete closure of a symmetric relation, the first
+        # two entries with one canonical form other than t's collide; a
+        # complete one that held them would hold a renaming of t too.
         clear = share and cl.complete
         size = t.term.size
         top = max_size if clear else size
-        best = None
+        best = collision = None
+        first: dict = {}  # canonical form -> (first entry with it, image tuple)
         for u in cl.entries:
             v = u.term
             if not size <= v.size <= top:
@@ -592,10 +612,17 @@ def search_flabby(
                     best = (images, u)
             elif clear:
                 cleared[c] = count
+            elif share and collision is None:
+                seen = first.setdefault(c, (u, images))
+                if seen[0] is not u:
+                    collision = seen + (u, images)
         if best is not None:
             images, target = best
-            res.status = FOUND
             res.report = FlabbyReport(t, Permutation(images), cl.derivation_to(target))
+        elif collision is not None:
+            res.report = _collision_report(cl, *collision)
+        if res.report is not None:
+            res.status = FOUND
             if not verify_report(res.report, th):
                 raise RuntimeError("internal error: flabby report failed verification")
             _skipped(res, *terms.skipped_before(term))
@@ -603,6 +630,31 @@ def search_flabby(
     _skipped(res, *terms.skipped(max_size))
     res.status = BOUNDS if res.caps_hit or res.budget_hit or res.depth_hit else EXHAUSTED
     return res
+
+
+def _collision_report(
+    cl: Closure, u: TermInContext, u_images: tuple, v: TermInContext, v_images: tuple
+) -> FlabbyReport:
+    """The witness from two entries of t's closure with one canonical form,
+    on a relation with no one-way axiom: t ->* v by the tree path, then
+    v = rho(u) ->* rho(t) by the tree path to u renamed by rho and reversed.
+
+    Both entries keep t's variables, so each image tuple lists all of them,
+    and rho maps u_images[i] to v_images[i]; rho is no identity, since u is
+    not v.
+    """
+    images = [0] * len(u_images)
+    for a, b in zip(u_images, v_images):
+        images[a - 1] = b
+    rho = Permutation(images)
+    back = [
+        flip_step(
+            RewriteStep(s.axiom_index, s.direction, s.position, [substitute_simple(x, rho) for x in s.subst])
+        )
+        for s in reversed(cl.path(u))
+    ]
+    t = cl.start
+    return FlabbyReport(t, rho, Derivation(t, tuple(cl.path(v) + back), substitute_simple(t, rho)))
 
 
 def _skipped(res: FlabbySearchResult, one_var: int, inert: int) -> None:

@@ -90,6 +90,52 @@ def naive_successors(t: TermInContext, th: Theory, size_cap) -> tuple[list, bool
     return list(witness.items()), cap_hit
 
 
+def naive_variables(term: Term) -> set:
+    if isinstance(term, Var):
+        return {term.index}
+    return set().union(*(naive_variables(a) for a in term.args))
+
+
+def naive_one_way(th: Theory) -> bool:
+    """Whether some axiom has exactly one side that mentions its whole
+    context, so that only one of its orientations is a step."""
+    for eq in th.axioms:
+        whole = set(range(1, eq.context_len + 1))
+        if (naive_variables(eq.lhs.term) == whole) != (naive_variables(eq.rhs.term) == whole):
+            return True
+    return False
+
+
+def naive_replay(d: Derivation, th: Theory) -> bool:
+    """Re-apply every step of d with plain recursion: the step's orientation
+    must have a source that mentions the axiom's whole context, its
+    substitution must instantiate that source to the subterm at its
+    position, and the instantiated target replaces it.  The last term must
+    be d's end."""
+    n = d.start.context_len
+    cur = d.start.term
+    for step in d.steps:
+        if not 0 <= step.axiom_index < len(th.axioms) or step.direction not in ("LR", "RL"):
+            return False
+        eq = th.axioms[step.axiom_index]
+        src, dst = (eq.lhs, eq.rhs) if step.direction == "LR" else (eq.rhs, eq.lhs)
+        k = eq.context_len
+        if naive_variables(src.term) != set(range(1, k + 1)) or len(step.subst) != k:
+            return False
+        if any(s.context_len != n for s in step.subst):
+            return False
+        binding = {i + 1: s.term for i, s in enumerate(step.subst)}
+        sub = cur
+        for i in step.position:
+            if not isinstance(sub, App) or not 0 <= i < len(sub.args):
+                return False
+            sub = sub.args[i]
+        if sub != naive_instantiate(src.term, binding):
+            return False
+        cur = naive_replace(cur, tuple(step.position), naive_instantiate(dst.term, binding))
+    return d.end.context_len == n and cur == d.end.term
+
+
 def naive_one_step(t: TermInContext, th: Theory) -> set:
     """All terms reachable in exactly one rewrite step, either direction."""
     return {result for result, _ in naive_successors(t, th, float("inf"))[0]}

@@ -186,6 +186,26 @@ class TestRigiditySearch:
         assert report["status"] == "found"
         assert report["report"]["term"] == "m(a(b(alpha(x1))),x2)"
 
+    def test_depth_one_witness_replays(self, yes_wp, tmp_path):
+        # At depth 1 the witness joins two closure paths, and replays as a
+        # derivation of two steps.
+        out = tmp_path / "build"
+        target = out_doc(run("reduce", yes_wp, "--out-dir", str(out)))["target"]
+        proc = run(
+            "rigidity", "search", target,
+            "--max-size", "8", "--max-context", "3", "--depth", "1",
+        )
+        assert proc.returncode == 0
+        report = out_doc(proc)
+        assert report["status"] == "found"
+        assert report["report"]["term"] == "m(a(b(alpha(x1))),x2)"
+        assert report["report"]["permutation"] == [2, 1]
+        derivation = report["report"]["derivation"]
+        assert len(derivation["steps"]) == 2
+        dfile = tmp_path / "witness.json"
+        dfile.write_text(json.dumps(derivation))
+        assert run("replay", target, str(dfile)).returncode == 0
+
     def test_rigid_fragment_exits_one(self, seed_thy):
         proc = run(
             "rigidity", "search", seed_thy,

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 import rigidlab.rewrite as rewrite
 import rigidlab.rigidity as rigidity
-from oracles import naive_all_terms, naive_one_step, random_term, term_key
+from oracles import (
+    naive_all_terms,
+    naive_instantiate,
+    naive_one_step,
+    naive_one_way,
+    naive_replay,
+    random_term,
+    term_key,
+)
 from rigidlab.reduction import compile_reduction, instance, seed_theory
 from rigidlab.rewrite import (
     BOUNDS,
@@ -20,6 +28,7 @@ from rigidlab.rewrite import (
     RewriteStep,
     bounded_closure,
     replay,
+    reverse_derivation,
 )
 from rigidlab.rigidity import (
     FlabbyReport,
@@ -34,6 +43,7 @@ from rigidlab.terms import (
     Permutation,
     TermInContext,
     Var,
+    canonical,
     is_linear_regular,
     parse_term,
     render_term,
@@ -224,14 +234,39 @@ class TestSearchFlabby:
         assert out.report is None
 
     def test_depth_cut_is_not_exhausted_on_yes_instance(self):
-        # Depth 1 is one step short of the two-step witness, so the sweep must
-        # say a bound cut it, not certify a non-rigid theory rigid.
+        # At depth 1 the closure of the witness holds m(b(a(alpha(x1))),x2)
+        # and its swap, so the two join into the two-step witness that
+        # depth 6 finds directly.
         th = compile_reduction(COMMUTES)
         out = search_flabby(th, max_size=8, max_context=3, depth=1)
-        assert out.status == "bounds"
+        assert out.status == FOUND
+        assert render_term(out.report.term.term) == "m(a(b(alpha(x1))),x2)"
+        assert out.report.permutation.images == (2, 1)
+        assert len(out.report.derivation.steps) == 2
+        assert verify_report(out.report, th)
+        assert naive_replay(out.report.derivation, th)
+        # The shortest witness of aab = baa takes three steps, more than
+        # two closure paths of depth 1 join, so the sweep must say a bound
+        # cut it, not certify a non-rigid theory rigid.
+        th = compile_reduction(instance(["a", "b"], [("ab", "ba")], ("aab", "baa")))
+        assert len(search_flabby(th, max_size=9, max_context=3, depth=6).report.derivation.steps) == 3
+        out = search_flabby(th, max_size=9, max_context=3, depth=1)
+        assert out.status == BOUNDS
         assert out.depth_hit
         assert not out.caps_hit and not out.budget_hit
         assert out.to_doc()["certificate"]["depth_hit"] is True
+
+    def test_joined_witness_reverses_a_two_step_path(self):
+        # Both entries lie two steps from the witness term, so the renamed
+        # path to the first must be read backwards to reach rho(t).
+        th = compile_reduction(instance(["a", "b"], [("ab", "ba")], ("aba", "baa")))
+        out = search_flabby(th, max_size=9, max_context=3, depth=2)
+        assert out.status == FOUND
+        assert render_term(out.report.term.term) == "m(a(a(b(alpha(x1)))),x2)"
+        assert out.report.permutation.images == (2, 1)
+        assert len(out.report.derivation.steps) == 4
+        assert verify_report(out.report, th)
+        assert naive_replay(out.report.derivation, th)
 
     def test_depth_zero_is_not_exhausted(self):
         out = search_flabby(SEED, max_size=5, max_context=3, depth=0)
@@ -278,10 +313,17 @@ class TestSearchFlabby:
             assert replay(d, th)
 
 
-def image_loop_search(th, *, max_size, max_context, depth, slack, node_budget):
+def image_loop_search(th, *, max_size, max_context, depth, slack, node_budget, collisions=True):
     """search_flabby as it was before the closure scan: every non-identity
     permutation image of a canonical term, in lexicographic order of image
-    tuples, is built and tested for membership in the term's closure."""
+    tuples, is built and tested for membership in the term's closure.
+
+    With collisions, on a theory with no one-way axiom, a closure that holds
+    no image of t still gives a witness when an entry v of t's size is the
+    image rho(u) of an earlier entry u, trying every pair against every
+    image, with no canonical form: the first such v, with the first such u.
+    The witness joins the path to v with the path to u, renamed by rho and
+    reversed."""
     bounds_doc = {
         "max_size": max_size,
         "max_context": max_context,
@@ -291,6 +333,7 @@ def image_loop_search(th, *, max_size, max_context, depth, slack, node_budget):
     }
     enumerated = closures = total = largest = 0
     caps = budget = cut = False
+    collisions = collisions and not naive_one_way(th)
     for t in enumerate_linear_regular(th, max_size, max_context):
         enumerated += 1
         n = t.context_len
@@ -315,9 +358,40 @@ def image_loop_search(th, *, max_size, max_context, depth, slack, node_budget):
                     FOUND, report, enumerated, closures, total, largest, caps, budget, cut,
                     bounds_doc,
                 )
+        report = collision_witness(cl) if collisions else None
+        if report is not None:
+            return FlabbySearchResult(
+                FOUND, report, enumerated, closures, total, largest, caps, budget, cut, bounds_doc
+            )
     status = BOUNDS if caps or budget or cut else EXHAUSTED
     return FlabbySearchResult(
         status, None, enumerated, closures, total, largest, caps, budget, cut, bounds_doc
+    )
+
+
+def collision_witness(cl):
+    """The report from the first entry v of the start's size that renames an
+    earlier entry u, v = rho(u), or None."""
+    t = cl.start
+    level = [u for u in cl.entries if term_size(u.term) == term_size(t.term)]
+    for j, v in enumerate(level):
+        for u in level[:j]:
+            for rho in Permutation.all_of(t.context_len):
+                if not rho.is_identity() and substitute_simple(u, rho) == v:
+                    renamed = Derivation(
+                        substitute_simple(t, rho),
+                        tuple(rename_step(s, rho) for s in cl.derivation_to(u).steps),
+                        v,
+                    )
+                    back = reverse_derivation(renamed)
+                    d = Derivation(t, cl.derivation_to(v).steps + back.steps, back.end)
+                    return FlabbyReport(t, rho, d)
+    return None
+
+
+def rename_step(s, rho):
+    return RewriteStep(
+        s.axiom_index, s.direction, s.position, tuple(substitute_simple(u, rho) for u in s.subst)
     )
 
 
@@ -363,6 +437,47 @@ def flabby_case(draw):
         k = rng.randint(0, 3)
         lhs, rhs = (random_term(rng, FLABBY_POOL, rng.randint(1, 5), k) for _ in "lr")
         picks.append(Equation(TermInContext(lhs, k), TermInContext(rhs, k)))
+    rng.shuffle(picks)
+    return Theory(FLABBY_POOL.signature, tuple(picks))
+
+
+# f(x1,x2) = g(g(x1)) is one-way: its right side does not mention x2.
+ONE_WAY = parse_theory(
+    "symbol c 0\nsymbol k 2\nsymbol f 2\nsymbol g 1\n"
+    "axiom [2] f(x1,x2) = g(g(x1))\n"
+    "axiom [2] k(g(g(x1)),x2) = k(g(g(x2)),x1)\n"
+)
+
+
+# Pairs of two-way axioms under which some closure holds two renamings of
+# one term before it holds a renaming of its start.
+COLLIDING = tuple(
+    tuple(parse_equation(text, FLABBY_POOL) for text in pair)
+    for pair in (
+        ("[3] m(m(x1,x2),x3) = m(x1,m(x2,x3))", "[3] m(x1,m(x2,x3)) = m(m(x2,x1),x3)"),
+        ("[2] m(u(x1),x2) = m(x2,u(x1))", "[2] m(x1,u(x2)) = m(u(x1),x2)"),
+        ("[2] m(u(x1),x2) = u(m(x2,x1))", "[2] m(u(x1),x2) = m(x2,u(x1))"),
+        ("[3] m(x1,m(x2,x3)) = m(x2,m(x1,x3))", "[1] u(u(x1)) = m(x1,c())"),
+    )
+)
+
+
+@st.composite
+def symmetric_case(draw):
+    """A theory with no one-way axiom: a pair from COLLIDING, perhaps one of
+    pool axioms 1 to 6, all two-way, and random axioms that are not
+    one-way."""
+    rng = random.Random(draw(st.integers(0, 2**20)))
+    picks = list(draw(st.sampled_from(COLLIDING)))
+    picks += draw(st.lists(st.sampled_from(FLABBY_POOL.axioms[1:]), max_size=1))
+    for _ in range(draw(st.integers(0, 2))):
+        k = rng.randint(0, 3)
+        for _ in range(50):
+            lhs, rhs = (random_term(rng, FLABBY_POOL, rng.randint(1, 5), k) for _ in "lr")
+            eq = Equation(TermInContext(lhs, k), TermInContext(rhs, k))
+            if not naive_one_way(Theory(FLABBY_POOL.signature, (eq,))):
+                picks.append(eq)
+                break
     rng.shuffle(picks)
     return Theory(FLABBY_POOL.signature, tuple(picks))
 
@@ -458,6 +573,88 @@ class TestClosureScan:
         assert out.status == FOUND and out.closures_computed > 1
         assert calls == [th]
 
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_case(), st.integers(0, 3))
+    def test_collision_witnesses(self, th, depth):
+        # Two closure paths of at most depth steps join into a witness, so
+        # a search finds one no later than the image test alone does, and
+        # changes no document where neither rule finds one.  A shared class
+        # can still turn the reference's bounds into exhausted, and change
+        # its counters, as test_complete_class_strengthens_verdict shows.
+        bounds = dict(max_size=5, max_context=3, depth=depth, slack=2, node_budget=400)
+        got = search_flabby(th, **bounds)
+        want = image_loop_search(th, **bounds)
+        assert got.to_doc()["report"] == want.to_doc()["report"]
+        if got.found:
+            report = got.report
+            d = report.derivation
+            assert naive_replay(d, th) and len(d.steps) <= 2 * depth
+            swap = {i + 1: Var(v) for i, v in enumerate(report.permutation.images)}
+            assert d.start == report.term and d.end.term == naive_instantiate(report.term.term, swap)
+        plain = image_loop_search(th, collisions=False, **bounds)
+        if plain.found:
+            rank = {t.term: i for i, t in enumerate(enumerate_linear_regular(th, 5, 3))}
+            assert rank[got.report.term.term] <= rank[plain.report.term.term]
+            if got.report.term == plain.report.term:
+                assert scan_doc(got) == scan_doc(plain)
+        elif plain.status == EXHAUSTED or not (want.found or got.classes_shared):
+            assert scan_doc(got) == scan_doc(plain)
+
+    def test_collision_renames_by_a_three_cycle(self):
+        # h(x1,x2,x3) and h(x2,x3,x1) differ by a permutation that is not
+        # its own inverse, so the witness must rename the first into the
+        # second, not back.
+        th = parse_theory(
+            "symbol k 3\nsymbol h 3\n"
+            "axiom [3] k(x1,x2,x3) = h(x1,x2,x3)\n"
+            "axiom [3] k(x1,x2,x3) = h(x2,x3,x1)\n"
+        )
+        bounds = dict(max_size=4, max_context=3, depth=1, slack=0, node_budget=100)
+        out = search_flabby(th, **bounds)
+        assert render_term(out.report.term.term) == "k(x1,x2,x3)"
+        assert out.report.permutation.images == (2, 3, 1)
+        assert len(out.report.derivation.steps) == 2
+        assert naive_replay(out.report.derivation, th)
+        assert scan_doc(out) == scan_doc(image_loop_search(th, **bounds))
+
+    def test_one_way_axiom_finds_no_collision(self):
+        # The closure of k(f(x1,x2),x3) holds k(g(g(x1)),x3) and its swap,
+        # but the one-way step to them cannot be taken back, so the pair
+        # decides nothing: the search goes on to the direct witness
+        # k(g(g(x1)),x2), and the document is the one the image test alone
+        # gives.
+        th = ONE_WAY
+        t = TermInContext(parse_term("k(f(x1,x2),x3)", th.symbols_by_name()), 3)
+        cl = bounded_closure(th, t, 2, size_cap=term_size(t.term) + DEFAULT_SLACK)
+        forms = Counter(canonical(u.term)[0] for u in cl.entries if u.term.size == t.term.size)
+        assert sorted(forms.values()) == [1, 2]
+        out = search_flabby(th, max_size=5, max_context=3, depth=2)
+        assert out.to_doc() == {
+            "status": FOUND,
+            "report": {
+                "term": "k(g(g(x1)),x2)",
+                "context_len": 2,
+                "permutation": [2, 1],
+                "derivation": {
+                    "context_len": 2,
+                    "start": "k(g(g(x1)),x2)",
+                    "end": "k(g(g(x2)),x1)",
+                    "steps": [{"axiom": 1, "direction": "LR", "position": [], "subst": ["x1", "x2"]}],
+                },
+            },
+            "certificate": {
+                "terms_enumerated": 81,
+                "closures_computed": 27,
+                "closure_terms_total": 44,
+                "max_closure": 3,
+                "caps_hit": False,
+                "budget_hit": False,
+                "depth_hit": True,
+                "classes_shared": 0,
+            },
+            "bounds": {"max_size": 5, "max_context": 3, "depth": 2, "slack": 8, "node_budget": 1_000_000},
+        }
+
 
 def closures_run(monkeypatch) -> list:
     """The start of every closure search_flabby runs from now on."""
@@ -535,11 +732,7 @@ class TestSharedClasses:
         # complete yet holds the flabby k(g(g(x1)),x2) and its swap, from
         # which it cannot be reached back.  Sharing that class would clear
         # the witness and certify the theory rigid.
-        th = parse_theory(
-            "symbol c 0\nsymbol k 2\nsymbol f 2\nsymbol g 1\n"
-            "axiom [2] f(x1,x2) = g(g(x1))\n"
-            "axiom [2] k(g(g(x1)),x2) = k(g(g(x2)),x1)\n"
-        )
+        th = ONE_WAY
         run = closures_run(monkeypatch)
         out = search_flabby(th, max_size=5, max_context=2, depth=4)
         assert out.status == FOUND
