@@ -57,7 +57,7 @@ from .rewrite import (
     prove_bounded,
     replay,
 )
-from .terms import App, Symbol, Term, TermInContext, Var
+from .terms import App, Symbol, Term, TermInContext, Var, render_term
 from .theory import Equation
 
 __all__ = [
@@ -248,8 +248,6 @@ class HatResult:
         return not self.warnings
 
     def to_doc(self) -> dict:
-        from .terms import render_term
-
         return {
             "term": render_term(self.term.term),
             "context_len": self.term.context_len,

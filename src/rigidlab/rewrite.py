@@ -43,13 +43,19 @@ generator also compiles each side alone into a function that matches one
 subterm and returns the bindings with the result; Closure.step calls
 those.  Generated code is the package's only matcher.  Terms are
 hash-consed, so that bare term is the result's identity: each term record
-keeps the set of bare terms it has reached, and a result already in it
-costs nothing more; most results are such repeats, so they never call App
-at all.  Only a result new to the search gets its TermInContext and an
-entry, which records its parent, the side that reached it and that side's
-walk index in the parent; no position, substitution or RewriteStep is
-built while the search runs.  One parent walk turns a record's entries
-into the steps of a derivation when it is
+maps the bare terms it has reached to their back-move bits, and a result
+already in it costs nothing more; most results are such repeats, so they
+never call App at all.  A set bit names a move, a side at a walk index,
+that leads back into the record: a result u -> v sets on v the bit of the
+inverse side at the same walk index, which gives back u, and v's expansion
+skips that move once its source has matched, before anything is built.
+On a relation with inverse moves each edge is so built once, from the end
+expanded first, as frontier search does (Korf, Zhang, Thayer & Hohwald,
+"Frontier search", JACM 2005).  Only a result new to the search gets its
+TermInContext and an entry, which records its parent, the side that
+reached it and that side's walk index in the parent; no position,
+substitution or RewriteStep is built while the search runs.  One parent
+walk turns a record's entries into the steps of a derivation when it is
 read.  Closure.step rebuilds a step once from its entry: it calls that one
 side's function at that one subterm of the parent, requires the result to
 be the entry's subterm there (an internal error otherwise), and keeps the
@@ -257,7 +263,9 @@ class _Globals:
         return g
 
 
-def _side_lines(src: Term, k: int, dst: Term, glob: _Globals, inline: bool) -> tuple[list, list, str]:
+def _side_lines(
+    src: Term, k: int, dst: Term, glob: _Globals, inline: bool, skip: str = ""
+) -> tuple[list, list, str]:
     """The straight-line code of one expansion side: its lines, the locals
     holding the bindings, and the expression of its result.
 
@@ -283,7 +291,9 @@ def _side_lines(src: Term, k: int, dst: Term, glob: _Globals, inline: bool) -> t
     and False over the cap.  Inline, they are a block in the expansion
     function's loop over walk indices: they continue on no match, set cap_hit
     and continue over the cap, and leave out t0's root check, since the loop
-    runs only where src's root symbol heads t0.
+    runs only where src's root symbol heads t0.  A skip condition, when
+    given, is tested once src has matched, before the size check: the block
+    continues when it holds.
     """
     if inline:
         pad, fail, over = " " * 8, "continue", "cap_hit = True; continue"
@@ -330,6 +340,8 @@ def _side_lines(src: Term, k: int, dst: Term, glob: _Globals, inline: bool) -> t
         return f"r{r}"
 
     match(src, "t0")
+    if skip:
+        lines.append(f"{pad}if {skip}: {fail}")
     result = build(dst)
     fixed = dst.size - src.size - sum(grow)  # symbol nodes gained
     if fixed > 0 or max(grow, default=0) > 0:
@@ -367,6 +379,7 @@ def _side_code(src: Term, k: int, dst: Term) -> tuple[str, dict]:
 # rooted at.
 _WALK = """\
     term = t.term
+    mask = reached.get(term, 0)
     size = term.size
     subs = [term] * size
     ups = [-1] * size
@@ -402,7 +415,7 @@ _WALK = """\
 
 # After a side's block: its result is rebuilt upward along the parent links,
 # one table lookup per ancestor with an App call only on a miss or a dead
-# weak ref, and recorded unless reached holds it.
+# weak ref, and recorded unless reached holds it.  {mark} is _BACK or _SEEN.
 _RECORD = """\
         j, i = ups[w], ats[w]
         while j >= 0:
@@ -417,12 +430,58 @@ _RECORD = """\
             sym = p.sym
             result = sym._apps.get(args, NoRef)() or App(sym, args)
             j, i = ups[j], ats[j]
-        if result in reached:
-            continue
-        reached.add(result)
+{mark}
         nt = TermInContext(result, n)
         entries[nt] = (distance, t, {side}, w)
         new.append(nt)"""
+
+# A side with an inverse sets the result's back-move bit {bit}, the inverse
+# at w, whether the result is new or a repeat.
+_BACK = """\
+        bit = 1 << {bit}
+        seen = reached.get(result)
+        if seen is not None:
+            reached[result] = seen | bit
+            continue
+        reached[result] = bit"""
+
+# A side with no inverse leaves a new result no bits.
+_SEEN = """\
+        if result in reached:
+            continue
+        reached[result] = 0"""
+
+
+def _bit(k: int, count: int) -> str:
+    """The expression of the back-move bit of side k at walk index w, among
+    count sides: w * count + k."""
+    if count == 1:
+        return "w"
+    return f"w * {count}" + (f" + {k}" if k else "")
+
+
+def _orbit(eq: Equation, direction: str):
+    """The renaming orbit key of eq's orientation in direction: its (source,
+    target) pair with variables renumbered in first-occurrence order; None
+    when the orientation is not kept, its source not binding the whole
+    context.  A kept source mentions every variable of the target, so the
+    pair reads its variables in the source's first-occurrence order."""
+    src, dst = _oriented(eq, direction)
+    if len(canonical(src.term)[1]) != eq.context_len:
+        return None
+    return canonical(App(_PAIR, (src.term, dst.term)))[0]
+
+
+def _inverses(th: Theory, sides: list) -> list:
+    """For each expansion side k, the index of its inverse side, or None.
+
+    The inverse of k is the side whose orbit key is that of k's flipped
+    (target, source) pair; a side whose flipped orientation is not kept has
+    none.  A step by side k at walk index w leaves w's walk index as it is,
+    and the inverse at w gives back exactly the term the step started from.
+    """
+    index = {_orbit(th.axioms[ai], d): k for k, (ai, d, _, _) in enumerate(sides)}
+    return [index.get(_orbit(th.axioms[ai], RL if d == LR else LR)) for ai, d, _, _ in sides]
 
 
 def _expand_code(th: Theory, sides: list) -> tuple[str, dict]:
@@ -441,6 +500,17 @@ def _expand_code(th: Theory, sides: list) -> tuple[str, dict]:
     tie-break order.  side, the same tuple _kernel lists, and w, the walk
     index of the subterm it matched, record its first witnessing step, which
     Closure.step builds when a derivation is read.
+
+    reached maps each bare term to its back-move bits, as in frontier
+    search (Korf, Zhang, Thayer & Hohwald, "Frontier search", JACM 2005):
+    bit w * K + j, over the K sides, set means side j at walk index w leads
+    back into reached.  A result u -> v of side k at w sets bit w * K +
+    inv(k) of v, new or not, where inv(k) is k's inverse side (_inverses),
+    since that move gives back u.  expand reads t's bits first and skips a
+    side at a walk index whose bit is set, once its source has matched and
+    before anything is built: the result is one reached already holds, and
+    lies within the cap.  Last it sets t's value to -1, all bits, so no more
+    pile up on it.  A t missing from reached has no bits.
     """
     glob = _Globals(TermInContext=TermInContext)
     roots = dict.fromkeys(side[2] for side in sides if side[2] is not None)
@@ -454,16 +524,21 @@ def _expand_code(th: Theory, sides: list) -> tuple[str, dict]:
         "def expand(size_cap, t, reached, entries, distance, new):",
         _WALK.format(lists=lists, buckets="\n".join(buckets)),
     ]
-    for side in sides:
+    for k, (side, back) in enumerate(zip(sides, _inverses(th, sides))):
         ai, direction, root, _ = side
         eq = th.axioms[ai]
         src, dst = _oriented(eq, direction)
-        body, _, result = _side_lines(src.term, eq.context_len, dst.term, glob, True)
+        # Only a side with an inverse is some side's inverse, so only its
+        # bits are ever set.
+        skip = "" if back is None else f"mask >> {_bit(k, len(sides))} & 1"
+        body, _, result = _side_lines(src.term, eq.context_len, dst.term, glob, True, skip)
         lines.append(f"    for w in {'range(size)' if root is None else heads[root]}:")
         lines.append("        t0 = subs[w]")
         lines += body
         lines.append(f"        result = {result}")
-        lines.append(_RECORD.format(side=glob(side, "E")))
+        mark = _SEEN if back is None else _BACK.format(bit=_bit(back, len(sides)))
+        lines.append(_RECORD.format(mark=mark, side=glob(side, "E")))
+    lines.append("    reached[term] = -1")
     lines.append("    return cap_hit")
     return "\n".join(lines) + "\n", glob.names
 
@@ -490,20 +565,17 @@ def _compile(th: Theory) -> tuple[list[tuple], list[tuple], Callable]:
     sides, kept, orbits = [], [], set()
     serial = next(_COMPILES)
     for ai, eq in enumerate(th.axioms):
-        k = eq.context_len
         for direction in (LR, RL):
-            src, dst = _oriented(eq, direction)
-            if len(canonical(src.term)[1]) != k:
+            orbit = _orbit(eq, direction)
+            if orbit is None:
                 continue
             kept.append((ai, direction))
-            # The source mentions every variable of the target, so the pair
-            # reads its variables in the source's first-occurrence order.
-            orbit = canonical(App(_PAIR, (src.term, dst.term)))[0]
             if orbit in orbits:
                 continue
             orbits.add(orbit)
+            src, dst = _oriented(eq, direction)
             root = src.term.sym if isinstance(src.term, App) else None
-            code, names = _side_code(src.term, k, dst.term)
+            code, names = _side_code(src.term, eq.context_len, dst.term)
             exec(compile(code, f"<rewrite side {serial} {ai} {direction}>", "exec"), names)
             sides.append((ai, direction, root, names["side"]))
     code, names = _expand_code(th, sides)
@@ -577,7 +649,8 @@ def successors(
 
     Each result term appears once, paired with its first witnessing step in
     tie-break order; the list order is deterministic.  Nothing counts as
-    reached beforehand, so t itself is listed when a step returns to it.
+    reached beforehand, not even t: it has no back-move bits, and it is
+    listed when a step returns to it.
     """
     if size_cap < term_size(t.term):
         raise ValueError("size cap is smaller than the term itself")
@@ -601,9 +674,12 @@ class Closure:
     still to be expanded, and depth_reached counts the levels completed.
     expanded counts expanded nodes, cap_hit says the size cap pruned a
     result, and budget_hit says the node budget cut a level short (the
-    frontier then stays the one that level was expanding).  reached holds
-    every entry's bare identity, a word or a bare term, so the kernel tests
-    a result before it wraps it.
+    frontier then stays the one that level was expanding).  reached maps
+    every entry's bare identity, a word or a bare term, to its back-move
+    bits, so the kernel tests a result before it wraps it: bit w * K + k,
+    over the relation's K sides, set means side k at w (a walk index or a
+    letter offset) leads back into reached, and the node's expansion skips
+    that move.  An expanded node's value is -1.
     """
 
     start: TermInContext
@@ -613,7 +689,7 @@ class Closure:
     expanded: int = 0
     cap_hit: bool = False
     budget_hit: bool = False
-    reached: set = field(default_factory=set)
+    reached: dict = field(default_factory=dict)
     rebuild: Callable = field(default=_rebuild, repr=False, compare=False)
     steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -632,10 +708,10 @@ class Closure:
         """Expand the frontier by one level; returns the new nodes in order.
 
         expand(t, reached, entries, distance, new) is the one-step relation,
-        recording t's results that reached lacks, and says whether the size
-        cap pruned one.  When expanded reaches node_budget, sets budget_hit
-        and returns the nodes reached so far, keeping the frontier and
-        depth_reached.
+        recording t's results that reached lacks and setting their back-move
+        bits, and says whether the size cap pruned one.  When expanded
+        reaches node_budget, sets budget_hit and returns the nodes reached
+        so far, keeping the frontier and depth_reached.
         """
         new: list = []
         distance = self.depth_reached + 1
@@ -655,7 +731,7 @@ class Closure:
         """A search that has reached only start, whose bare identity is bare;
         rebuild turns an entry's record into its step, the term kernel's by
         default."""
-        return cls(start, {start: (0, None, None, None)}, [start], reached={bare}, rebuild=rebuild)
+        return cls(start, {start: (0, None, None, None)}, [start], reached={bare: 0}, rebuild=rebuild)
 
     def __contains__(self, t: TermInContext) -> bool:
         return t in self.entries

@@ -41,6 +41,7 @@ search holds one size's candidates at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 from .rewrite import (
@@ -596,19 +597,21 @@ def search_flabby(
         # form that repeats a variable is never enumerated, so never looked
         # up.  On an incomplete closure of a symmetric relation, the first
         # two entries with one canonical form other than t's collide; a
-        # complete one that held them would hold a renaming of t too.
+        # complete one that held them would hold a renaming of t too.  The
+        # first entry is t itself, canonical by construction, so the scan
+        # starts after it.
         clear = share and cl.complete
         size = t.term.size
         top = max_size if clear else size
         best = collision = None
         first: dict = {}  # canonical form -> (first entry with it, image tuple)
-        for u in cl.entries:
+        for u in islice(cl.entries, 1, None):
             v = u.term
             if not size <= v.size <= top:
                 continue
             c, images = canonical(v)
             if c is t.term:
-                if v is not t.term and (best is None or images < best[0]):
+                if best is None or images < best[0]:
                     best = (images, u)
             elif clear:
                 cleared[c] = count

@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
-from weakref import KeyedRef
+from typing import Iterator, Mapping, Optional, Sequence
+from weakref import ref
 
 __all__ = [
     "App",
@@ -146,6 +146,18 @@ class Var(_Frozen):
         return f"Var(index={self.index!r})"
 
 
+class _Ref(ref):
+    """A symbol table's weak ref to a node, keyed by the node's args tuple,
+    which the table's callback reads.  Unlike weakref.KeyedRef it has no
+    Python __new__ or __init__: the C constructor makes it and the slot
+    descriptor sets its key."""
+
+    __slots__ = ("key",)
+
+
+_set_key = _Ref.key.__set__
+
+
 class App(_Frozen):
     """An application of a symbol to exactly arity-many argument terms.
 
@@ -176,7 +188,9 @@ class App(_Frozen):
         _set_args(node, args)
         _set_size(node, size)
         _set_max_var(node, top)
-        sym._apps[args] = KeyedRef(node, sym._forget, args)
+        entry = _Ref(node, sym._forget)
+        _set_key(entry, args)
+        sym._apps[args] = entry
         return node
 
     def __reduce__(self):
@@ -191,7 +205,10 @@ _set_args = App.args.__set__
 _set_size = App.size.__set__
 _set_max_var = App.max_var.__set__
 
-Term = Union[Var, App]
+# Not typing.Union, whose cache lives as long as the process: it would hold
+# the classes and, through their methods' globals, every symbol table of
+# this import after a re-import of the package.
+Term = Var | App
 
 
 class TermInContext(_Frozen):
@@ -365,13 +382,19 @@ def canonical(term: Term) -> tuple[Term, tuple[int, ...]]:
     stack = [term]
     while stack:
         t = stack.pop()
-        if t.__class__ is Var:
-            if t.index not in order:
-                order[t.index] = len(order) + 1
-        else:
-            stack.extend(reversed(t.args))
+        # Down the first-argument spine, leaving the other arguments on the
+        # stack; a binary node, the common case, pushes one.
+        while t.__class__ is App and t.args:
+            args = t.args
+            if len(args) == 2:
+                stack.append(args[1])
+            else:
+                stack.extend(reversed(args[1:]))
+            t = args[0]
+        if t.__class__ is Var and t.index not in order:
+            order[t.index] = len(order) + 1
     old = tuple(order)
-    if all(v == new for v, new in order.items()):
+    if old == tuple(range(1, len(old) + 1)):
         return term, old
     renumber = [None] * term.max_var
     for v, new in order.items():

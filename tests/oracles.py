@@ -257,54 +257,60 @@ def random_walk(
     return Derivation(start, tuple(steps), cur)
 
 
+def walk(term: Term) -> tuple[list, list, list]:
+    """term's pre-order walk as three parallel lists: each subterm, its
+    parent's walk index (-1 at the root) and its argument index."""
+    size = term.size
+    subs, ups, ats = [term] * size, [-1] * size, [0] * size
+    for w in range(size):
+        c = w + 1
+        for i, a in enumerate(getattr(subs[w], "args", ())):
+            subs[c], ups[c], ats[c] = a, w, i
+            c += a.size
+    return subs, ups, ats
+
+
+def rebuild_up(subs: list, ups: list, ats: list, w: int, result: Term) -> Term:
+    """The walked term with its subterm at walk index w swapped for result,
+    rebuilt upward along the parent links."""
+    j, i = ups[w], ats[w]
+    while j >= 0:
+        args = subs[j].args
+        result = App(subs[j].sym, args[:i] + (result,) + args[i + 1 :])
+        j, i = ups[j], ats[j]
+    return result
+
+
 def reference_expand(
-    sides: list, size_cap: int, t: TermInContext, reached: set, entries: dict, distance: int, new: list
+    sides: list, size_cap: int, t: TermInContext, reached: dict, entries: dict, distance: int, new: list
 ) -> bool:
     """The successor kernel as a plain loop over a theory's expansion sides,
     to check the generated expansion function against.
 
-    Walks t once in pre-order into three parallel lists, each subterm with
-    its parent's walk index and its argument index, and buckets the subterms
-    by head symbol.  Each side, in order, is called by its standalone
+    Walks t once, and each side, in order, is called by its standalone
     function at each subterm its root symbol heads (everywhere when its root
     is a variable); a match's result is rebuilt upward along the parent
     links.  A result already in reached is skipped; each other one goes into
-    reached, into entries as (distance, t, side, w), and onto new.  Returns
-    whether a result over size_cap occurred.
+    reached, with no back-move bits, into entries as (distance, t, side, w),
+    and onto new.  Returns whether a result over size_cap occurred.
     """
     term, n = t.term, t.context_len
-    size = term.size
-    subs = [term] * size
-    ups = [-1] * size
-    ats = [0] * size
-    by_head: dict = {}
-    for w in range(size):
-        sub = subs[w]
-        if not isinstance(sub, App):
-            continue
-        by_head.setdefault(sub.sym, []).append(w)
-        c = w + 1
-        for i, a in enumerate(sub.args):
-            subs[c], ups[c], ats[c] = a, w, i
-            c += a.size
-    room = size_cap - size
+    subs, ups, ats = walk(term)
+    room = size_cap - term.size
     cap_hit = False
     for side in sides:
         root, match = side[2], side[3]
-        for w in range(size) if root is None else by_head.get(root, ()):
-            got = match(subs[w], room)
+        for w, sub in enumerate(subs):
+            if root is not None and getattr(sub, "sym", None) is not root:
+                continue
+            got = match(sub, room)
             if not got:
                 cap_hit = cap_hit or got is False
                 continue
-            result = got[1]
-            j, i = ups[w], ats[w]
-            while j >= 0:
-                args = subs[j].args
-                result = App(subs[j].sym, args[:i] + (result,) + args[i + 1 :])
-                j, i = ups[j], ats[j]
+            result = rebuild_up(subs, ups, ats, w, got[1])
             if result in reached:
                 continue
-            reached.add(result)
+            reached[result] = 0
             nt = TermInContext(result, n)
             entries[nt] = (distance, t, side, w)
             new.append(nt)

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,9 @@ from rigidlab.reduction import (
     WordDerivation,
     WordProblemInstance,
     WordStep,
+    _word_expand,
+    _word_sides,
+    _word_step,
     chain_to_word,
     compile_reduction,
     flabby_witness,
@@ -29,7 +33,7 @@ from rigidlab.reduction import (
     word_to_term,
     word_to_text,
 )
-from rigidlab.rewrite import EXHAUSTED, FOUND, replay
+from rigidlab.rewrite import EXHAUSTED, FOUND, Closure, replay
 from rigidlab.rigidity import verify_report
 from rigidlab.terms import App, ParseError, TermInContext, Var, render_term
 from rigidlab.theory import validate_linear_regular
@@ -387,3 +391,40 @@ class TestAgreementProperties:
             assert sorted_word_oracle(w1, w2)
         else:
             assert not sorted_word_oracle(w1, w2)
+
+
+class TestBackMoveBits:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(short_words(), short_words()), max_size=3), short_words(), st.integers(1, 30))
+    def test_bits_skip_only_reached_words(self, relations, start, budget):
+        # Grown with back-move bits and without them, the string route gives
+        # one closure: its entries in order with their records, each level's
+        # new list, the flags and reached's keys.  Every bit a word holds
+        # when it is expanded names a side and an offset where its source
+        # matches and gives a word reached already holds.
+        sides = _word_sides(instance(["a", "b"], relations, ((), ())))
+        expand = partial(_word_expand, sides, len(start) + 2)
+
+        def checked(w, reached, *rest):
+            mask = reached[w]
+            assert mask >= 0
+            for b in range(mask.bit_length()):
+                if mask >> b & 1:
+                    offset, k = divmod(b, len(sides))
+                    src, dst = sides[k][2], sides[k][3]
+                    assert w[offset : offset + len(src)] == src
+                    assert w[:offset] + dst + w[offset + len(src) :] in reached
+            return expand(w, reached, *rest)
+
+        def cleared(w, reached, *rest):
+            reached[w] = 0
+            return expand(w, reached, *rest)
+
+        runs = []
+        for fn in (checked, cleared):
+            cl = Closure.of(start, start, _word_step)
+            levels = [cl.grow(fn, budget) for _ in range(4)]
+            runs.append(
+                (levels, list(cl.entries.items()), cl.cap_hit, cl.budget_hit, cl.expanded, list(cl.reached))
+            )
+        assert runs[0] == runs[1]

@@ -22,7 +22,9 @@ from oracles import (
     naive_successors,
     random_term,
     random_walk,
+    rebuild_up,
     reference_expand,
+    walk,
 )
 from rigidlab.reduction import WordDerivation, WordOutcome, WordStep, _word_step, instance, word_bfs
 from rigidlab.rewrite import (
@@ -435,8 +437,9 @@ class TestDerivationsOnDemand:
 
 
 def reached_matches_entries(cl):
-    """A term record's set of bare terms is exactly its entries' terms."""
-    return cl.reached == {u.term for u in cl.entries} and len(cl.reached) == len(cl.entries)
+    """A term record's reached keys are exactly its entries' bare terms, in
+    the same order."""
+    return list(cl.reached) == [u.term for u in cl.entries]
 
 
 class TestReachedSet:
@@ -585,16 +588,18 @@ class TestSuccessorKernel:
 
     def test_ac_closure_result_count(self):
         # comm R->L renames comm L->R, so each expanded term of the AC left
-        # comb builds 7 result terms at n = 5, not 11.  The expansion
-        # function tests each result it builds against the reached set once,
-        # so a set that counts its membership tests counts the results; it
-        # is this test's own closure record.
-        class Counted(set):
+        # comb has 7 moves at n = 5, not 11.  Every move has an inverse,
+        # and back-move bits build each edge once, from the end expanded
+        # first: 5,880 results, half the 11,760 moves.  The expansion
+        # function reads each expanded term's bits once and looks up each
+        # result it builds once, so a dict that counts its get calls counts
+        # the results and the expanded terms; it is this test's own record.
+        class Counted(dict):
             tests = 0
 
-            def __contains__(self, item):
+            def get(self, *args):
                 self.tests += 1
-                return super().__contains__(item)
+                return super().get(*args)
 
         ac = parse_theory(
             "symbol m 2\naxiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\naxiom [2] m(x1,x2) = m(x2,x1)\n"
@@ -606,7 +611,7 @@ class TestSuccessorKernel:
         while close.frontier:
             close.grow(expand, DEFAULT_NODE_BUDGET)
         assert close.complete and len(close.entries) == 1680
-        assert (close.expanded, built.tests) == (1680, 11760)
+        assert (close.expanded, built.tests - close.expanded) == (1680, 5880)
 
     def test_deep_term(self):
         # Matches at every depth of a 300-deep term, the deepest at its
@@ -650,13 +655,54 @@ class TestSuccessorKernel:
         sides, _, _, expand = rewrite._kernel(th)
         runs = []
         for fn in (partial(expand, cap), partial(reference_expand, sides, cap)):
-            reached, entries, frontier, log = {t.term}, {}, [t], []
+            reached, entries, frontier, log = {t.term: 0}, {}, [t], []
             for distance in (1, 2):
                 new = []
                 log.append([fn(u, reached, entries, distance, new) for u in frontier])
                 log.append(new)
                 frontier = new
-            runs.append((log, list(entries.items()), reached))
+            runs.append((log, list(entries.items()), list(reached)))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_case(), st.integers(1, 40))
+    def test_back_move_bits_skip_only_reached_results(self, case, budget):
+        # Grown with back-move bits and without them, the generated kernel
+        # gives one closure: its entries in order with their records, each
+        # level's new list, the flags and reached's keys.  Without bits,
+        # each term's value is cleared before it is expanded, so nothing is
+        # skipped.  Every bit a term holds when it is expanded names a move,
+        # side k at walk index w, whose standalone function matches there
+        # within the cap and gives a term reached already holds.
+        th, t, cap = case
+        sides, _, _, expand = rewrite._kernel(th)
+        expand = partial(expand, cap)
+
+        def checked(u, reached, *rest):
+            mask = reached[u.term]
+            assert mask >= 0
+            subs, ups, ats = walk(u.term)
+            for b in range(mask.bit_length()):
+                if mask >> b & 1:
+                    w, k = divmod(b, len(sides))
+                    got = sides[k][3](subs[w], cap - u.term.size)
+                    assert got and rebuild_up(subs, ups, ats, w, got[1]) in reached
+            return expand(u, reached, *rest)
+
+        def cleared(u, reached, *rest):
+            reached[u.term] = 0
+            return expand(u, reached, *rest)
+
+        runs = []
+        for fn in (checked, cleared):
+            cl = Closure.of(t, t.term)
+            levels = [cl.grow(fn, budget) for _ in range(4)]
+            runs.append(
+                (levels, list(cl.entries.items()), cl.cap_hit, cl.budget_hit, cl.expanded, list(cl.reached))
+            )
+            # Terms are expanded in entry order, and an expanded one holds -1.
+            values = list(cl.reached.values())
+            assert values[: cl.expanded] == [-1] * cl.expanded and min(values[cl.expanded :], default=0) >= 0
         assert runs[0] == runs[1]
 
     @settings(max_examples=150, deadline=None)
