@@ -38,17 +38,15 @@ class and symbol identity checks, an identity check for a repeated
 variable, the step's size change as one sum checked against the cap before
 building, and one table lookup per symbol node of the result, with an App
 call only on a miss.  After each block the result is rebuilt upward along
-the parent links the same way, one table lookup per ancestor.  The same
-generator also compiles each side alone into a function that matches one
-subterm and returns the bindings with the result; Closure.step calls
-those.  Generated code is the package's only matcher.  Terms are
-hash-consed, so that bare term is the result's identity: each term record
-maps the bare terms it has reached to their back-move bits, and a result
-already in it costs nothing more; most results are such repeats, so they
-never call App at all.  A set bit names a move, a side at a walk index,
-that leads back into the record: a result u -> v sets on v the bit of the
-inverse side at the same walk index, which gives back u, and v's expansion
-skips that move once its source has matched, before anything is built.
+the parent links the same way, one table lookup per ancestor.  The
+expansion function is the only code generated.  Terms are hash-consed, so
+that bare term is the result's identity: each term record maps the bare
+terms it has reached to their back-move bits, and a result already in it
+costs nothing more; most results are such repeats, so they never call App
+at all.  A set bit names a move, a side at a walk index, that leads back
+into the record: a result u -> v sets on v the bit of the inverse side at
+the same walk index, which gives back u, and v's expansion skips that move
+once its source has matched, before anything is built.
 On a relation with inverse moves each edge is so built once, from the end
 expanded first, as frontier search does (Korf, Zhang, Thayer & Hohwald,
 "Frontier search", JACM 2005).  Only a result new to the search gets its
@@ -56,13 +54,15 @@ TermInContext and an entry, which records its parent, the side that
 reached it and that side's walk index in the parent; no position,
 substitution or RewriteStep is built while the search runs.  One parent
 walk turns a record's entries into the steps of a derivation when it is
-read.  Closure.step rebuilds a step once from its entry: it calls that one
-side's function at that one subterm of the parent, requires the result to
-be the entry's subterm there (an internal error otherwise), and keeps the
-step.  So the rebuilt step is the one the search first found.
-apply_step, and so replay, never runs generated code and never trusts the
-kernel: it substitutes a step's terms into the axiom's sides, compares, and
-swaps the result in with replace_at.
+read.  Closure.step rebuilds a step once from its entry: at that one
+subterm of the parent it reads the binding by walking that side's source
+against the parent's subterm and its target against the entry's subterm
+together, checking identity all along (an internal error on a mismatch),
+and keeps the step.  So the rebuilt step is the one the search first
+found, and reading a derivation runs no generated code.  apply_step, and so
+replay, never runs generated code either and never trusts the kernel: it
+substitutes a step's terms into the axiom's sides, compares, and swaps the
+result in with replace_at.
 
 Outcomes distinguish three cases: a derivation was found; the search was
 exhausted, which always certifies non-provability; or a bound cut the
@@ -263,42 +263,32 @@ class _Globals:
         return g
 
 
-def _side_lines(
-    src: Term, k: int, dst: Term, glob: _Globals, inline: bool, skip: str = ""
-) -> tuple[list, list, str]:
-    """The straight-line code of one expansion side: its lines, the locals
-    holding the bindings, and the expression of its result.
+def _side_lines(src: Term, k: int, dst: Term, glob: _Globals, skip: str = "") -> tuple[list, str]:
+    """The straight-line block of one expansion side in the expansion
+    function's loop over walk indices: its lines, and the expression of its
+    result.
 
     The lines match src, in a context of length k, against the subterm in
-    the local t0, give up when it does not match or when the step would grow
-    the term by more than the local room, and otherwise leave dst under the
-    bindings in the result's expression; binding[i-1] holds variable i.
-    They are a class and symbol identity check and a tuple unpacking per
-    symbol node of src, an identity check for a ground subterm or a
-    repeated variable (terms are hash-consed), the size change as one sum of
-    the bindings' sizes, and one node per symbol node of dst, innermost
-    first, so no expression nests however deep the side.  A node is one
-    table lookup: its args tuple is looked up in its symbol's table of
-    nodes, and App is called only on a miss or a dead weak ref, so App stays
-    the one place a node is made.  The size check is left out when the step
-    cannot grow the term, since only terms within the cap are expanded, so
-    room is never negative.  Symbols, their tables of nodes and ground
-    subterms enter only as glob's globals, S<n>, A<n> and K<n>, and locals
-    are numbered, so no symbol name or other input text is ever part of the
-    source.
-
-    Standalone, the lines are a function body: they return None on no match
-    and False over the cap.  Inline, they are a block in the expansion
-    function's loop over walk indices: they continue on no match, set cap_hit
-    and continue over the cap, and leave out t0's root check, since the loop
-    runs only where src's root symbol heads t0.  A skip condition, when
-    given, is tested once src has matched, before the size check: the block
-    continues when it holds.
+    the local t0, continue when it does not match, set cap_hit and continue
+    when the step would grow the term by more than the local room, and
+    otherwise leave dst under the bindings in the result's expression.  They
+    are a class and symbol identity check and a tuple unpacking per symbol
+    node of src, an identity check for a ground subterm or a repeated
+    variable (terms are hash-consed), the size change as one sum of the
+    bindings' sizes, and one node per symbol node of dst, innermost first,
+    so no expression nests however deep the side.  src's root check is left
+    out, since the loop runs only where src's root symbol heads t0.  A node
+    is one table lookup: its args tuple is looked up in its symbol's table
+    of nodes, and App is called only on a miss or a dead weak ref, so App
+    stays the one place a node is made.  The size check is left out when the
+    step cannot grow the term, since only terms within the cap are expanded,
+    so room is never negative.  A skip condition, when given, is tested once
+    src has matched, before the size check: the block continues when it
+    holds.  Symbols, their tables of nodes and ground subterms enter only as
+    glob's globals, S<n>, A<n> and K<n>, and locals are numbered, so no
+    symbol name or other input text is ever part of the source.
     """
-    if inline:
-        pad, fail, over = " " * 8, "continue", "cap_hit = True; continue"
-    else:
-        pad, fail, over = " " * 4, "return None", "return False"
+    pad = " " * 8
     lines: list = []
     builds: list = []  # run after the size check
     fresh = count(1)
@@ -312,13 +302,13 @@ def _side_lines(
             if at[i] is None:
                 at[i] = here
             else:
-                lines.append(f"{pad}if {here} is not {at[i]}: {fail}")
+                lines.append(f"{pad}if {here} is not {at[i]}: continue")
         elif not p.max_var:
-            lines.append(f"{pad}if {here} is not {glob(p, 'K')}: {fail}")
+            lines.append(f"{pad}if {here} is not {glob(p, 'K')}: continue")
         else:
             sym = glob(p.sym, "S")
-            if not (inline and p is src):
-                lines.append(f"{pad}if {here}.__class__ is not App or {here}.sym is not {sym}: {fail}")
+            if p is not src:
+                lines.append(f"{pad}if {here}.__class__ is not App or {here}.sym is not {sym}: continue")
             kids = [f"t{next(fresh)}" for _ in p.args]
             lines.append(f"{pad}{_tuple(kids)} = {here}.args")
             for q, kid in zip(p.args, kids):
@@ -341,7 +331,7 @@ def _side_lines(
 
     match(src, "t0")
     if skip:
-        lines.append(f"{pad}if {skip}: {fail}")
+        lines.append(f"{pad}if {skip}: continue")
     result = build(dst)
     fixed = dst.size - src.size - sum(grow)  # symbol nodes gained
     if fixed > 0 or max(grow, default=0) > 0:
@@ -349,25 +339,8 @@ def _side_lines(
         for i, c in enumerate(grow):
             if c:
                 terms.append(f"{at[i]}.size" if c == 1 else f"{c} * {at[i]}.size")
-        lines.append(f"{pad}if {' + '.join(terms)} > room: {over}")
-    return lines + builds, at, result
-
-
-def _side_code(src: Term, k: int, dst: Term) -> tuple[str, dict]:
-    """The source of the standalone function for one expansion side, and
-    the globals it names.
-
-    side(t0, room) runs _side_lines on the subterm t0.  It returns None when
-    src does not match; False when the step would grow the term by more than
-    room; and otherwise (bound, result), where bound[i-1] is the binding of
-    variable i and result is dst under bound.  Closure.step's rebuild calls
-    it; expansion runs the same lines inlined in the theory's expansion
-    function (_expand_code).
-    """
-    glob = _Globals()
-    body, at, result = _side_lines(src, k, dst, glob, False)
-    lines = ["def side(t0, room):", *body, f"    return {_tuple(at)}, {result}"]
-    return "\n".join(lines) + "\n", glob.names
+        lines.append(f"{pad}if {' + '.join(terms)} > room: cap_hit = True; continue")
+    return lines + builds, result
 
 
 # The expansion function's walk: subs[w] is the w-th subterm of t in
@@ -460,19 +433,18 @@ def _bit(k: int, count: int) -> str:
     return f"w * {count}" + (f" + {k}" if k else "")
 
 
-def _orbit(eq: Equation, direction: str):
-    """The renaming orbit key of eq's orientation in direction: its (source,
-    target) pair with variables renumbered in first-occurrence order; None
-    when the orientation is not kept, its source not binding the whole
-    context.  A kept source mentions every variable of the target, so the
-    pair reads its variables in the source's first-occurrence order."""
-    src, dst = _oriented(eq, direction)
-    if len(canonical(src.term)[1]) != eq.context_len:
+def _orbit(src: TermInContext, dst: TermInContext):
+    """The renaming orbit key of the orientation src -> dst: the pair with
+    variables renumbered in first-occurrence order; None when the
+    orientation is not kept, src not binding the whole context.  A kept
+    source mentions every variable of the target, so the pair reads its
+    variables in the source's first-occurrence order."""
+    if len(canonical(src.term)[1]) != src.context_len:
         return None
     return canonical(App(_PAIR, (src.term, dst.term)))[0]
 
 
-def _inverses(th: Theory, sides: list) -> list:
+def _inverses(sides: list) -> list:
     """For each expansion side k, the index of its inverse side, or None.
 
     The inverse of k is the side whose orbit key is that of k's flipped
@@ -480,12 +452,13 @@ def _inverses(th: Theory, sides: list) -> list:
     none.  A step by side k at walk index w leaves w's walk index as it is,
     and the inverse at w gives back exactly the term the step started from.
     """
-    index = {_orbit(th.axioms[ai], d): k for k, (ai, d, _, _) in enumerate(sides)}
-    return [index.get(_orbit(th.axioms[ai], RL if d == LR else LR)) for ai, d, _, _ in sides]
+    index = {_orbit(*side[3]): k for k, side in enumerate(sides)}
+    return [index.get(_orbit(dst, src)) for _, _, _, (src, dst) in sides]
 
 
-def _expand_code(th: Theory, sides: list) -> tuple[str, dict]:
-    """The source of th's expansion function, and the globals it names.
+def _expand_code(sides: list) -> tuple[str, dict]:
+    """The source of the expansion function over sides, a theory's
+    expansion sides as _compile lists them, and the globals it names.
 
     expand(size_cap, t, reached, entries, distance, new) is the successor
     kernel: it records t's one-step rewrites that reached lacks, and says
@@ -524,14 +497,12 @@ def _expand_code(th: Theory, sides: list) -> tuple[str, dict]:
         "def expand(size_cap, t, reached, entries, distance, new):",
         _WALK.format(lists=lists, buckets="\n".join(buckets)),
     ]
-    for k, (side, back) in enumerate(zip(sides, _inverses(th, sides))):
-        ai, direction, root, _ = side
-        eq = th.axioms[ai]
-        src, dst = _oriented(eq, direction)
+    for k, (side, back) in enumerate(zip(sides, _inverses(sides))):
+        _, _, root, (src, dst) = side
         # Only a side with an inverse is some side's inverse, so only its
         # bits are ever set.
         skip = "" if back is None else f"mask >> {_bit(k, len(sides))} & 1"
-        body, _, result = _side_lines(src.term, eq.context_len, dst.term, glob, True, skip)
+        body, result = _side_lines(src.term, src.context_len, dst.term, glob, skip)
         lines.append(f"    for w in {'range(size)' if root is None else heads[root]}:")
         lines.append("        t0 = subs[w]")
         lines += body
@@ -554,32 +525,29 @@ def _compile(th: Theory) -> tuple[list[tuple], list[tuple], Callable]:
     first-occurrence order, equals an earlier one's rewrites every position
     to the result the earlier one already gave, so it is left out (comm R->L
     repeats comm L->R).  Each side is (axiom index, direction, the source's
-    root symbol or None, the side's standalone function), and each kept
-    orientation is (axiom index, direction).  The side functions, from
-    _side_code, and the expansion function, from _expand_code, which inlines
-    the same sides' lines, are generated here, so once per theory.  Their
-    file names carry the compile's serial number, as in <rewrite expand 3>,
-    so a profile keeps each theory's functions apart; no symbol name or
-    other input text is part of them.
+    root symbol or None, the oriented (source, target) pair), and each kept
+    orientation is (axiom index, direction).  The expansion function, from
+    _expand_code, is the only code generated, once per theory: one code
+    object, compiled and run once.  Its file name carries the compile's
+    serial number, as in <rewrite expand 3>, so a profile keeps each
+    theory's function apart; no symbol name or other input text is part of
+    it.
     """
     sides, kept, orbits = [], [], set()
-    serial = next(_COMPILES)
     for ai, eq in enumerate(th.axioms):
         for direction in (LR, RL):
-            orbit = _orbit(eq, direction)
+            src, dst = _oriented(eq, direction)
+            orbit = _orbit(src, dst)
             if orbit is None:
                 continue
             kept.append((ai, direction))
             if orbit in orbits:
                 continue
             orbits.add(orbit)
-            src, dst = _oriented(eq, direction)
             root = src.term.sym if isinstance(src.term, App) else None
-            code, names = _side_code(src.term, eq.context_len, dst.term)
-            exec(compile(code, f"<rewrite side {serial} {ai} {direction}>", "exec"), names)
-            sides.append((ai, direction, root, names["side"]))
-    code, names = _expand_code(th, sides)
-    exec(compile(code, f"<rewrite expand {serial}>", "exec"), names)
+            sides.append((ai, direction, root, (src, dst)))
+    code, names = _expand_code(sides)
+    exec(compile(code, f"<rewrite expand {next(_COMPILES)}>", "exec"), names)
     return sides, kept, names["expand"]
 
 
@@ -589,11 +557,13 @@ def _kernel(th: Theory) -> tuple[list[tuple], bool, frozenset, Callable]:
     function.
 
     The expansion function is the successor kernel every term search grows
-    by; the side functions serve Closure.step's rebuild.  The one-way flag
-    and the kept set cover every kept orientation, also those the expansion
-    sides leave out as renamings, so apply_step and replay accept a step in
-    either.  Computed on first use and kept on th, the way Theory keeps its symbol table; a Theory is
-    frozen, so the result never goes stale.
+    by; Closure.step's rebuild reads the sides' (source, target) pairs and
+    runs no generated code.  The one-way flag and the kept set cover every
+    kept orientation, also those the expansion sides leave out as renamings,
+    so apply_step and replay accept a step in either.  Computed on first use
+    and kept on th, the way Theory keeps its symbol table; a Theory is
+    frozen, so the result never goes stale, and a copy or a pickle of th
+    leaves it behind.
     """
     kernel = getattr(th, "_kernel", None)
     if kernel is None:
@@ -609,9 +579,11 @@ def _rebuild(parent: TermInContext, child: TermInContext, side: tuple, w: int) -
     at walk index w gives child.
 
     Descends parent and child together to w, checking at each level that
-    they agree off the path, then calls side's standalone function there and
-    requires its result to be child's subterm, by identity.  Any mismatch is
-    an internal error, never a step that does not join the two.
+    they agree off the path.  There it reads one binding in one walk of
+    side's source against parent's subterm and side's target against
+    child's: symbol identity at each symbol node, identity at each repeated
+    variable (terms are hash-consed).  Any mismatch is an internal error,
+    never a step that does not join the two.
     """
     p, c = parent.term, child.term
     position = []
@@ -632,10 +604,25 @@ def _rebuild(parent: TermInContext, child: TermInContext, side: tuple, w: int) -
         position.append(i)
         p, c = pa[i], ca[i]
     else:  # the descent reached w
-        got = side[3](p, c.size - p.size)
-        if got and got[1] is c:
+        ai, direction, _, (src, dst) = side
+        bound = [None] * src.context_len
+        todo = [(dst.term, c), (src.term, p)]
+        while todo:
+            q, u = todo.pop()
+            if q.__class__ is Var:
+                if bound[q.index - 1] is None:
+                    bound[q.index - 1] = u
+                elif bound[q.index - 1] is not u:
+                    break
+            elif u.__class__ is not App or u.sym is not q.sym:
+                break
+            elif len(q.args) == 1:  # no zip: most symbols of compiled theories are unary
+                todo.append((q.args[0], u.args[0]))
+            else:
+                todo += zip(q.args, u.args)
+        else:
             n = parent.context_len
-            return RewriteStep(side[0], side[1], position, [TermInContext(s, n) for s in got[0]])
+            return RewriteStep(ai, direction, position, [TermInContext(s, n) for s in bound])
     raise RuntimeError(
         f"internal error: the closure entry {render_term(child.term)} does not "
         f"record a step from {render_term(parent.term)}"
@@ -670,8 +657,10 @@ class Closure:
     is (0, None, None, None).  No step is built while the search runs:
     step(t) builds the one an entry records, by rebuild(parent, t, side, at),
     when a derivation is read, and keeps it, so derivations that share a
-    prefix share its step objects.  frontier holds the nodes of the last level reached,
-    still to be expanded, and depth_reached counts the levels completed.
+    prefix share its step objects.  The term kernel's rebuild reads the
+    side's (source, target) pair against parent and t and runs no generated
+    code.  frontier holds the nodes of the last level reached, still to be
+    expanded, and depth_reached counts the levels completed.
     expanded counts expanded nodes, cap_hit says the size cap pruned a
     result, and budget_hit says the node budget cut a level short (the
     frontier then stays the one that level was expanding).  reached maps

@@ -54,7 +54,6 @@ from .rewrite import (
     FOUND,
     RewriteStep,
     _kernel,
-    _oriented,
     bounded_closure,
     derivation_to_doc,
     flip_step,
@@ -409,7 +408,7 @@ def _enumeration(th: Theory, max_context: int, skip_inert: bool) -> _Enumeration
     sources of th's expansion sides, or from a variable source, which
     matches every node, when inert terms must run their closures too."""
     if skip_inert:
-        sources = [_oriented(th.axioms[ai], direction)[0].term for ai, direction, _, _ in _kernel(th)[0]]
+        sources = [src.term for _, _, _, (src, _) in _kernel(th)[0]]
     else:
         sources = [Var(1)]
     return _Enumeration(th, max_context, _Automaton(sources))

@@ -68,10 +68,12 @@ def _check_signature_terms(term: Term, by_name: dict) -> None:
 class Theory:
     """An ordered signature and an ordered, 0-indexed list of axioms.
 
-    The rewrite engine keeps the theory's compiled sides on the object, as
-    _kernel, computed on first use: each expansion side becomes one
-    generated Python function, once per theory.  Replay never runs
-    generated code.
+    The rewrite engine keeps the theory's compiled kernel on the object, as
+    _kernel, computed on first use: its expansion sides and the one
+    generated Python function that expands a term by all of them, once per
+    theory.  Replay and reading a derivation never run generated code.  A
+    copy or a pickle carries only the signature and the axioms, so it
+    compiles its own kernel on first use.
     """
 
     signature: tuple
@@ -89,6 +91,9 @@ class Theory:
             _check_signature_terms(eq.lhs.term, by_name)
             _check_signature_terms(eq.rhs.term, by_name)
         object.__setattr__(self, "_by_name", by_name)
+
+    def __reduce__(self):
+        return Theory, (self.signature, self.axioms)
 
     def symbol(self, name: str) -> Symbol:
         sym = self._by_name.get(name)

@@ -287,27 +287,29 @@ def reference_expand(
     """The successor kernel as a plain loop over a theory's expansion sides,
     to check the generated expansion function against.
 
-    Walks t once, and each side, in order, is called by its standalone
-    function at each subterm its root symbol heads (everywhere when its root
-    is a variable); a match's result is rebuilt upward along the parent
-    links.  A result already in reached is skipped; each other one goes into
-    reached, with no back-move bits, into entries as (distance, t, side, w),
-    and onto new.  Returns whether a result over size_cap occurred.
+    Walks t once, and each side, in order, is tried by naive_match at each
+    subterm: its (source, target) pair is side[3].  A match's result is
+    instantiated, measured with naive_size, and rebuilt upward along the
+    parent links.  A result already in reached is skipped; each other one
+    goes into reached, with no back-move bits, into entries as (distance, t,
+    side, w), and onto new.  Returns whether a result over size_cap
+    occurred.
     """
     term, n = t.term, t.context_len
     subs, ups, ats = walk(term)
-    room = size_cap - term.size
+    room = size_cap - naive_size(term)
     cap_hit = False
     for side in sides:
-        root, match = side[2], side[3]
+        src, dst = side[3]
         for w, sub in enumerate(subs):
-            if root is not None and getattr(sub, "sym", None) is not root:
+            binding = naive_match(src.term, sub)
+            if binding is None:
                 continue
-            got = match(sub, room)
-            if not got:
-                cap_hit = cap_hit or got is False
+            got = naive_instantiate(dst.term, binding)
+            if naive_size(got) - naive_size(sub) > room:
+                cap_hit = True
                 continue
-            result = rebuild_up(subs, ups, ats, w, got[1])
+            result = rebuild_up(subs, ups, ats, w, got)
             if result in reached:
                 continue
             reached[result] = 0

@@ -9,9 +9,7 @@ from rigidlab.interp import extend
 from rigidlab.normalizer import (
     HAT_FOUND,
     NO,
-    UNKNOWN,
     YES,
-    HatResult,
     OracleAnswer,
     OracleInconsistencyError,
     WordOracle,
@@ -26,7 +24,6 @@ from rigidlab.reduction import (
     instance,
     seed_interpretation,
     seed_theory,
-    word_bfs,
 )
 from rigidlab.rewrite import LR, Derivation, RewriteStep, apply_step
 from rigidlab.rigidity import enumerate_linear_regular

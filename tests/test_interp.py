@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -214,6 +216,16 @@ class TestProbe:
         got = probe_conservativity(i, term_size_bound=5, depth=6)
         want = pair_loop_probe(i, term_size_bound=5, depth=6)
         assert got.to_doc() == want.to_doc()
+
+    def test_searched_interpretation_copies_and_pickles(self):
+        # A searched theory keeps its compiled kernel, which holds generated
+        # code; a copy or a pickle carries only the signature and the axioms
+        # and compiles its own kernel on first use.
+        i = seed_interpretation(COMMUTES)
+        want = probe_conservativity(i, term_size_bound=3, depth=6).to_doc()
+        for other in (pickle.loads(pickle.dumps(i)), copy.deepcopy(i)):
+            assert other == i
+            assert probe_conservativity(other, term_size_bound=3, depth=6).to_doc() == want
 
     def test_cut_target_closures_are_reported(self):
         report = probe_conservativity(seed_interpretation(FREE), term_size_bound=3, depth=1)

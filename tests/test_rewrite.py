@@ -3,7 +3,6 @@ import random
 import re
 import sys
 from functools import partial
-from weakref import KeyedRef
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +14,6 @@ from oracles import (
     naive_instantiate,
     naive_match,
     naive_one_step,
-    naive_positions,
-    naive_replace,
     naive_shortest,
     naive_size,
     naive_successors,
@@ -56,6 +53,7 @@ from rigidlab.rewrite import (
 from rigidlab.terms import (
     App,
     Symbol,
+    _Ref,
     TermInContext,
     Var,
     parse_term,
@@ -427,6 +425,47 @@ class TestDerivationsOnDemand:
         with pytest.raises(RuntimeError, match="internal error"):
             close.step(t)
 
+    @pytest.mark.parametrize(
+        "text, start, entries, sides",
+        [
+            (
+                "symbol u 1\nsymbol m 2\n"
+                "axiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\naxiom [2] m(x1,x2) = m(x2,x1)\n",
+                "u(m(m(x1,x2),x3))",
+                12,
+                3,
+            ),
+            ("symbol l 2\nsymbol r 2\nsymbol m 2\naxiom [2] l(x1,x2) = r(x2,x1)\n", "m(l(x1,x2),l(x3,x4))", 4, 2),
+        ],
+        ids=["assoc-comm", "seed"],
+    )
+    def test_forged_records_are_internal_errors(self, text, start, entries, sides):
+        # Every entry of the closure in turn gets forged records: its walk
+        # index plus one, each other side, each other entry as parent.  No
+        # such record joins its parent to the entry here, so each raises,
+        # and the entry's true record still rebuilds its step afterwards.
+        # In the seed theory a forged side has the true side's shape with
+        # other symbols.
+        th = parse_theory(text)
+        term = parse_term(start, th.symbols_by_name())
+        close = bounded_closure(th, tic(term, term.max_var), 10)
+        kernel_sides = rewrite._kernel(th)[0]
+        assert close.complete and len(close.entries) == entries and len(kernel_sides) == sides
+        for t in list(close.entries)[1:]:
+            d, parent, side, w = record = close.entries[t]
+            forged = [(d, parent, side, w + 1)]
+            forged += [(d, parent, other, w) for other in kernel_sides if other is not side]
+            forged += [(d, other, side, w) for other in close.entries if other not in (parent, t)]
+            assert len(forged) == sides + entries - 2
+            for entry in forged:
+                close.entries[t] = entry
+                close.steps.clear()
+                with pytest.raises(RuntimeError, match="internal error"):
+                    close.step(t)
+            close.entries[t] = record
+            close.steps.clear()
+            assert apply_step(parent, th, close.step(t)) == t
+
     def test_corrupted_word_record_is_an_internal_error(self):
         side = (0, LR, ("a", "b"), ("b", "a"))
         assert _word_step(("a", "a", "b"), ("a", "b", "a"), side, 1) == WordStep(0, LR, 1)
@@ -647,10 +686,11 @@ class TestSuccessorKernel:
     @settings(max_examples=150, deadline=None)
     @given(kernel_case())
     def test_expansion_function_matches_reference(self, case):
-        # The generated expansion function and the plain loop over the
-        # standalone sides record the same new results in the same order,
-        # the same entries and the same cap flags.  Two levels are grown, so
-        # the second runs against a reached set the first one filled.
+        # The generated expansion function and the plain loop that matches
+        # each side with the naive matcher record the same new results in
+        # the same order, the same entries and the same cap flags.  Two
+        # levels are grown, so the second runs against a reached set the
+        # first one filled.
         th, t, cap = case
         sides, _, _, expand = rewrite._kernel(th)
         runs = []
@@ -672,8 +712,8 @@ class TestSuccessorKernel:
         # level's new list, the flags and reached's keys.  Without bits,
         # each term's value is cleared before it is expanded, so nothing is
         # skipped.  Every bit a term holds when it is expanded names a move,
-        # side k at walk index w, whose standalone function matches there
-        # within the cap and gives a term reached already holds.
+        # side k at walk index w, whose source the naive matcher matches
+        # there, within the cap, giving a term reached already holds.
         th, t, cap = case
         sides, _, _, expand = rewrite._kernel(th)
         expand = partial(expand, cap)
@@ -685,8 +725,12 @@ class TestSuccessorKernel:
             for b in range(mask.bit_length()):
                 if mask >> b & 1:
                     w, k = divmod(b, len(sides))
-                    got = sides[k][3](subs[w], cap - u.term.size)
-                    assert got and rebuild_up(subs, ups, ats, w, got[1]) in reached
+                    src, dst = sides[k][3]
+                    binding = naive_match(src.term, subs[w])
+                    assert binding is not None
+                    got = naive_instantiate(dst.term, binding)
+                    assert naive_size(got) - naive_size(subs[w]) <= cap - naive_size(u.term)
+                    assert rebuild_up(subs, ups, ats, w, got) in reached
             return expand(u, reached, *rest)
 
         def cleared(u, reached, *rest):
@@ -705,43 +749,18 @@ class TestSuccessorKernel:
             assert values[: cl.expanded] == [-1] * cl.expanded and min(values[cl.expanded :], default=0) >= 0
         assert runs[0] == runs[1]
 
-    @settings(max_examples=150, deadline=None)
-    @given(kernel_case())
-    def test_generated_sides_agree_with_naive_match(self, case):
-        # At every position, each expansion side's generated function binds
-        # what the oracle's matcher binds, and reports a cap hit exactly when
-        # the rewritten term is over the cap.  Every expansion side binds its
-        # whole context, so a match binds every variable.
-        th, t, cap = case
-        room = cap - term_size(t.term)
-        for ai, direction, _, side in rewrite._kernel(th)[0]:
-            eq = th.axioms[ai]
-            src, dst = (eq.lhs, eq.rhs) if direction == LR else (eq.rhs, eq.lhs)
-            for pos, s in naive_positions(t.term):
-                got = side(s, room)
-                binding = naive_match(src.term, s)
-                if binding is None:
-                    assert got is None
-                    continue
-                assert set(binding) == set(range(1, eq.context_len + 1))
-                bound = tuple(binding[i] for i in range(1, eq.context_len + 1))
-                result = naive_instantiate(dst.term, binding)
-                if naive_size(naive_replace(t.term, pos, result)) > cap:
-                    assert got is False
-                else:
-                    assert got == (bound, result)
-
     def test_deep_sides(self):
         # Generated code nests no expression, so a side deeper than Python's
-        # parser would accept as one nested expression compiles, both as its
-        # standalone function and as its block in the expansion function,
-        # whose lines are indented at most four levels however deep the side.
+        # parser would accept as one nested expression compiles as its block
+        # in the expansion function, whose lines are indented at most four
+        # levels however deep the side.  Reading the closure's derivation
+        # rebuilds a step across the whole depth of the side.
         n = 300
         a, b = ("a(" * n + "x1" + ")" * n, "b(" * n + "x1" + ")" * n)
         th = parse_theory(f"symbol a 1\nsymbol b 1\naxiom [1] {a} = {b}\n")
         symbols = th.symbols_by_name()
         start, other = tic(parse_term(a, symbols), 1), tic(parse_term(b, symbols), 1)
-        code = rewrite._expand_code(th, rewrite._kernel(th)[0])[0]
+        code = rewrite._expand_code(rewrite._kernel(th)[0])[0]
         assert max(len(line) - len(line.lstrip()) for line in code.splitlines()) <= 16
         assert code.count("\n        t0 = subs[w]\n") == 2
         close = bounded_closure(th, start, 3)
@@ -751,8 +770,8 @@ class TestSuccessorKernel:
     def test_hostile_symbol_names(self):
         # Symbol names that are Python keywords, builtins or names the
         # generated code uses never reach its source: renaming every symbol
-        # leaves every side's source and the expansion function's source
-        # unchanged, and the kernel still agrees with the oracle.
+        # leaves the expansion function's source unchanged, and the kernel
+        # still agrees with the oracle.
         text = (
             "symbol {0} 0\nsymbol {1} 2\nsymbol {2} 1\nsymbol {3} 2\nsymbol {4} 1\nsymbol {5} 3\n"
             "axiom [1] {1}(x1,x1) = {2}(x1)\n"
@@ -763,22 +782,11 @@ class TestSuccessorKernel:
         )
         th = parse_theory(text.format("None", "return", "lambda", "App", "t1", "room"))
         plain = parse_theory(text.format("c", "p", "u", "m", "v", "f"))
-
-        def sources(th):
-            return [
-                rewrite._side_code(a.term, eq.context_len, b.term)[0]
-                for eq in th.axioms
-                for a, b in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs))
-            ]
-
-        assert sources(th) == sources(plain)
-        expand_code = [rewrite._expand_code(u, rewrite._kernel(u)[0])[0] for u in (th, plain)]
+        expand_code = [rewrite._expand_code(rewrite._kernel(u)[0])[0] for u in (th, plain)]
         assert expand_code[0] == expand_code[1]
-        # Nor do they reach the generated code's file names.
-        sides, _, _, expand = rewrite._kernel(th)
+        # Nor do they reach the generated code's file name.
+        expand = rewrite._kernel(th)[3]
         assert re.fullmatch(r"<rewrite expand \d+>", expand.__code__.co_filename)
-        for side in sides:
-            assert re.fullmatch(r"<rewrite side \d+ \d+ (LR|RL)>", side[3].__code__.co_filename)
         rng = random.Random(7)
         symbols = th.symbols_by_name()
         starts = [parse_term(text, symbols) for text in ("return(App(x1,x2),lambda(x1))", "room(x2,x1,x1)")]
@@ -792,13 +800,41 @@ class TestSuccessorKernel:
 
     def test_each_theory_has_its_own_file_names(self):
         # A profile keys functions by file, line and name, so two theories'
-        # generated functions must not share a file name.
+        # expansion functions must not share a file name.
         text = "symbol m 2\naxiom [2] m(x1,x2) = m(x2,x1)\n"
         one, two = parse_theory(text), parse_theory(text + "axiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\n")
         expands = [rewrite._kernel(th)[3].__code__.co_filename for th in (one, two)]
         assert expands[0] != expands[1]
-        sides = [rewrite._kernel(th)[0][0][3].__code__.co_filename for th in (one, two)]
-        assert sides[0] != sides[1]
+
+    def test_one_code_object_per_theory(self, monkeypatch):
+        # The expansion function is the only generated code: compiling a
+        # theory compiles and runs one code object, and each side holds its
+        # oriented (source, target) pair, no callable.
+        th = parse_theory(
+            "symbol u 1\nsymbol m 2\n"
+            "axiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\naxiom [2] m(x1,x2) = m(x2,x1)\n"
+            "axiom [1] u(x1) = m(x1,x1)\naxiom [2] u(x1) = u(x2)\n"
+        )
+        calls = []
+
+        def counted(real):
+            def call(*args):
+                calls.append(real.__name__)
+                return real(*args)
+
+            return call
+
+        # Module globals shadow the builtins for rewrite's own calls.
+        monkeypatch.setattr(rewrite, "compile", counted(compile), raising=False)
+        monkeypatch.setattr(rewrite, "exec", counted(exec), raising=False)
+        sides, kept, expand = rewrite._compile(th)
+        assert calls == ["compile", "exec"] and callable(expand)
+        assert [(ai, d) for ai, d, _, _ in sides] == [(0, LR), (0, RL), (1, LR), (2, LR), (2, RL)]
+        assert len(kept) == 6
+        for ai, direction, root, pair in sides:
+            eq = th.axioms[ai]
+            assert pair == ((eq.lhs, eq.rhs) if direction == LR else (eq.rhs, eq.lhs))
+            assert not any(callable(v) for v in (ai, direction, root, *pair))
 
     def test_dead_table_entry_is_survived(self):
         # A symbol's table can hold a dead weak ref whose callback has not
@@ -811,7 +847,8 @@ class TestSuccessorKernel:
 
         def plant_dead_ref(sym, args):
             node = App(sym, args)
-            ref = KeyedRef(node, lambda _: None, args)
+            ref = _Ref(node, lambda _: None)
+            ref.key = args
             del node
             gc.collect()
             assert ref() is None and args not in sym._apps
