@@ -30,7 +30,6 @@ from .reduction import (
     compile_reduction,
     parse_wp,
     seed_interpretation,
-    seed_theory,
     word_from_text,
     word_semidecide,
 )
@@ -143,9 +142,8 @@ def cmd_reduce(wp_file, out_dir):
     stem = Path(wp_file).stem
     out = Path(out_dir) if out_dir else Path(wp_file).parent
     out.mkdir(parents=True, exist_ok=True)
-    target = compile_reduction(inst)
-    source = seed_theory()
     interp = seed_interpretation(inst)
+    target, source = interp.target, interp.source
     target_path = out / f"{stem}.thy"
     source_path = out / f"{stem}_source.thy"
     itp_path = out / f"{stem}.itp"

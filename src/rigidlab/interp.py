@@ -152,32 +152,17 @@ def compose_interpretations(outer: Interpretation, inner: Interpretation) -> Int
     return Interpretation.of(inner.source, outer.target, mapping)
 
 
-def check_preserves_axioms(
-    i: Interpretation,
-    *,
-    depth: int,
-    size_cap: Optional[int] = None,
-    slack: int = DEFAULT_SLACK,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> list[tuple[int, ProofOutcome]]:
+def check_preserves_axioms(i: Interpretation, *, depth: int) -> list[tuple[int, ProofOutcome]]:
     """Bounded target proofs of every source axiom's image, by axiom index."""
     out = []
     for idx, eq in enumerate(i.source.axioms):
         goal = Equation(extend(i, eq.lhs), extend(i, eq.rhs))
-        out.append(
-            (idx, prove_bounded(i.target, goal, depth, size_cap=size_cap, slack=slack, node_budget=node_budget))
-        )
+        out.append((idx, prove_bounded(i.target, goal, depth)))
     return out
 
 
 def interpretations_equal(
-    a: Interpretation,
-    b: Interpretation,
-    *,
-    depth: int,
-    size_cap: Optional[int] = None,
-    slack: int = DEFAULT_SLACK,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    a: Interpretation, b: Interpretation, *, depth: int
 ) -> list[tuple[str, ProofOutcome]]:
     """Per-symbol bounded proofs that two interpretations agree in the target."""
     if a.source != b.source or a.target != b.target:
@@ -185,9 +170,7 @@ def interpretations_equal(
     out = []
     for sym in a.source.signature:
         goal = Equation(a.image_of(sym.name), b.image_of(sym.name))
-        out.append(
-            (sym.name, prove_bounded(a.target, goal, depth, size_cap=size_cap, slack=slack, node_budget=node_budget))
-        )
+        out.append((sym.name, prove_bounded(a.target, goal, depth)))
     return out
 
 
@@ -367,24 +350,30 @@ def parse_interpretation(
     base = Path(base_dir) if base_dir is not None else Path(".")
     mapping: dict[str, str] = {}
     map_lines: dict[str, int] = {}
+    seen: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "source":
-            if source is None:
+        if head in ("source", "target"):
+            if head in seen:
+                raise ParseError(f"duplicate {head} line", line_no, 1)
+            seen.add(head)
+            if head == "source" and source is None:
                 source = load_theory(base / rest)
-        elif head == "target":
-            if target is None:
+            elif head == "target" and target is None:
                 target = load_theory(base / rest)
         elif head == "map":
             name, eq, body = rest.partition("=")
+            name = name.strip()
             if not eq:
                 raise ParseError("expected: map <symbol> = <term>", line_no, 1)
-            mapping[name.strip()] = body.strip()
-            map_lines[name.strip()] = line_no
+            if name in mapping:
+                raise ParseError(f"duplicate map line for {name!r}", line_no, 1)
+            mapping[name] = body.strip()
+            map_lines[name] = line_no
         else:
             raise ParseError(f"unknown directive {head!r}", line_no, 1)
     if source is None or target is None:

@@ -41,7 +41,7 @@ from .reduction import (
     Word,
     WordDerivation,
     WordProblemInstance,
-    compile_reduction,
+    _compiled,
     reverse_word_derivation,
     seed_theory,
     word_bfs,
@@ -357,42 +357,25 @@ class HatCongruenceResult:
         }
 
 
-def check_hat_congruence(
-    inst: WordProblemInstance,
-    d: Derivation,
-    *,
-    oracle=None,
-    depth: Optional[int] = None,
-    size_cap: Optional[int] = None,
-    slack: int = DEFAULT_SLACK,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> HatCongruenceResult:
+def check_hat_congruence(inst: WordProblemInstance, d: Derivation, *, oracle=None) -> HatCongruenceResult:
     """Check that normalization collapses a derivation's endpoints.
 
     Computes the hats of d.start and d.end and searches for a proof between
-    them; the default depth is 2 * len(d.steps) + 4.  Undecided oracle
-    answers during either normalization make the result uncertain.
-    "not_found" is no certificate that the hats differ: the embedded proof
-    outcome's status says whether that search was complete ("exhausted") or
-    a bound cut it short ("bounds").
+    them to depth 2 * len(d.steps) + 4, the default oracle's depth too.
+    Undecided oracle answers during either normalization make the result
+    uncertain.  "not_found" is no certificate that the hats differ: the
+    embedded proof outcome's status says whether that search was complete
+    ("exhausted") or a bound cut it short ("bounds").
     """
-    th = compile_reduction(inst)
+    th = _compiled(inst)
     if not replay(d, th):
         raise ValueError("derivation does not replay in the compiled theory")
-    if depth is None:
-        depth = 2 * len(d.steps) + 4
+    depth = 2 * len(d.steps) + 4
     if oracle is None:
-        oracle = WordOracle(inst, depth=depth, node_budget=node_budget)
+        oracle = WordOracle(inst, depth=depth)
     h1 = hat(inst, d.start, oracle)
     h2 = hat(inst, d.end, oracle)
-    outcome = prove_bounded(
-        th,
-        Equation(h1.term, h2.term),
-        depth,
-        size_cap=size_cap,
-        slack=slack,
-        node_budget=node_budget,
-    )
+    outcome = prove_bounded(th, Equation(h1.term, h2.term), depth)
     if h1.warnings or h2.warnings:
         status = HAT_UNCERTAIN
     elif outcome.found:

@@ -382,7 +382,7 @@ def seed_interpretation(inst: WordProblemInstance) -> Interpretation:
     It is conservative exactly when the goal is not derivable.
     """
     source = seed_theory()
-    target = compile_reduction(inst)
+    target = _compiled(inst)
     u, v = inst.goal
     mapping = {
         "l": TermInContext(_marked_pair(u, 1, 2), 2),
@@ -489,6 +489,8 @@ def word_from_text(text: str, alphabet: Sequence[str]) -> Word:
     """A word written as a string of one-letter generator names; eps is empty."""
     if text == "eps":
         return ()
+    if not text:
+        raise ValueError("empty word: write the empty word as eps")
     letters = tuple(text)
     for letter in letters:
         if letter not in alphabet:

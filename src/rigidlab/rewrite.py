@@ -908,11 +908,10 @@ def bounded_closure(
     depth: int,
     *,
     size_cap: Optional[int] = None,
-    slack: int = DEFAULT_SLACK,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Closure:
     """The closure record of start, grown level by level up to depth."""
-    cap = size_cap if size_cap is not None else term_size(start.term) + slack
+    cap = size_cap if size_cap is not None else term_size(start.term) + DEFAULT_SLACK
     cap = max(cap, term_size(start.term))
     expand = partial(_kernel(th)[3], cap)
     cl = Closure.of(start, start.term)

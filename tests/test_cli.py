@@ -261,6 +261,11 @@ class TestWord:
         proc = run("word", yes_wp, "eps", "eps")
         assert proc.returncode == 0
 
+    def test_empty_word_argument_exits_three(self, yes_wp):
+        proc = run("word", yes_wp, "ab", "")
+        assert proc.returncode == 3
+        assert "eps" in proc.stderr and proc.stdout == ""
+
 
 class TestConservativity:
     def test_yes_instance_confirmed(self, yes_wp):

@@ -122,7 +122,7 @@ CASES = {
     "closure_ac4": lambda: closure(AC, 4, "m(m(m(x1,x2),x3),x4)", 20),
     "closure_ac5_budget": lambda: closure(AC, 5, "m(m(m(m(x1,x2),x3),x4),x5)", 20, node_budget=30),
     "closure_ac5_depth": lambda: closure(AC, 5, "m(m(m(m(x1,x2),x3),x4),x5)", 2),
-    "closure_growing_capped": lambda: closure(GROWING, 1, "m(x1,x1)", 4, slack=2),
+    "closure_growing_capped": lambda: closure(GROWING, 1, "m(x1,x1)", 4, size_cap=5),
     "word_bfs_found": lambda: word_bfs(COMMUTES, "aabb", "baba", depth=6).to_doc(),
     "word_bfs_exhausted": lambda: word_bfs(COMMUTES, "aab", "bba", depth=6).to_doc(),
     "word_bfs_bounds_depth": lambda: word_bfs(COMMUTES, "aabb", "bbaa", depth=2).to_doc(),

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigidlab.reduction as reduction
+import rigidlab.rewrite as rewrite
 from oracles import random_term, random_walk
 from rigidlab.interp import extend
 from rigidlab.normalizer import (
@@ -356,6 +358,23 @@ class TestCheckHatCongruence:
             d = random_walk(rng, NO_TH, start, 4, term_size(start.term) + 8)
             out = check_hat_congruence(NO_INST, d, oracle=oracle)
             assert out.status == HAT_FOUND
+
+    def test_reduction_compiled_once(self, monkeypatch):
+        # Repeated checks on one instance share its compiled theory, so its
+        # expansion function is generated once, not once per call.
+        calls = []
+        compile_sides = rewrite._compile
+
+        def counted(th):
+            calls.append(th)
+            return compile_sides(th)
+
+        monkeypatch.setattr(rewrite, "_compile", counted)
+        reduction._compiled.cache_clear()
+        d = self._goal_step_derivation(YES_INST, YES_TH)
+        for _ in range(5):
+            assert check_hat_congruence(YES_INST, d).congruent
+        assert len(calls) == 1
 
     def test_doc_shape(self):
         d = self._goal_step_derivation(YES_INST, YES_TH)

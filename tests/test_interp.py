@@ -382,6 +382,19 @@ class TestConcreteSyntax:
         with pytest.raises((ParseError, ValueError)):
             parse_interpretation(bad, source=SEED, target=TARGET)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("map l = m(b(a(alpha(x1))),x2)", "duplicate map line for 'l'"),
+            ("source other.thy", "duplicate source line"),
+            ("target other.thy", "duplicate target line"),
+        ],
+    )
+    def test_duplicate_line_rejected(self, line, message):
+        with pytest.raises(ParseError, match=message) as e:
+            parse_interpretation(ITP_TEXT + line + "\n", source=SEED, target=TARGET)
+        assert e.value.line == 6
+
     def test_missing_source_line_without_override(self):
         with pytest.raises(ParseError):
             parse_interpretation("map l = m(x1,x2)\n", target=TARGET)

@@ -348,6 +348,14 @@ class TestConcreteSyntax:
         with pytest.raises(ValueError):
             word_from_text("c", ("a", "b"))
 
+    def test_empty_word_needs_eps(self):
+        with pytest.raises(ValueError, match="eps"):
+            word_from_text("", ("a", "b"))
+        with pytest.raises(ParseError, match="eps") as e:
+            parse_wp("alphabet a b\nrel ab =\ngoal ab = ba\n")
+        assert e.value.line == 2
+        assert instance(["a"], [("a", "")], ("a", "")).goal == (("a",), ())
+
     def test_missing_goal(self):
         with pytest.raises(ParseError):
             parse_wp("alphabet a b\nrel ab = ba\n")
