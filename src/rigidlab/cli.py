@@ -7,8 +7,8 @@ whose target closures were all complete), 2 for an indeterminate result
 (some bound was hit), 3 for usage or parse errors and for
 inputs out of reach (a term nested too deeply) or any internal error, so an
 exception never reads as a mathematical answer.
-Every search command takes --node-budget, which defaults to one million
-expanded terms.
+Every search command takes --slack, its one size bound, and --node-budget,
+which defaults to one million expanded terms.
 """
 
 from __future__ import annotations
@@ -97,14 +97,13 @@ def cli():
 @click.argument("theory_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("equation")
 @click.option("--depth", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--size-cap", type=click.IntRange(min=1), default=None)
 @_slack
 @_node_budget
-def cmd_prove(theory_file, equation, depth, size_cap, slack, node_budget):
+def cmd_prove(theory_file, equation, depth, slack, node_budget):
     """Bounded proof search for EQUATION ("[n] lhs = rhs") in THEORY_FILE."""
     th = load_theory(theory_file)
     goal = parse_equation(equation, th)
-    outcome = prove_bounded(th, goal, depth, size_cap=size_cap, slack=slack, node_budget=node_budget)
+    outcome = prove_bounded(th, goal, depth, slack=slack, node_budget=node_budget)
     if outcome.found:
         note = f"found a {len(outcome.derivation.steps)}-step derivation"
     elif outcome.status == EXHAUSTED:
@@ -199,21 +198,14 @@ def cmd_rigidity_search(theory_file, max_size, max_context, depth, slack, node_b
 @click.argument("wp_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("term")
 @click.option("--oracle-depth", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--length-cap", type=click.IntRange(min=1), default=None)
 @_slack
 @_node_budget
-def cmd_hat(wp_file, term, oracle_depth, length_cap, slack, node_budget):
+def cmd_hat(wp_file, term, oracle_depth, slack, node_budget):
     """Normalize TERM ("[n] term") over the theory compiled from WP_FILE."""
     inst = _load_wp(wp_file)
     th = compile_reduction(inst)
     t = _parse_term_arg(term, th)
-    oracle = WordOracle(
-        inst,
-        depth=oracle_depth,
-        length_cap=length_cap,
-        slack=slack,
-        node_budget=node_budget,
-    )
+    oracle = WordOracle(inst, depth=oracle_depth, slack=slack, node_budget=node_budget)
     result = hat(inst, t, oracle)
     tag = is_special(inst, result.term)
     doc = {
@@ -232,23 +224,14 @@ def cmd_hat(wp_file, term, oracle_depth, length_cap, slack, node_budget):
 @click.argument("word1")
 @click.argument("word2")
 @click.option("--depth", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--length-cap", type=click.IntRange(min=1), default=None)
 @_slack
 @_node_budget
-def cmd_word(wp_file, word1, word2, depth, length_cap, slack, node_budget):
+def cmd_word(wp_file, word1, word2, depth, slack, node_budget):
     """Decide WORD1 = WORD2 (eps for the empty word) under WP_FILE's relations."""
     inst = _load_wp(wp_file)
     w1 = word_from_text(word1, inst.alphabet)
     w2 = word_from_text(word2, inst.alphabet)
-    outcome = word_semidecide(
-        inst,
-        w1,
-        w2,
-        depth=depth,
-        length_cap=length_cap,
-        slack=slack,
-        node_budget=node_budget,
-    )
+    outcome = word_semidecide(inst, w1, w2, depth=depth, slack=slack, node_budget=node_budget)
     if outcome.found:
         note = f"derivable in {len(outcome.derivation.steps)} step(s)"
     elif outcome.status == EXHAUSTED:

@@ -131,13 +131,11 @@ class WordOracle:
         inst: WordProblemInstance,
         *,
         depth: int,
-        length_cap: Optional[int] = None,
         slack: int = DEFAULT_SLACK,
         node_budget: int = DEFAULT_NODE_BUDGET,
     ):
         self.inst = inst
         self.depth = depth
-        self.length_cap = length_cap
         self.slack = slack
         self.node_budget = node_budget
         self.searches = 0
@@ -154,7 +152,6 @@ class WordOracle:
             key[0],
             key[1],
             depth=self.depth,
-            length_cap=self.length_cap,
             slack=self.slack,
             node_budget=self.node_budget,
         )

@@ -286,7 +286,6 @@ def word_bfs(
     w2: Union[str, Word],
     *,
     depth: int,
-    length_cap: Optional[int] = None,
     slack: int = DEFAULT_SLACK,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> WordOutcome:
@@ -298,8 +297,7 @@ def word_bfs(
     search counts that whole level in expanded.  "exhausted" certifies.
     """
     w1, w2 = tuple(w1), tuple(w2)
-    cap = length_cap if length_cap is not None else max(len(w1), len(w2)) + slack
-    cap = max(cap, len(w1), len(w2))
+    cap = max(len(w1), len(w2)) + slack
     bounds_doc = {"depth": depth, "length_cap": cap, "node_budget": node_budget}
     left, right = Closure.of(w1, w1, _word_step), Closure.of(w2, w2, _word_step)
     meet, _ = _search(left, right, True, depth, partial(_word_expand, _word_sides(inst), cap), node_budget)
@@ -408,7 +406,6 @@ def word_semidecide(
     w2: Union[str, Word],
     *,
     depth: int,
-    length_cap: Optional[int] = None,
     slack: int = DEFAULT_SLACK,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> WordOutcome:
@@ -419,16 +416,10 @@ def word_semidecide(
     depth of each rewrite position is the letter offset).
     """
     w1, w2 = tuple(w1), tuple(w2)
-    cap = length_cap if length_cap is not None else max(len(w1), len(w2)) + slack
-    cap = max(cap, len(w1), len(w2))
+    cap = max(len(w1), len(w2)) + slack
     th = _compiled(inst)
-    outcome = prove_bounded(
-        th,
-        word_equation(w1, w2),
-        depth,
-        size_cap=cap + 1,
-        node_budget=node_budget,
-    )
+    # A chain is one node longer than its word, so the proof's size cap is cap + 1.
+    outcome = prove_bounded(th, word_equation(w1, w2), depth, slack=slack, node_budget=node_budget)
     bounds_doc = {"depth": depth, "length_cap": cap, "node_budget": node_budget}
     deriv = None
     if outcome.derivation is not None:

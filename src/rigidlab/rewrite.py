@@ -866,7 +866,6 @@ def prove_bounded(
     goal: Equation,
     depth: int,
     *,
-    size_cap: Optional[int] = None,
     slack: int = DEFAULT_SLACK,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ProofOutcome:
@@ -875,12 +874,10 @@ def prove_bounded(
     Bidirectional breadth-first search by _search, so a found derivation has
     minimal length among those within bounds.  On a theory with a one-way
     axiom only forward steps from lhs count, so only the left side grows:
-    depth counts its levels.  The default size cap is
-    max(size(lhs), size(rhs)) + slack.
+    depth counts its levels.  The size cap is max(size(lhs), size(rhs)) + slack.
     """
     lhs, rhs = goal.lhs, goal.rhs
-    cap = size_cap if size_cap is not None else max(term_size(lhs.term), term_size(rhs.term)) + slack
-    cap = max(cap, term_size(lhs.term), term_size(rhs.term))
+    cap = max(term_size(lhs.term), term_size(rhs.term)) + slack
     bounds_doc = {"depth": depth, "size_cap": cap, "node_budget": node_budget}
     _, one_way, _, expand = _kernel(th)
     left, right = Closure.of(lhs, lhs.term), Closure.of(rhs, rhs.term)

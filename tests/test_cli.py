@@ -99,6 +99,12 @@ class TestProve:
         )
         assert out_doc(proc)["bounds"]["node_budget"] == 1_000_000
 
+    def test_slack_sets_size_cap(self, seed_thy):
+        # Both goal sides have size 3, so --slack 3 caps terms at size 6.
+        proc = run("prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)", "--slack", "3")
+        assert proc.returncode == 0
+        assert out_doc(proc)["bounds"]["size_cap"] == 6
+
 
 class TestReplay:
     def test_valid_and_tampered(self, seed_thy, tmp_path):
@@ -257,6 +263,11 @@ class TestWord:
         assert proc.returncode == 1
         assert out_doc(proc)["certified"] is True
 
+    def test_slack_sets_length_cap(self, yes_wp):
+        proc = run("word", yes_wp, "ab", "ba", "--slack", "2")
+        assert proc.returncode == 0
+        assert out_doc(proc)["bounds"]["length_cap"] == 4
+
     def test_eps_accepted(self, yes_wp):
         proc = run("word", yes_wp, "eps", "eps")
         assert proc.returncode == 0
@@ -354,6 +365,21 @@ class TestUsageErrors:
         proc = run("prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)", "--jobs", "4")
         assert proc.returncode == 3
         assert "--jobs" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("prove", "--size-cap"), ("word", "--length-cap"), ("hat", "--length-cap")],
+    )
+    def test_absolute_cap_option_rejected(self, seed_thy, yes_wp, command, option):
+        # --slack is each search's one size bound; no absolute cap repeats it.
+        args = {
+            "prove": (seed_thy, "[2] l(x1,x2) = r(x2,x1)"),
+            "word": (yes_wp, "ab", "ba"),
+            "hat": (yes_wp, "m(b(a(alpha(x1))),x2)"),
+        }[command]
+        proc = run(command, *args, option, "6")
+        assert proc.returncode == 3
+        assert option in proc.stderr
 
     def test_stdout_is_json_stderr_is_log(self, seed_thy):
         proc = run("prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)")

@@ -117,8 +117,8 @@ CASES = {
     "prove_bounds_depth_ac4": lambda: prove(AC, f"{COMB4} = {REVERSED4}", 2),
     "prove_one_way_found": lambda: prove(ONE_WAY, "[1] m(x1,x1) = m(c(),c())", 8),
     "prove_one_way_exhausted": lambda: prove(ONE_WAY, "[1] m(x1,c()) = m(x1,x1)", 8),
-    "prove_capped_bounds": lambda: prove(GROWING, "[1] m(x1,x1) = c()", 6, size_cap=5),
-    "prove_capped_exhausted": lambda: prove(GROWING, "[1] m(x1,x1) = c()", 30, size_cap=5),
+    "prove_capped_bounds": lambda: prove(GROWING, "[1] m(x1,x1) = c()", 6, slack=2),
+    "prove_capped_exhausted": lambda: prove(GROWING, "[1] m(x1,x1) = c()", 30, slack=2),
     "closure_ac4": lambda: closure(AC, 4, "m(m(m(x1,x2),x3),x4)", 20),
     "closure_ac5_budget": lambda: closure(AC, 5, "m(m(m(m(x1,x2),x3),x4),x5)", 20, node_budget=30),
     "closure_ac5_depth": lambda: closure(AC, 5, "m(m(m(m(x1,x2),x3),x4),x5)", 2),
@@ -127,7 +127,7 @@ CASES = {
     "word_bfs_exhausted": lambda: word_bfs(COMMUTES, "aab", "bba", depth=6).to_doc(),
     "word_bfs_bounds_depth": lambda: word_bfs(COMMUTES, "aabb", "bbaa", depth=2).to_doc(),
     "word_bfs_bounds_nodes": lambda: word_bfs(COMMUTES, "aabb", "bbaa", depth=6, node_budget=3).to_doc(),
-    "word_bfs_capped": lambda: word_bfs(IDEMPOTENT, "a", "b", depth=20, length_cap=4).to_doc(),
+    "word_bfs_capped": lambda: word_bfs(IDEMPOTENT, "a", "b", depth=20, slack=3).to_doc(),
     "word_semidecide_found": lambda: word_semidecide(COMMUTES, "aabb", "baba", depth=6).to_doc(),
     "word_semidecide_exhausted": lambda: word_semidecide(COMMUTES, "aab", "bba", depth=6).to_doc(),
     "word_semidecide_bounds_depth": lambda: word_semidecide(COMMUTES, "aabb", "bbaa", depth=2).to_doc(),
@@ -135,7 +135,7 @@ CASES = {
         COMMUTES, "aabb", "bbaa", depth=6, node_budget=3
     ).to_doc(),
     "word_semidecide_capped": lambda: word_semidecide(
-        IDEMPOTENT, "a", "b", depth=20, length_cap=4
+        IDEMPOTENT, "a", "b", depth=20, slack=3
     ).to_doc(),
     "flabby_seed": lambda: search_flabby(SEED, max_size=7, max_context=4, depth=6).to_doc(),
     "flabby_commutes": lambda: search_flabby(

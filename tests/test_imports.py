@@ -1,0 +1,46 @@
+"""Every module-level import in the package and the tests is read somewhere."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "rigidlab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) for each module-level imported name that is never read.
+
+    A name listed in a literal __all__ counts as read; from __future__
+    imports are skipped.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, name))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                read.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_scan_finds_an_unused_import():
+    source = "from __future__ import annotations\nimport os\nimport sys as system\nfrom a import b, c\n"
+    source += "__all__ = ['c']\nprint(system)\n"
+    assert unused_imports(source) == [(2, "os"), (4, "b")]
+
+
+def test_no_unused_imports():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in FILES
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

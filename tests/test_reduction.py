@@ -33,7 +33,7 @@ from rigidlab.reduction import (
     word_to_term,
     word_to_text,
 )
-from rigidlab.rewrite import EXHAUSTED, FOUND, Closure, replay
+from rigidlab.rewrite import EXHAUSTED, FOUND, Closure
 from rigidlab.rigidity import verify_report
 from rigidlab.terms import App, ParseError, TermInContext, Var, render_term
 from rigidlab.theory import validate_linear_regular

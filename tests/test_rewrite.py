@@ -229,11 +229,12 @@ class TestProveBounded:
         checked = 0
         for _ in range(40):
             start = tic(random_term(rng, COMPILED_LIKE, 7, 1), 1)
-            close = naive_closure(start, COMPILED_LIKE, 3, term_size(start.term) + 6)
+            cap = term_size(start.term) + 6
+            close = naive_closure(start, COMPILED_LIKE, 3, cap)
             for target, dist in close.items():
                 out = prove_bounded(
                     COMPILED_LIKE, Equation(start, target), 3,
-                    size_cap=term_size(start.term) + 6,
+                    slack=cap - max(term_size(start.term), term_size(target.term)),
                 )
                 assert out.status == FOUND
                 assert len(out.derivation.steps) == dist
@@ -904,7 +905,8 @@ class TestSuccessorKernel:
         else:
             rhs = tic(random_term(rng, KERNEL_POOL, rng.randint(1, cap), n), n)
         cap = max(cap, term_size(rhs.term))
-        out = prove_bounded(th, Equation(lhs, rhs), 4, size_cap=cap)
+        slack = cap - max(term_size(lhs.term), term_size(rhs.term))
+        out = prove_bounded(th, Equation(lhs, rhs), 4, slack=slack)
         shortest = naive_shortest(th, lhs, rhs, 4, cap)
         assert out.certified == (out.status == EXHAUSTED)
         if out.status == FOUND:
@@ -1140,6 +1142,7 @@ class TestEngineCuts:
             return memo[t]
 
         one_way = has_one_way_axiom(th)
+        slack = cap - max(term_size(lhs.term), term_size(rhs.term))
         for depth in range(5):
             for budget in range(1, 13):
                 cl = bounded_closure(th, lhs, depth, size_cap=cap, node_budget=budget)
@@ -1148,7 +1151,7 @@ class TestEngineCuts:
                 assert got == [(t, *e) for t, e in entries.items()]
                 assert cl.start == lhs and reached_matches_entries(cl)
                 assert [cl.exhausted, cl.cap_hit, cl.budget_hit, cl.expanded, cl.depth_reached] == flags
-                out = prove_bounded(th, Equation(lhs, rhs), depth, size_cap=cap, node_budget=budget)
+                out = prove_bounded(th, Equation(lhs, rhs), depth, slack=slack, node_budget=budget)
                 want = loop_prove(succ, one_way, lhs, rhs, depth, cap, budget)
                 assert out.to_doc() == want.to_doc()
 
@@ -1176,15 +1179,15 @@ class TestEngineCuts:
     @pytest.mark.parametrize("inst", [WORD_COMMUTES, WORD_IDEMPOTENT, WORD_FREE])
     def test_word_search(self, inst):
         # 20 seeded pairs of words of length up to 4, each under the default
-        # length cap or one at most two letters over the longer word.
+        # slack or a slack of at most two letters over the longer word.
         rng = random.Random(13)
         for _ in range(20):
             w1, w2 = (tuple(rng.choices(inst.alphabet, k=rng.randint(0, 4))) for _ in range(2))
-            length_cap = rng.choice([None, max(len(w1), len(w2)) + rng.randint(0, 2)])
-            cap = length_cap if length_cap is not None else max(len(w1), len(w2)) + 8
+            slack = rng.choice([8, rng.randint(0, 2)])
+            cap = max(len(w1), len(w2)) + slack
             for depth in range(7):
                 for budget in range(1, 13):
-                    out = word_bfs(inst, w1, w2, depth=depth, length_cap=length_cap, node_budget=budget)
+                    out = word_bfs(inst, w1, w2, depth=depth, slack=slack, node_budget=budget)
                     doc = out.to_doc()
                     assert doc == loop_word_bfs(inst, w1, w2, depth, cap, budget, True).to_doc()
                     old = loop_word_bfs(inst, w1, w2, depth, cap, budget, False).to_doc()
@@ -1216,7 +1219,7 @@ class TestOneWayTheories:
             "axiom [1] x1 = u(x1)\naxiom [1] x1 = m(c(),c())\n"
         )
         goal = parse_equation("[2] u(c()) = x2", th)
-        out = prove_bounded(th, goal, 8, size_cap=3)
+        out = prove_bounded(th, goal, 8, slack=1)  # size cap 3: u(c()) has size 2
         assert out.status != FOUND
         assert naive_shortest(th, goal.lhs, goal.rhs, 8, 3) is None
 
@@ -1310,9 +1313,6 @@ class TestRandomWalks:
     @given(walk_case())
     def test_walks_replay_and_prove(self, d):
         assert replay(d, SEED)
-        out = prove_bounded(
-            SEED, Equation(d.start, d.end), len(d.steps),
-            size_cap=max(term_size(t.term) for t in (d.start, d.end)) + 10,
-        )
+        out = prove_bounded(SEED, Equation(d.start, d.end), len(d.steps), slack=10)
         assert out.status == FOUND
         assert len(out.derivation.steps) <= len(d.steps)
