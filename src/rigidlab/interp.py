@@ -43,7 +43,7 @@ from .terms import (
     render_term,
     term_size,
 )
-from .theory import Equation, Theory, _check_signature_terms, load_theory
+from .theory import Equation, Theory, _check_signature_terms, _directives, load_theory
 from .terms import ParseError
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "compose_interpretations",
     "extend",
     "identity_interpretation",
-    "interpretations_equal",
     "load_interpretation",
     "parse_interpretation",
     "probe_conservativity",
@@ -161,19 +160,6 @@ def check_preserves_axioms(i: Interpretation, *, depth: int) -> list[tuple[int, 
     return out
 
 
-def interpretations_equal(
-    a: Interpretation, b: Interpretation, *, depth: int
-) -> list[tuple[str, ProofOutcome]]:
-    """Per-symbol bounded proofs that two interpretations agree in the target."""
-    if a.source != b.source or a.target != b.target:
-        raise ValueError("interpretations do not share source and target")
-    out = []
-    for sym in a.source.signature:
-        goal = Equation(a.image_of(sym.name), b.image_of(sym.name))
-        out.append((sym.name, prove_bounded(a.target, goal, depth)))
-    return out
-
-
 @dataclass
 class ProbeFinding:
     """A source equation whose image became provable in the target."""
@@ -256,8 +242,11 @@ def probe_conservativity(
     one target closure of extend(i, s) and one source closure of s decide all
     pairs with that left side.  The pairs are not tested one by one: each
     target-closure entry is looked up among the pool's images, and the hits
-    are taken in pool order; pairs_checked is counted, not looped.
+    are taken in pool order; pairs_checked is counted, not looped.  A
+    negative slack is a ValueError.
     """
+    if slack < 0:
+        raise ValueError("slack must not be negative")
     if max_context is None:
         max_context = term_size_bound
     bounds_doc = {
@@ -351,12 +340,7 @@ def parse_interpretation(
     mapping: dict[str, str] = {}
     map_lines: dict[str, int] = {}
     seen: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for line_no, head, rest in _directives(text):
         if head in ("source", "target"):
             if head in seen:
                 raise ParseError(f"duplicate {head} line", line_no, 1)

@@ -76,7 +76,6 @@ __all__ = [
     "check_hat_congruence",
     "hat",
     "is_special",
-    "split_marked_chain",
 ]
 
 YES = "yes"
@@ -106,10 +105,6 @@ class OracleAnswer:
     @property
     def is_no(self) -> bool:
         return self.status == NO
-
-    @property
-    def is_unknown(self) -> bool:
-        return self.status == UNKNOWN
 
     def to_doc(self) -> dict:
         return {
@@ -179,10 +174,6 @@ def _split(term: Term, generators: frozenset) -> Optional[tuple]:
     if isinstance(cur, App) and cur.sym.arity == 1 and cur.sym.name == MARKER:
         return tuple(letters), cur.args[0]
     return None
-
-
-def split_marked_chain(inst: WordProblemInstance, term: Term) -> Optional[tuple]:
-    return _split(term, frozenset(inst.alphabet))
 
 
 # The seed theory's l, r and m, looked up once for is_special.

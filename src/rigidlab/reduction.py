@@ -55,7 +55,7 @@ from .terms import (
     is_variable_name,
     subterm_at,
 )
-from .theory import Equation, Theory
+from .theory import Equation, Theory, _directives
 from .rigidity import FlabbyReport, verify_report
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "WordOutcome",
     "WordProblemInstance",
     "WordStep",
-    "chain_to_word",
     "compile_reduction",
     "flabby_witness",
     "goal_axiom_index",
@@ -294,8 +293,11 @@ def word_bfs(
     It runs on the term route's engine, _search over Closure records, with a
     one-step relation of its own, so the two routes share the search but not
     the relation.  w2 is looked for at the end of each level, and a found
-    search counts that whole level in expanded.  "exhausted" certifies.
+    search counts that whole level in expanded.  "exhausted" certifies.  A
+    negative slack is a ValueError.
     """
+    if slack < 0:
+        raise ValueError("slack must not be negative")
     w1, w2 = tuple(w1), tuple(w2)
     cap = max(len(w1), len(w2)) + slack
     bounds_doc = {"depth": depth, "length_cap": cap, "node_budget": node_budget}
@@ -333,15 +335,6 @@ def word_to_term(w: Union[str, Word], below: Term) -> Term:
     for letter in reversed(tuple(w)):
         t = App(Symbol(letter, 1), (t,))
     return t
-
-
-def chain_to_word(term: Term) -> tuple[Word, Term]:
-    """Split a term into its maximal outer unary chain and the rest."""
-    letters = []
-    while isinstance(term, App) and term.sym.arity == 1:
-        letters.append(term.sym.name)
-        term = term.args[0]
-    return tuple(letters), term
 
 
 def _marked_pair(w: Union[str, Word], first: int, second: int) -> Term:
@@ -497,12 +490,7 @@ def parse_wp(text: str) -> WordProblemInstance:
     alphabet: Optional[tuple] = None
     relations: list[tuple] = []
     goal: Optional[tuple] = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for line_no, head, rest in _directives(text):
         if head == "alphabet":
             if alphabet is not None:
                 raise ParseError("duplicate alphabet line", line_no, 1)

@@ -20,9 +20,9 @@ into its oriented sides in tie-break order; the result is kept on the
 (frozen) Theory object.  The sides the kernel expands hold one orientation
 per renaming orbit: an orientation whose (source, target) pair renames an
 earlier one's gives only results the earlier one gave at the same positions
-(comm R->L repeats comm L->R), so it is left out.  The set of kept
-orientations, which apply_step checks, and the one-way test still cover
-every orientation.
+(comm R->L repeats comm L->R), so it is left out.  The one-way test, and
+apply_step's test of whether an orientation is kept, still cover every
+orientation.
 A Closure is the one record of a breadth-first search, and Closure.grow
 expands its frontier by one level under a one-step relation: the term
 kernel, or word_bfs's string rewriting.  bounded_closure grows one record;
@@ -60,9 +60,10 @@ against the parent's subterm and its target against the entry's subterm
 together, checking identity all along (an internal error on a mismatch),
 and keeps the step.  So the rebuilt step is the one the search first
 found, and reading a derivation runs no generated code.  apply_step, and so
-replay, never runs generated code either and never trusts the kernel: it
-substitutes a step's terms into the axiom's sides, compares, and swaps the
-result in with replace_at.
+replay, neither runs nor compiles generated code and never trusts the
+kernel: it tests the step's orientation by the rule the compile keeps
+orientations by, substitutes the step's terms into the axiom's sides,
+compares, and swaps the result in with replace_at.
 
 Outcomes distinguish three cases: a derivation was found; the search was
 exhausted, which always certifies non-provability; or a bound cut the
@@ -210,7 +211,8 @@ def apply_step(t: TermInContext, th: Theory, step: RewriteStep) -> TermInContext
     if not 0 <= step.axiom_index < len(th.axioms):
         raise RewriteError(f"axiom index {step.axiom_index} out of range")
     eq = th.axioms[step.axiom_index]
-    if (step.axiom_index, step.direction) not in _kernel(th)[2]:
+    src, dst = _oriented(eq, step.direction)
+    if _orbit(src, dst) is None:
         raise RewriteError(
             f"axiom {step.axiom_index} ({step.direction}) is no rewrite step: "
             "its source does not bind the whole axiom context"
@@ -222,7 +224,6 @@ def apply_step(t: TermInContext, th: Theory, step: RewriteStep) -> TermInContext
     for s in step.subst:
         if s.context_len != t.context_len:
             raise RewriteError("substitution terms do not live in the rewritten term's context")
-    src, dst = _oriented(eq, step.direction)
     expected = substitute_terms(src, step.subst, context_len=t.context_len).term
     try:
         actual = subterm_at(t.term, step.position)
@@ -551,16 +552,16 @@ def _compile(th: Theory) -> tuple[list[tuple], list[tuple], Callable]:
     return sides, kept, names["expand"]
 
 
-def _kernel(th: Theory) -> tuple[list[tuple], bool, frozenset, Callable]:
-    """th's expansion sides, whether th has a one-way axiom, the set of
-    (axiom index, direction) pairs the kernel keeps, and th's expansion
-    function.
+def _kernel(th: Theory) -> tuple[list[tuple], bool, Callable]:
+    """th's expansion sides, whether th has a one-way axiom, and th's
+    expansion function.
 
     The expansion function is the successor kernel every term search grows
     by; Closure.step's rebuild reads the sides' (source, target) pairs and
-    runs no generated code.  The one-way flag and the kept set cover every
-    kept orientation, also those the expansion sides leave out as renamings,
-    so apply_step and replay accept a step in either.  Computed on first use
+    runs no generated code.  The one-way flag covers every kept orientation,
+    also those the expansion sides leave out as renamings.  apply_step, and
+    so replay, never calls _kernel: it tests an orientation by _orbit, the
+    rule _compile keeps one by, so it compiles no code.  Computed on first use
     and kept on th, the way Theory keeps its symbol table; a Theory is
     frozen, so the result never goes stale, and a copy or a pickle of th
     leaves it behind.
@@ -569,7 +570,7 @@ def _kernel(th: Theory) -> tuple[list[tuple], bool, frozenset, Callable]:
     if kernel is None:
         sides, kept, expand = _compile(th)
         one_way = 1 in Counter(ai for ai, _ in kept).values()
-        kernel = (sides, one_way, frozenset(kept), expand)
+        kernel = (sides, one_way, expand)
         object.__setattr__(th, "_kernel", kernel)
     return kernel
 
@@ -642,7 +643,7 @@ def successors(
     if size_cap < term_size(t.term):
         raise ValueError("size cap is smaller than the term itself")
     cl = Closure(t, {}, [t])
-    cl.grow(partial(_kernel(th)[3], size_cap), 1)
+    cl.grow(partial(_kernel(th)[2], size_cap), 1)
     return [(nt, cl.step(nt)) for nt in cl.frontier]
 
 
@@ -874,12 +875,15 @@ def prove_bounded(
     Bidirectional breadth-first search by _search, so a found derivation has
     minimal length among those within bounds.  On a theory with a one-way
     axiom only forward steps from lhs count, so only the left side grows:
-    depth counts its levels.  The size cap is max(size(lhs), size(rhs)) + slack.
+    depth counts its levels.  The size cap is max(size(lhs), size(rhs)) + slack;
+    a negative slack is a ValueError.
     """
+    if slack < 0:
+        raise ValueError("slack must not be negative")
     lhs, rhs = goal.lhs, goal.rhs
     cap = max(term_size(lhs.term), term_size(rhs.term)) + slack
     bounds_doc = {"depth": depth, "size_cap": cap, "node_budget": node_budget}
-    _, one_way, _, expand = _kernel(th)
+    _, one_way, expand = _kernel(th)
     left, right = Closure.of(lhs, lhs.term), Closure.of(rhs, rhs.term)
     meet, mu = _search(left, right, one_way, depth, partial(expand, cap), node_budget)
     stats = SearchStats(
@@ -910,7 +914,7 @@ def bounded_closure(
     """The closure record of start, grown level by level up to depth."""
     cap = size_cap if size_cap is not None else term_size(start.term) + DEFAULT_SLACK
     cap = max(cap, term_size(start.term))
-    expand = partial(_kernel(th)[3], cap)
+    expand = partial(_kernel(th)[2], cap)
     cl = Closure.of(start, start.term)
     while cl.frontier and cl.depth_reached < depth and not cl.budget_hit:
         cl.grow(expand, node_budget)

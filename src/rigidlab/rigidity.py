@@ -553,7 +553,10 @@ def search_flabby(
     inert, are built and visited; the others are counted, up to the witness
     when there is one.  With no witness the status is "exhausted" when no
     closure set caps_hit, budget_hit or depth_hit, and "bounds" otherwise.
+    A negative slack is a ValueError.
     """
+    if slack < 0:
+        raise ValueError("slack must not be negative")
     res = FlabbySearchResult(
         BOUNDS, None, 0, 0, 0, 0, False, False, False,
         {

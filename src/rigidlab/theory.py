@@ -2,7 +2,8 @@
 
 Axioms are equations-in-context and are addressed by their 0-based index in
 rewrite steps, so their order is part of the theory's identity.  The module
-also owns the line-oriented ``.thy`` file format::
+also owns the line-oriented ``.thy`` file format, whose line reader,
+_directives, the ``.wp`` and ``.itp`` readers share::
 
     # comment
     symbol m 2
@@ -14,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 from .terms import (
     App,
@@ -71,9 +72,9 @@ class Theory:
     The rewrite engine keeps the theory's compiled kernel on the object, as
     _kernel, computed on first use: its expansion sides and the one
     generated Python function that expands a term by all of them, once per
-    theory.  Replay and reading a derivation never run generated code.  A
-    copy or a pickle carries only the signature and the axioms, so it
-    compiles its own kernel on first use.
+    theory.  Replay neither runs nor compiles generated code, and reading a
+    derivation runs none.  A copy or a pickle carries only the signature
+    and the axioms, so it compiles its own kernel on first use.
     """
 
     signature: tuple
@@ -134,16 +135,23 @@ def _parse_equation_body(body: str, context_len: int, th_symbols: dict, line_no:
         raise ParseError(str(e), line_no, 1) from None
 
 
+def _directives(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, head, rest) for each line of a line-oriented file that
+    is not blank once its # comment is cut; head is the first word, rest
+    the remainder, stripped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            head, _, rest = line.partition(" ")
+            yield line_no, head, rest.strip()
+
+
 def parse_theory(text: str) -> Theory:
     """Parse the .thy format; symbols must be declared before use."""
     signature: list[Symbol] = []
     by_name: dict[str, Symbol] = {}
     axioms: list[Equation] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
+    for line_no, head, rest in _directives(text):
         if head == "symbol":
             parts = rest.split()
             if len(parts) != 2:

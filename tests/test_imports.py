@@ -1,6 +1,8 @@
-"""Every module-level import in the package and the tests is read somewhere."""
+"""Every module-level import in the package and the tests is read somewhere,
+and every name a package module exports in __all__ is defined there."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,3 +46,12 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def test_exported_names_exist():
+    missing = []
+    for path in sorted((ROOT / "src" / "rigidlab").glob("*.py")):
+        name = "rigidlab" if path.stem == "__init__" else f"rigidlab.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

@@ -15,7 +15,6 @@ from rigidlab.interp import (
     compose_interpretations,
     extend,
     identity_interpretation,
-    interpretations_equal,
     load_interpretation,
     parse_interpretation,
     probe_conservativity,
@@ -133,45 +132,6 @@ class TestCheckPreservesAxioms:
         assert len(results) == 1
         _, out = results[0]
         assert out.status == EXHAUSTED and out.certified
-
-
-class TestInterpretationsEqual:
-    def test_reflexive(self):
-        results = interpretations_equal(I_YES, I_YES, depth=0)
-        assert all(out.status == FOUND for _, out in results)
-        assert all(out.derivation.steps == () for _, out in results)
-
-    def test_axiom_twisted_variant(self):
-        twisted = Interpretation.of(
-            SEED,
-            TARGET,
-            {
-                "l": parse("m(b(a(alpha(x2))),x1)", TARGET, 2),
-                "r": I_YES.image_of("r"),
-                "m": I_YES.image_of("m"),
-            },
-        )
-        results = dict(interpretations_equal(I_YES, twisted, depth=1))
-        assert results["l"].status == FOUND
-        assert len(results["l"].derivation.steps) == 1
-        assert results["r"].status == FOUND
-        assert results["m"].status == FOUND
-
-    def test_distinct_on_free_instance(self):
-        i = seed_interpretation(FREE)
-        target = compile_reduction(FREE)
-        other = Interpretation.of(
-            SEED,
-            target,
-            {
-                "l": i.image_of("r"),
-                "r": i.image_of("r"),
-                "m": i.image_of("m"),
-            },
-        )
-        results = dict(interpretations_equal(i, other, depth=4))
-        assert results["l"].status == EXHAUSTED
-        assert results["l"].certified
 
 
 class TestProbe:

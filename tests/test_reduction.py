@@ -14,7 +14,6 @@ from rigidlab.reduction import (
     _word_expand,
     _word_sides,
     _word_step,
-    chain_to_word,
     compile_reduction,
     flabby_witness,
     goal_axiom_index,
@@ -41,7 +40,6 @@ from rigidlab.theory import validate_linear_regular
 COMMUTES = instance(["a", "b"], [("ab", "ba")], ("ab", "ba"))
 IDEMPOTENT = instance(["a"], [("a", "aa")], ("a", "aa"))
 FREE = instance(["a", "b"], [], ("a", "b"))
-COMMUTES_ALPHA = compile_reduction(COMMUTES).symbol("alpha")
 
 
 def x(i):
@@ -162,18 +160,6 @@ class TestWordTermCoding:
 
     def test_empty_word_is_base(self):
         assert word_to_term("", Var(1)) == Var(1)
-
-    def test_chain_to_word_inverse(self):
-        t = word_to_term("ba", App(COMMUTES_ALPHA, (Var(2),)))
-        w, below = chain_to_word(t)
-        assert w == ("b", "a", "alpha")
-        assert below == Var(2)
-
-    def test_roundtrip_words(self):
-        for text in ["", "a", "ab", "bba"]:
-            t = word_to_term(text, Var(1))
-            w, below = chain_to_word(t)
-            assert w == tuple(text) and below == Var(1)
 
 
 class TestCompileReduction:

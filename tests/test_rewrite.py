@@ -23,7 +23,17 @@ from oracles import (
     reference_expand,
     walk,
 )
-from rigidlab.reduction import WordDerivation, WordOutcome, WordStep, _word_step, instance, word_bfs
+from rigidlab.interp import identity_interpretation, probe_conservativity
+from rigidlab.normalizer import WordOracle
+from rigidlab.reduction import (
+    WordDerivation,
+    WordOutcome,
+    WordStep,
+    _word_step,
+    instance,
+    word_bfs,
+    word_semidecide,
+)
 from rigidlab.rewrite import (
     BOUNDS,
     DEFAULT_NODE_BUDGET,
@@ -50,6 +60,7 @@ from rigidlab.rewrite import (
     successors,
     symbol_census,
 )
+from rigidlab.rigidity import search_flabby, verify_report
 from rigidlab.terms import (
     App,
     Symbol,
@@ -87,12 +98,6 @@ def sub(n, *terms):
 
 def tic(term, n):
     return TermInContext(term, n)
-
-
-def test_exported_names_exist():
-    import rigidlab.rewrite as rewrite
-
-    assert [name for name in rewrite.__all__ if not hasattr(rewrite, name)] == []
 
 
 class TestApplyStep:
@@ -289,6 +294,21 @@ class TestReplay:
         assert seq[0] == d.start and seq[-1] == d.end
         assert len(seq) == len(d.steps) + 1
 
+    def test_replay_compiles_no_code(self, monkeypatch):
+        ac_text = "symbol m 2\naxiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\naxiom [2] m(x1,x2) = m(x2,x1)\n"
+        comm_text = "symbol m 2\naxiom [2] m(x1,x2) = m(x2,x1)\n"
+        ac = parse_theory(ac_text)
+        found = prove_bounded(ac, parse_equation("[3] m(m(x1,x2),x3) = m(x3,m(x2,x1))", ac), 4)
+        flabby = search_flabby(parse_theory(comm_text), max_size=3, max_context=2, depth=2)
+        assert found.status == FOUND and flabby.status == FOUND
+
+        def refuse(sides):
+            raise AssertionError("replay compiled an expansion function")
+
+        monkeypatch.setattr(rewrite, "_expand_code", refuse)
+        assert replay(found.derivation, parse_theory(ac_text))
+        assert verify_report(flabby.report, parse_theory(comm_text))
+
 
 class TestSymbolCensus:
     def test_constant_in_seed(self):
@@ -354,6 +374,29 @@ class TestBoundedClosure:
 AC = parse_theory(
     "symbol m 2\naxiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\naxiom [2] m(x1,x2) = m(x2,x1)\n"
 )
+AB_COMMUTE = instance(["a", "b"], [("ab", "ba")], ("ab", "ba"))
+
+
+# A negative slack puts the cap below the goal's own size.  The expansion
+# function assumes the term it expands lies within the cap, so such a
+# search could return a derivation whose terms break the recorded cap.
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: prove_bounded(
+            AC, parse_equation("[4] m(m(m(x1,x2),x3),x4) = m(x4,m(x3,m(x2,x1)))", AC), 8, slack=-1
+        ),
+        lambda: word_bfs(AB_COMMUTE, "aabb", "bbaa", depth=8, slack=-1),
+        lambda: word_semidecide(AB_COMMUTE, "aabb", "bbaa", depth=8, slack=-1),
+        lambda: WordOracle(AB_COMMUTE, depth=8, slack=-1).equiv("aabb", "bbaa"),
+        lambda: search_flabby(AC, max_size=5, max_context=3, depth=4, slack=-1),
+        lambda: probe_conservativity(identity_interpretation(AC), term_size_bound=3, depth=4, slack=-1),
+    ],
+    ids=["prove_bounded", "word_bfs", "word_semidecide", "WordOracle", "search_flabby", "probe_conservativity"],
+)
+def test_negative_slack_rejected(search):
+    with pytest.raises(ValueError, match="slack must not be negative"):
+        search()
 
 
 class TestDerivationsOnDemand:
@@ -647,7 +690,7 @@ class TestSuccessorKernel:
         start = tic(parse_term("m(m(m(m(x1,x2),x3),x4),x5)", ac.symbols_by_name()), 5)
         close = Closure.of(start, start.term)
         close.reached = built = Counted(close.reached)
-        expand = partial(rewrite._kernel(ac)[3], term_size(start.term) + DEFAULT_SLACK)
+        expand = partial(rewrite._kernel(ac)[2], term_size(start.term) + DEFAULT_SLACK)
         while close.frontier:
             close.grow(expand, DEFAULT_NODE_BUDGET)
         assert close.complete and len(close.entries) == 1680
@@ -693,7 +736,7 @@ class TestSuccessorKernel:
         # levels are grown, so the second runs against a reached set the
         # first one filled.
         th, t, cap = case
-        sides, _, _, expand = rewrite._kernel(th)
+        sides, _, expand = rewrite._kernel(th)
         runs = []
         for fn in (partial(expand, cap), partial(reference_expand, sides, cap)):
             reached, entries, frontier, log = {t.term: 0}, {}, [t], []
@@ -716,7 +759,7 @@ class TestSuccessorKernel:
         # side k at walk index w, whose source the naive matcher matches
         # there, within the cap, giving a term reached already holds.
         th, t, cap = case
-        sides, _, _, expand = rewrite._kernel(th)
+        sides, _, expand = rewrite._kernel(th)
         expand = partial(expand, cap)
 
         def checked(u, reached, *rest):
@@ -786,7 +829,7 @@ class TestSuccessorKernel:
         expand_code = [rewrite._expand_code(rewrite._kernel(u)[0])[0] for u in (th, plain)]
         assert expand_code[0] == expand_code[1]
         # Nor do they reach the generated code's file name.
-        expand = rewrite._kernel(th)[3]
+        expand = rewrite._kernel(th)[2]
         assert re.fullmatch(r"<rewrite expand \d+>", expand.__code__.co_filename)
         rng = random.Random(7)
         symbols = th.symbols_by_name()
@@ -804,7 +847,7 @@ class TestSuccessorKernel:
         # expansion functions must not share a file name.
         text = "symbol m 2\naxiom [2] m(x1,x2) = m(x2,x1)\n"
         one, two = parse_theory(text), parse_theory(text + "axiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\n")
-        expands = [rewrite._kernel(th)[3].__code__.co_filename for th in (one, two)]
+        expands = [rewrite._kernel(th)[2].__code__.co_filename for th in (one, two)]
         assert expands[0] != expands[1]
 
     def test_one_code_object_per_theory(self, monkeypatch):

@@ -1,5 +1,9 @@
+from functools import partial
+
 import pytest
 
+from rigidlab.interp import parse_interpretation
+from rigidlab.reduction import parse_wp
 from rigidlab.terms import App, ParseError, Symbol, TermInContext, Var
 from rigidlab.theory import (
     Equation,
@@ -112,6 +116,27 @@ class TestParseTheory:
     def test_roundtrip(self):
         th = parse_theory(SEED_FILE)
         assert parse_theory(render_theory(th)) == th
+
+
+SEED_THEORY = parse_theory(SEED_FILE)
+
+
+# The .thy, .wp and .itp readers share one line reader: each skips comment
+# and blank lines, cuts a trailing comment, and numbers lines from 1.
+@pytest.mark.parametrize(
+    "parse, first",
+    [
+        (parse_theory, "symbol m 2"),
+        (parse_wp, "alphabet a b"),
+        (partial(parse_interpretation, source=SEED_THEORY, target=SEED_THEORY), "map l = l(x1,x2)"),
+    ],
+    ids=["thy", "wp", "itp"],
+)
+def test_line_reader_numbers_lines_and_cuts_comments(parse, first):
+    with pytest.raises(ParseError) as e:
+        parse(f"# a comment\n\n{first}  # trailing comment\nbogus\n")
+    assert e.value.line == 4
+    assert str(e.value) == "4:1: unknown directive 'bogus'"
 
 
 class TestParseEquation:
