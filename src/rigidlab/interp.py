@@ -7,6 +7,14 @@ images, and probe_conservativity hunts for source equations that become
 provable in the target without being provable at the source - bounded
 evidence against conservativity.
 
+Terms are hash-consed, so the probe's pool shares its nodes, and two memos
+over them do each node's work once (Filliatre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): _extend_shared extends a node once per
+context's pool, mapping each source node to its image node, and a
+ConservativityReport's document renders each distinct term once, in one
+renderer that all its findings share.  extend is _extend_shared with a
+fresh memo, so there is one extension path.
+
 The module also owns the ``.itp`` file format::
 
     source seed.thy
@@ -18,17 +26,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice, permutations
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .rewrite import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_SLACK,
     Derivation,
     ProofOutcome,
+    _derivation_doc,
     bounded_closure,
-    derivation_to_doc,
     prove_bounded,
 )
 from .rigidity import _shapes
@@ -124,13 +133,20 @@ def extend(i: Interpretation, t: TermInContext) -> TermInContext:
     Interpretation already checked that each image lives in its symbol's
     arity, so no node re-checks contexts.
     """
+    return TermInContext(_extend_shared(i, t.term, {}), t.context_len)
 
-    def go(term: Term) -> Term:
-        if isinstance(term, Var):
-            return term
-        return _graft(i.image_of(term.sym.name).term, [go(a) for a in term.args])
 
-    return TermInContext(go(t.term), t.context_len)
+def _extend_shared(i: Interpretation, term: Term, extended: dict) -> Term:
+    """The bare term of extend(i, term), reading and filling extended, a map
+    from the source nodes of earlier calls under i to their images, so a
+    node that several terms share is extended once."""
+    if term.__class__ is Var:
+        return term
+    out = extended.get(term)
+    if out is None:
+        args = [_extend_shared(i, a, extended) for a in term.args]
+        out = extended[term] = _graft(i.image_of(term.sym.name).term, args)
+    return out
 
 
 def identity_interpretation(th: Theory) -> Interpretation:
@@ -170,12 +186,16 @@ class ProbeFinding:
     confirmed: bool  # the source closure was complete
 
     def to_doc(self) -> dict:
+        return self._doc(render_term)
+
+    def _doc(self, render: Callable) -> dict:
+        """to_doc with render writing each term."""
         return {
-            "lhs": render_term(self.lhs.term),
-            "rhs": render_term(self.rhs.term),
+            "lhs": render(self.lhs.term),
+            "rhs": render(self.rhs.term),
             "context_len": self.lhs.context_len,
             "confirmed": self.confirmed,
-            "target_derivation": derivation_to_doc(self.target_derivation),
+            "target_derivation": _derivation_doc(self.target_derivation, render),
         }
 
 
@@ -203,9 +223,12 @@ class ConservativityReport:
         return not self.confirmed and not self.candidates
 
     def to_doc(self) -> dict:
+        # The findings' derivations pass through the same few terms: each
+        # distinct term is rendered once, for all findings.
+        render = cache(render_term)
         return {
-            "confirmed": [f.to_doc() for f in self.confirmed],
-            "candidates": [f.to_doc() for f in self.candidates],
+            "confirmed": [f._doc(render) for f in self.confirmed],
+            "candidates": [f._doc(render) for f in self.candidates],
             "pairs_checked": self.pairs_checked,
             "target_proved": self.target_proved,
             "targets_complete": self.targets_complete,
@@ -244,6 +267,12 @@ def probe_conservativity(
     target-closure entry is looked up among the pool's images, and the hits
     are taken in pool order; pairs_checked is counted, not looped.  A
     negative slack is a ValueError.
+
+    Work is done per distinct node, not per pool term: the renamings graft
+    each shared node of the canonical terms once (_graft_shared), the
+    pool's images are built by _extend_shared with one memo per context's
+    pool, so each source node is extended once, and the report's to_doc
+    renders each distinct term once for all findings.
     """
     if slack < 0:
         raise ValueError("slack must not be negative")
@@ -286,7 +315,8 @@ def probe_conservativity(
                 pool.append((TermInContext(_graft_shared(t.term, args, grafted), n), False))
         if len(pool) < 2:
             continue
-        images = {t: extend(i, t) for t, _ in pool}
+        extended: dict = {}
+        images = {t: TermInContext(_extend_shared(i, t.term, extended), n) for t, _ in pool}
         src_cap = max(term_size(t.term) for t, _ in pool) + slack
         tgt_cap = max(term_size(img.term) for img in images.values()) + slack
         pool_at: dict[TermInContext, list[int]] = {}

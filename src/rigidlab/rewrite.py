@@ -36,9 +36,10 @@ occurs.  Then comes one straight-line block per side, in tie-break order,
 that matches the side's source against a subterm and builds its target:
 class and symbol identity checks, an identity check for a repeated
 variable, the step's size change as one sum checked against the cap before
-building, and one table lookup per symbol node of the result, with an App
-call only on a miss.  After each block the result is rebuilt upward along
-the parent links the same way, one table lookup per ancestor.  The
+building, and one table lookup per symbol node of the result, with a call
+of the terms module's node maker only on a miss.  After each block the
+result is rebuilt upward along the parent links the same way, one table
+lookup per ancestor.  The
 expansion function is the only code generated.  Terms are hash-consed, so
 that bare term is the result's identity: each term record maps the bare
 terms it has reached to their back-move bits, and a result already in it
@@ -61,9 +62,10 @@ together, checking identity all along (an internal error on a mismatch),
 and keeps the step.  So the rebuilt step is the one the search first
 found, and reading a derivation runs no generated code.  apply_step, and so
 replay, neither runs nor compiles generated code and never trusts the
-kernel: it tests the step's orientation by the rule the compile keeps
-orientations by, substitutes the step's terms into the axiom's sides,
-compares, and swaps the result in with replace_at.
+kernel: it tests the step's orientation against the theory's set of kept
+orientations, built once by the rule the compile keeps orientations by and
+kept on the Theory like the kernel; it substitutes the step's terms into
+the axiom's sides, compares, and swaps the result in with replace_at.
 
 Outcomes distinguish three cases: a derivation was found; the search was
 exhausted, which always certifies non-provability; or a bound cut the
@@ -85,6 +87,7 @@ from .terms import (
     Term,
     TermInContext,
     Var,
+    _make,
     canonical,
     render_term,
     replace_at,
@@ -212,7 +215,7 @@ def apply_step(t: TermInContext, th: Theory, step: RewriteStep) -> TermInContext
         raise RewriteError(f"axiom index {step.axiom_index} out of range")
     eq = th.axioms[step.axiom_index]
     src, dst = _oriented(eq, step.direction)
-    if _orbit(src, dst) is None:
+    if (step.axiom_index, step.direction) not in _kept(th):
         raise RewriteError(
             f"axiom {step.axiom_index} ({step.direction}) is no rewrite step: "
             "its source does not bind the whole axiom context"
@@ -238,6 +241,29 @@ def apply_step(t: TermInContext, th: Theory, step: RewriteStep) -> TermInContext
     return TermInContext(replace_at(t.term, step.position, new_sub), t.context_len)
 
 
+def _kept(th: Theory) -> frozenset:
+    """th's kept orientations, as (axiom index, direction) pairs.
+
+    An orientation is kept when its source mentions every context variable
+    (_orbit is not None); one whose source does not is dropped, since no
+    match of it binds the whole context.  apply_step tests a step against
+    this set, _compile takes the expansion sides from it, and _kernel reads
+    the one-way flag off it.  Computed on first use and kept on th, as
+    _kernel is; it compiles no code, and a copy or a pickle of th leaves it
+    behind.
+    """
+    kept = getattr(th, "_kept", None)
+    if kept is None:
+        kept = frozenset(
+            (ai, direction)
+            for ai, eq in enumerate(th.axioms)
+            for direction in (LR, RL)
+            if _orbit(*_oriented(eq, direction)) is not None
+        )
+        object.__setattr__(th, "_kept", kept)
+    return kept
+
+
 def _tuple(items: list) -> str:
     """Python source of a tuple display of the given expressions."""
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
@@ -253,7 +279,7 @@ class _Globals:
     """
 
     def __init__(self, **fixed):
-        self.names = {"App": App, "NoRef": _NO_REF, **fixed}
+        self.names = {"App": App, "Make": _make, "NoRef": _NO_REF, **fixed}
         self._ids: dict = {}
 
     def __call__(self, obj, prefix: str) -> str:
@@ -280,12 +306,12 @@ def _side_lines(src: Term, k: int, dst: Term, glob: _Globals, skip: str = "") ->
     so no expression nests however deep the side.  src's root check is left
     out, since the loop runs only where src's root symbol heads t0.  A node
     is one table lookup: its args tuple is looked up in its symbol's table
-    of nodes, and App is called only on a miss or a dead weak ref, so App
-    stays the one place a node is made.  The size check is left out when the
-    step cannot grow the term, since only terms within the cap are expanded,
-    so room is never negative.  A skip condition, when given, is tested once
-    src has matched, before the size check: the block continues when it
-    holds.  Symbols, their tables of nodes and ground subterms enter only as
+    of nodes, and terms._make is called only on a miss or a dead weak ref,
+    so the lookup is made once and _make stays the one place a node is
+    made.  The size check is left out when the step cannot grow the term,
+    since only terms within the cap are expanded, so room is never
+    negative.  A skip condition, when given, is tested once src has
+    matched, before the size check: the block continues when it holds.  Symbols, their tables of nodes and ground subterms enter only as
     glob's globals, S<n>, A<n> and K<n>, and locals are numbered, so no
     symbol name or other input text is ever part of the source.
     """
@@ -327,7 +353,7 @@ def _side_lines(src: Term, k: int, dst: Term, glob: _Globals, skip: str = "") ->
         glob.names[table] = p.sym._apps
         r = len(builds) // 2  # two lines per node
         builds.append(f"{pad}a{r} = {args}")
-        builds.append(f"{pad}r{r} = {table}.get(a{r}, NoRef)() or App({sym}, a{r})")
+        builds.append(f"{pad}r{r} = {table}.get(a{r}, NoRef)() or Make({sym}, a{r})")
         return f"r{r}"
 
     match(src, "t0")
@@ -388,8 +414,9 @@ _WALK = """\
     cap_hit = False"""
 
 # After a side's block: its result is rebuilt upward along the parent links,
-# one table lookup per ancestor with an App call only on a miss or a dead
-# weak ref, and recorded unless reached holds it.  {mark} is _BACK or _SEEN.
+# one table lookup per ancestor with a terms._make call only on a miss or a
+# dead weak ref, and recorded unless reached holds it.  {mark} is _BACK or
+# _SEEN.
 _RECORD = """\
         j, i = ups[w], ats[w]
         while j >= 0:
@@ -402,7 +429,7 @@ _RECORD = """\
             else:
                 args = args[:i] + (result,) + args[i + 1 :]
             sym = p.sym
-            result = sym._apps.get(args, NoRef)() or App(sym, args)
+            result = sym._apps.get(args, NoRef)() or Make(sym, args)
             j, i = ups[j], ats[j]
 {mark}
         nt = TermInContext(result, n)
@@ -515,33 +542,30 @@ def _expand_code(sides: list) -> tuple[str, dict]:
     return "\n".join(lines) + "\n", glob.names
 
 
-def _compile(th: Theory) -> tuple[list[tuple], list[tuple], Callable]:
-    """The theory's expansion sides and its kept orientations, in tie-break
-    order, and its expansion function.
+def _compile(th: Theory) -> tuple[list[tuple], Callable]:
+    """The theory's expansion sides, in tie-break order, and its expansion
+    function.
 
-    An orientation is kept when its source mentions every context variable;
-    one whose source does not is dropped, since no match of it binds the
-    whole context.  The expansion sides hold one kept orientation per renaming
+    The expansion sides hold one kept orientation (_kept) per renaming
     orbit: an orientation whose (source, target) pair, renumbered in
     first-occurrence order, equals an earlier one's rewrites every position
     to the result the earlier one already gave, so it is left out (comm R->L
     repeats comm L->R).  Each side is (axiom index, direction, the source's
-    root symbol or None, the oriented (source, target) pair), and each kept
-    orientation is (axiom index, direction).  The expansion function, from
-    _expand_code, is the only code generated, once per theory: one code
-    object, compiled and run once.  Its file name carries the compile's
-    serial number, as in <rewrite expand 3>, so a profile keeps each
-    theory's function apart; no symbol name or other input text is part of
-    it.
+    root symbol or None, the oriented (source, target) pair).  The
+    expansion function, from _expand_code, is the only code generated, once
+    per theory: one code object, compiled and run once.  Its file name
+    carries the compile's serial number, as in <rewrite expand 3>, so a
+    profile keeps each theory's function apart; no symbol name or other
+    input text is part of it.
     """
-    sides, kept, orbits = [], [], set()
+    kept = _kept(th)
+    sides, orbits = [], set()
     for ai, eq in enumerate(th.axioms):
         for direction in (LR, RL):
+            if (ai, direction) not in kept:
+                continue
             src, dst = _oriented(eq, direction)
             orbit = _orbit(src, dst)
-            if orbit is None:
-                continue
-            kept.append((ai, direction))
             if orbit in orbits:
                 continue
             orbits.add(orbit)
@@ -549,7 +573,7 @@ def _compile(th: Theory) -> tuple[list[tuple], list[tuple], Callable]:
             sides.append((ai, direction, root, (src, dst)))
     code, names = _expand_code(sides)
     exec(compile(code, f"<rewrite expand {next(_COMPILES)}>", "exec"), names)
-    return sides, kept, names["expand"]
+    return sides, names["expand"]
 
 
 def _kernel(th: Theory) -> tuple[list[tuple], bool, Callable]:
@@ -558,18 +582,18 @@ def _kernel(th: Theory) -> tuple[list[tuple], bool, Callable]:
 
     The expansion function is the successor kernel every term search grows
     by; Closure.step's rebuild reads the sides' (source, target) pairs and
-    runs no generated code.  The one-way flag covers every kept orientation,
-    also those the expansion sides leave out as renamings.  apply_step, and
-    so replay, never calls _kernel: it tests an orientation by _orbit, the
-    rule _compile keeps one by, so it compiles no code.  Computed on first use
-    and kept on th, the way Theory keeps its symbol table; a Theory is
-    frozen, so the result never goes stale, and a copy or a pickle of th
-    leaves it behind.
+    runs no generated code.  The one-way flag covers every kept orientation
+    (_kept), also those the expansion sides leave out as renamings.
+    apply_step, and so replay, never calls _kernel: it tests an orientation
+    against _kept, so it compiles no code.  Computed on first use and kept
+    on th, the way Theory keeps its symbol table; a Theory is frozen, so
+    the result never goes stale, and a copy or a pickle of th leaves it
+    behind.
     """
     kernel = getattr(th, "_kernel", None)
     if kernel is None:
-        sides, kept, expand = _compile(th)
-        one_way = 1 in Counter(ai for ai, _ in kept).values()
+        sides, expand = _compile(th)
+        one_way = 1 in Counter(ai for ai, _ in _kept(th)).values()
         kernel = (sides, one_way, expand)
         object.__setattr__(th, "_kernel", kernel)
     return kernel
@@ -959,16 +983,22 @@ def symbol_census(d: Derivation, th: Theory, sym) -> list[int]:
 # ---- JSON export ----
 
 def derivation_to_doc(d: Derivation) -> dict:
+    return _derivation_doc(d, render_term)
+
+
+def _derivation_doc(d: Derivation, render: Callable) -> dict:
+    """derivation_to_doc with render writing each term; a caller that
+    renders many derivations passes one memoising renderer."""
     return {
         "context_len": d.start.context_len,
-        "start": render_term(d.start.term),
-        "end": render_term(d.end.term),
+        "start": render(d.start.term),
+        "end": render(d.end.term),
         "steps": [
             {
                 "axiom": s.axiom_index,
                 "direction": s.direction,
                 "position": list(s.position),
-                "subst": [render_term(u.term) for u in s.subst],
+                "subst": [render(u.term) for u in s.subst],
             }
             for s in d.steps
         ],

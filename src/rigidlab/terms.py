@@ -7,11 +7,12 @@ Terms are hash-consed (maximal sharing): every constructor returns the one
 live node with equal contents, so structurally equal terms are the same
 object, and == and hash are identity, O(1) whatever the depth.  A Symbol owns
 a weak-valued table of the App nodes it heads, so a node lives only as long
-as something outside the table holds it.  The App constructor is the one
-place a node is made; the successor kernel in rewrite reads a symbol's table
-directly for a node that already exists, and calls App only on a miss or a
-dead entry.  Each App carries its size and its
-largest variable index, computed once from its children.  Nodes are
+as something outside the table holds it.  One private maker, _make, is the
+one place a node is made; the App constructor calls it when its lookup in
+the symbol's table misses.  The successor kernel in rewrite reads a symbol's
+table directly for a node that already exists, and calls _make itself on a
+miss or a dead entry, so no lookup is made twice.  Each App carries its size
+and its largest variable index, computed once from its children.  Nodes are
 immutable, and copy, deepcopy and pickle go back through the constructors.
 
 Concrete syntax: ``x1``, ``f(t1,...,tk)``, nullary symbols written ``c()``.
@@ -178,20 +179,7 @@ class App(_Frozen):
                 return node
         if len(args) != sym.arity:
             raise ValueError(f"{sym.name} has arity {sym.arity}, got {len(args)} arguments")
-        size, top = 1, 0
-        for a in args:
-            size += a.size
-            if a.max_var > top:
-                top = a.max_var
-        node = object.__new__(cls)
-        _set_sym(node, sym)
-        _set_args(node, args)
-        _set_size(node, size)
-        _set_max_var(node, top)
-        entry = _Ref(node, sym._forget)
-        _set_key(entry, args)
-        sym._apps[args] = entry
-        return node
+        return _make(sym, args)
 
     def __reduce__(self):
         return App, (self.sym, self.args)
@@ -204,6 +192,28 @@ _set_sym = App.sym.__set__
 _set_args = App.args.__set__
 _set_size = App.size.__set__
 _set_max_var = App.max_var.__set__
+
+
+def _make(sym: Symbol, args: tuple) -> App:
+    """A new node: sym applied to args, a tuple of arity-many terms, entered
+    in sym's table.  Only for args whose table entry is missing or dead:
+    App calls it after its own lookup misses, and the successor kernel after
+    the lookup it makes itself."""
+    size, top = 1, 0
+    for a in args:
+        size += a.size
+        if a.max_var > top:
+            top = a.max_var
+    node = object.__new__(App)
+    _set_sym(node, sym)
+    _set_args(node, args)
+    _set_size(node, size)
+    _set_max_var(node, top)
+    entry = _Ref(node, sym._forget)
+    _set_key(entry, args)
+    sym._apps[args] = entry
+    return node
+
 
 # Not typing.Union, whose cache lives as long as the process: it would hold
 # the classes and, through their methods' globals, every symbol table of

@@ -73,7 +73,8 @@ class Theory:
     _kernel, computed on first use: its expansion sides and the one
     generated Python function that expands a term by all of them, once per
     theory.  Replay neither runs nor compiles generated code, and reading a
-    derivation runs none.  A copy or a pickle carries only the signature
+    derivation runs none; it reads the set of kept orientations, kept as
+    _kept in the same way.  A copy or a pickle carries only the signature
     and the axioms, so it compiles its own kernel on first use.
     """
 

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 
@@ -11,6 +12,8 @@ from rigidlab.interp import (
     ConservativityReport,
     Interpretation,
     ProbeFinding,
+    _extend_shared,
+    _graft_shared,
     check_preserves_axioms,
     compose_interpretations,
     extend,
@@ -26,7 +29,14 @@ from rigidlab.reduction import (
     seed_interpretation,
     seed_theory,
 )
-from rigidlab.rewrite import DEFAULT_NODE_BUDGET, DEFAULT_SLACK, EXHAUSTED, FOUND, bounded_closure
+from rigidlab.rewrite import (
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_SLACK,
+    EXHAUSTED,
+    FOUND,
+    bounded_closure,
+    derivation_to_doc,
+)
 from rigidlab.rigidity import enumerate_linear_regular
 from rigidlab.terms import (
     App,
@@ -164,18 +174,48 @@ class TestProbe:
         assert set(doc) >= {"confirmed", "candidates", "pairs_checked", "targets_complete", "bounds"}
 
     @pytest.mark.parametrize(
-        "i",
+        "i, depth, confirmed, candidates",
         [
-            seed_interpretation(FREE),
-            I_YES,
-            seed_interpretation(instance(["a", "b"], [("ab", "ba")], ("a", "b"))),
+            (seed_interpretation(FREE), 6, 0, 0),
+            (I_YES, 6, 99, 0),
+            (seed_interpretation(instance(["a", "b"], [("ab", "ba")], ("a", "b"))), 6, 0, 0),
+            # Depth 2 cuts some source closures short, so both finding lists
+            # fill and go through the shared renderer.
+            (I_YES, 2, 15, 44),
         ],
-        ids=["free", "yes", "no"],
+        ids=["free", "yes", "no", "yes-candidates"],
     )
-    def test_matches_pair_loop(self, i):
-        got = probe_conservativity(i, term_size_bound=5, depth=6)
-        want = pair_loop_probe(i, term_size_bound=5, depth=6)
+    def test_matches_pair_loop(self, i, depth, confirmed, candidates):
+        got = probe_conservativity(i, term_size_bound=5, depth=depth)
+        want = pair_loop_probe(i, term_size_bound=5, depth=depth)
+        assert (len(got.confirmed), len(got.candidates)) == (confirmed, candidates)
         assert got.to_doc() == want.to_doc()
+
+    def test_shared_renderer_matches_rendering_each_finding(self):
+        report = probe_conservativity(I_YES, term_size_bound=7, depth=6)
+        assert report.confirmed
+
+        def finding_doc(f):
+            return {
+                "lhs": render_term(f.lhs.term),
+                "rhs": render_term(f.rhs.term),
+                "context_len": f.lhs.context_len,
+                "confirmed": f.confirmed,
+                "target_derivation": derivation_to_doc(f.target_derivation),
+            }
+
+        want = {
+            "confirmed": [finding_doc(f) for f in report.confirmed],
+            "candidates": [finding_doc(f) for f in report.candidates],
+            "pairs_checked": report.pairs_checked,
+            "target_proved": report.target_proved,
+            "targets_complete": report.targets_complete,
+            "bounds": report.bounds,
+        }
+        # Compared outside the assert: pytest's diff of two 3 MB strings
+        # would take minutes.
+        same = json.dumps(report.to_doc()) == json.dumps(want)
+        assert same
 
     def test_searched_interpretation_copies_and_pickles(self):
         # A searched theory keeps its compiled kernel, which holds generated
@@ -301,10 +341,37 @@ class TestExtendProperties:
         outer_first = substitute_terms(extend(I_YES, t), images)
         assert inner_first == outer_first
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(seed_terms_strategy(max_leaves=6), min_size=1, max_size=4))
+    def test_matches_naive_extension_on_shared_pools(self, terms):
+        # A pool as the probe builds it: every renaming of every term, each
+        # renaming grafting shared nodes once, so pool terms share nodes.
+        renamings = [([x(v) for v in p.images], {}) for p in Permutation.all_of(3)]
+        pool = [_graft_shared(t.term, args, grafted) for t in terms for args, grafted in renamings]
+        extended = {}
+        for u in pool:
+            want = naive_extend(I_YES, u)
+            assert extend(I_YES, tic(u, 3)) == tic(want, 3)
+            assert _extend_shared(I_YES, u, extended) is want
+
     def test_injective_on_small_terms(self):
         terms = list(enumerate_linear_regular(SEED, 5, 3))
         images = [extend(I_YES, t) for t in terms]
         assert len(set(images)) == len(terms)
+
+
+def naive_extend(i, term):
+    """extend written out: the image of term's symbol, with the extended
+    arguments put in for its variables, node by node and with no memo."""
+
+    def plug(image, args):
+        if isinstance(image, Var):
+            return args[image.index - 1]
+        return App(image.sym, tuple(plug(a, args) for a in image.args))
+
+    if isinstance(term, Var):
+        return term
+    return plug(i.image_of(term.sym.name).term, [naive_extend(i, a) for a in term.args])
 
 
 ITP_TEXT = """\

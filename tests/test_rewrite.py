@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import re
 import sys
@@ -871,10 +873,10 @@ class TestSuccessorKernel:
         # Module globals shadow the builtins for rewrite's own calls.
         monkeypatch.setattr(rewrite, "compile", counted(compile), raising=False)
         monkeypatch.setattr(rewrite, "exec", counted(exec), raising=False)
-        sides, kept, expand = rewrite._compile(th)
+        sides, expand = rewrite._compile(th)
         assert calls == ["compile", "exec"] and callable(expand)
         assert [(ai, d) for ai, d, _, _ in sides] == [(0, LR), (0, RL), (1, LR), (2, LR), (2, RL)]
-        assert len(kept) == 6
+        assert len(rewrite._kept(th)) == 6
         for ai, direction, root, pair in sides:
             eq = th.axioms[ai]
             assert pair == ((eq.lhs, eq.rhs) if direction == LR else (eq.rhs, eq.lhs))
@@ -1297,6 +1299,23 @@ class TestOneWayTheories:
         assert not replay(Derivation(goal.lhs, (step,), goal.rhs), th)
         forward = RewriteStep(0, LR, (1,), (tic(x(1), 1),))
         assert apply_step(goal.rhs, th, forward) == goal.lhs
+
+    def test_kept_orientations_are_kept_on_the_theory(self):
+        # apply_step reads one set of kept orientations per theory, built on
+        # first use; a copy or a pickle carries only signature and axioms.
+        th = parse_theory("symbol c 0\nsymbol m 2\naxiom [1] x1 = c()\naxiom [2] m(x1,x2) = m(x2,x1)\n")
+        assert not hasattr(th, "_kept")
+        symbols = th.symbols_by_name()
+        t = tic(parse_term("m(x1,c())", symbols), 1)
+        forward = RewriteStep(0, LR, (0,), (tic(x(1), 1),))
+        assert apply_step(t, th, forward) == tic(parse_term("m(c(),c())", symbols), 1)
+        assert th._kept == {(0, LR), (1, LR), (1, RL)}
+        for other in (pickle.loads(pickle.dumps(th)), copy.deepcopy(th), copy.copy(th)):
+            assert other == th and not hasattr(other, "_kept")
+        step = RewriteStep(0, RL, (1,), (tic(x(1), 1),))
+        message = "axiom 0 (RL) is no rewrite step: its source does not bind the whole axiom context"
+        with pytest.raises(RewriteError, match=re.escape(message)):
+            apply_step(t, th, step)
 
 
 U = Symbol("u", 1)
