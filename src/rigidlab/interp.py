@@ -47,7 +47,6 @@ from .terms import (
     TermInContext,
     Var,
     _graft,
-    is_linear_regular,
     parse_term,
     render_term,
     term_size,
@@ -75,14 +74,12 @@ class Interpretation:
     """A per-symbol assignment of target terms, one per source symbol.
 
     assignment is an ordered tuple of (source symbol name, image); build one
-    from a dict with Interpretation.of.  When linear_regular is set, every
-    image must itself be linear-regular.
+    from a dict with Interpretation.of.
     """
 
     source: Theory
     target: Theory
     assignment: tuple
-    linear_regular: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", tuple(self.assignment))
@@ -100,19 +97,12 @@ class Interpretation:
                     f"arity is {sym.arity}"
                 )
             _check_signature_terms(image.term, target_symbols)
-            if self.linear_regular and not is_linear_regular(image):
-                raise ValueError(f"image of {sym.name!r} is not linear-regular")
         if len(self.assignment) != len(self.source.signature):
             raise ValueError("assignment names symbols outside the source signature")
         object.__setattr__(self, "_by_name", by_name)
 
     @staticmethod
-    def of(
-        source: Theory,
-        target: Theory,
-        mapping: Mapping[str, TermInContext],
-        linear_regular: bool = False,
-    ) -> "Interpretation":
+    def of(source: Theory, target: Theory, mapping: Mapping[str, TermInContext]) -> "Interpretation":
         assignment = tuple((sym.name, mapping[sym.name]) for sym in source.signature if sym.name in mapping)
         missing = [sym.name for sym in source.signature if sym.name not in mapping]
         if missing:
@@ -120,7 +110,7 @@ class Interpretation:
         extra = [name for name in mapping if not source.has_symbol(name)]
         if extra:
             raise ValueError(f"assignment names unknown symbols: {', '.join(extra)}")
-        return Interpretation(source, target, assignment, linear_regular)
+        return Interpretation(source, target, assignment)
 
     def image_of(self, name: str) -> TermInContext:
         return self._by_name[name]

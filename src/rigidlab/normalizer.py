@@ -118,7 +118,8 @@ class WordOracle:
 
     Answers yes when the direct string search finds a derivation, no when it
     exhausts the reachable words with the length cap never binding, and
-    unknown otherwise.  Answers are cached under both argument orders.
+    unknown otherwise.  Answers are cached under both argument orders.  A
+    negative slack is a ValueError when the oracle is built.
     """
 
     def __init__(
@@ -129,6 +130,8 @@ class WordOracle:
         slack: int = DEFAULT_SLACK,
         node_budget: int = DEFAULT_NODE_BUDGET,
     ):
+        if slack < 0:
+            raise ValueError("slack must not be negative")
         self.inst = inst
         self.depth = depth
         self.slack = slack

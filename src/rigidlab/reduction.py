@@ -370,7 +370,8 @@ def seed_interpretation(inst: WordProblemInstance) -> Interpretation:
 
     l and r map to the pairing of a goal-word chain (over the marked first
     argument) with the second argument; the pairing symbol maps to itself.
-    It is conservative exactly when the goal is not derivable.
+    Each image is linear-regular by construction.  It is conservative
+    exactly when the goal is not derivable.
     """
     source = seed_theory()
     target = _compiled(inst)
@@ -380,7 +381,7 @@ def seed_interpretation(inst: WordProblemInstance) -> Interpretation:
         "r": TermInContext(_marked_pair(v, 1, 2), 2),
         PAIRING: TermInContext(App(target.symbol(PAIRING), (Var(1), Var(2))), 2),
     }
-    return Interpretation.of(source, target, mapping, linear_regular=True)
+    return Interpretation.of(source, target, mapping)
 
 
 # ---- the word problem through the compiled theory ----

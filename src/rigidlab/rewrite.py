@@ -15,20 +15,22 @@ expands the left side only.  Tie-breaking is deterministic (axiom index,
 then L->R before R->L, then pre-order position).
 
 One breadth-first engine serves successors, bounded_closure, prove_bounded
-and the string route's word_bfs.  A theory is compiled once, on first use,
-into its oriented sides in tie-break order; the result is kept on the
-(frozen) Theory object.  The sides the kernel expands hold one orientation
-per renaming orbit: an orientation whose (source, target) pair renames an
-earlier one's gives only results the earlier one gave at the same positions
-(comm R->L repeats comm L->R), so it is left out.  The one-way test, and
-apply_step's test of whether an orientation is kept, still cover every
-orientation.
+and the string route's word_bfs.  A theory's one-step relation is one
+record, built once, on first use, in one pass over the orientations and
+kept on the (frozen) Theory object: its kept orientations, its expansion
+sides in tie-break order, each with its inverse side, and its one-way flag.
+The sides hold one orientation per renaming orbit: an orientation whose
+(source, target) pair renames an earlier one's gives only results the
+earlier one gave at the same positions (comm R->L repeats comm L->R), so it
+is left out.  The one-way flag, and apply_step's test of whether an
+orientation is kept, still cover every orientation.  Only the record's
+expansion function is compiled, on the first search.
 A Closure is the one record of a breadth-first search, and Closure.grow
 expands its frontier by one level under a one-step relation: the term
 kernel, or word_bfs's string rewriting.  bounded_closure grows one record;
 _search, the one meet loop, grows one from each side in turn for
 prove_bounded and word_bfs.  The term kernel is one generated Python
-function per theory, the expansion function, compiled once with the sides.
+function per theory, the expansion function, compiled once from the sides.
 Per expanded term it walks the term once into three parallel lists, each
 subterm with its parent's walk index and its argument index, and lists the
 subterms by head symbol, so each side is tried only where its root symbol
@@ -62,10 +64,9 @@ together, checking identity all along (an internal error on a mismatch),
 and keeps the step.  So the rebuilt step is the one the search first
 found, and reading a derivation runs no generated code.  apply_step, and so
 replay, neither runs nor compiles generated code and never trusts the
-kernel: it tests the step's orientation against the theory's set of kept
-orientations, built once by the rule the compile keeps orientations by and
-kept on the Theory like the kernel; it substitutes the step's terms into
-the axiom's sides, compares, and swaps the result in with replace_at.
+kernel: it tests the step's orientation against the relation's kept
+orientations, substitutes the step's terms into the axiom's sides,
+compares, and swaps the result in with replace_at.
 
 Outcomes distinguish three cases: a derivation was found; the search was
 exhausted, which always certifies non-provability; or a bound cut the
@@ -75,9 +76,8 @@ _verdict is the one rule from search records to status and reason.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import count
 from typing import Callable, Optional
 
@@ -215,7 +215,7 @@ def apply_step(t: TermInContext, th: Theory, step: RewriteStep) -> TermInContext
         raise RewriteError(f"axiom index {step.axiom_index} out of range")
     eq = th.axioms[step.axiom_index]
     src, dst = _oriented(eq, step.direction)
-    if (step.axiom_index, step.direction) not in _kept(th):
+    if (step.axiom_index, step.direction) not in _relation(th).kept:
         raise RewriteError(
             f"axiom {step.axiom_index} ({step.direction}) is no rewrite step: "
             "its source does not bind the whole axiom context"
@@ -239,29 +239,6 @@ def apply_step(t: TermInContext, th: Theory, step: RewriteStep) -> TermInContext
         )
     new_sub = substitute_terms(dst, step.subst, context_len=t.context_len).term
     return TermInContext(replace_at(t.term, step.position, new_sub), t.context_len)
-
-
-def _kept(th: Theory) -> frozenset:
-    """th's kept orientations, as (axiom index, direction) pairs.
-
-    An orientation is kept when its source mentions every context variable
-    (_orbit is not None); one whose source does not is dropped, since no
-    match of it binds the whole context.  apply_step tests a step against
-    this set, _compile takes the expansion sides from it, and _kernel reads
-    the one-way flag off it.  Computed on first use and kept on th, as
-    _kernel is; it compiles no code, and a copy or a pickle of th leaves it
-    behind.
-    """
-    kept = getattr(th, "_kept", None)
-    if kept is None:
-        kept = frozenset(
-            (ai, direction)
-            for ai, eq in enumerate(th.axioms)
-            for direction in (LR, RL)
-            if _orbit(*_oriented(eq, direction)) is not None
-        )
-        object.__setattr__(th, "_kept", kept)
-    return kept
 
 
 def _tuple(items: list) -> str:
@@ -472,21 +449,9 @@ def _orbit(src: TermInContext, dst: TermInContext):
     return canonical(App(_PAIR, (src.term, dst.term)))[0]
 
 
-def _inverses(sides: list) -> list:
-    """For each expansion side k, the index of its inverse side, or None.
-
-    The inverse of k is the side whose orbit key is that of k's flipped
-    (target, source) pair; a side whose flipped orientation is not kept has
-    none.  A step by side k at walk index w leaves w's walk index as it is,
-    and the inverse at w gives back exactly the term the step started from.
-    """
-    index = {_orbit(*side[3]): k for k, side in enumerate(sides)}
-    return [index.get(_orbit(dst, src)) for _, _, _, (src, dst) in sides]
-
-
 def _expand_code(sides: list) -> tuple[str, dict]:
     """The source of the expansion function over sides, a theory's
-    expansion sides as _compile lists them, and the globals it names.
+    expansion sides as _relation lists them, and the globals it names.
 
     expand(size_cap, t, reached, entries, distance, new) is the successor
     kernel: it records t's one-step rewrites that reached lacks, and says
@@ -498,20 +463,20 @@ def _expand_code(sides: list) -> tuple[str, dict]:
     bare term is the result's identity: one already in reached is skipped
     before its TermInContext is built.  Each other result goes into
     reached, into entries as (distance, t, side, w), and onto new, in
-    tie-break order.  side, the same tuple _kernel lists, and w, the walk
-    index of the subterm it matched, record its first witnessing step, which
-    Closure.step builds when a derivation is read.
+    tie-break order.  side, the same tuple the relation's sides list, and
+    w, the walk index of the subterm it matched, record its first
+    witnessing step, which Closure.step builds when a derivation is read.
 
     reached maps each bare term to its back-move bits, as in frontier
     search (Korf, Zhang, Thayer & Hohwald, "Frontier search", JACM 2005):
     bit w * K + j, over the K sides, set means side j at walk index w leads
     back into reached.  A result u -> v of side k at w sets bit w * K +
-    inv(k) of v, new or not, where inv(k) is k's inverse side (_inverses),
-    since that move gives back u.  expand reads t's bits first and skips a
-    side at a walk index whose bit is set, once its source has matched and
-    before anything is built: the result is one reached already holds, and
-    lies within the cap.  Last it sets t's value to -1, all bits, so no more
-    pile up on it.  A t missing from reached has no bits.
+    inv(k) of v, new or not, where inv(k) is k's inverse side (its last
+    slot), since that move gives back u.  expand reads t's bits first and
+    skips a side at a walk index whose bit is set, once its source has
+    matched and before anything is built: the result is one reached already
+    holds, and lies within the cap.  Last it sets t's value to -1, all bits,
+    so no more pile up on it.  A t missing from reached has no bits.
     """
     glob = _Globals(TermInContext=TermInContext)
     roots = dict.fromkeys(side[2] for side in sides if side[2] is not None)
@@ -525,8 +490,8 @@ def _expand_code(sides: list) -> tuple[str, dict]:
         "def expand(size_cap, t, reached, entries, distance, new):",
         _WALK.format(lists=lists, buckets="\n".join(buckets)),
     ]
-    for k, (side, back) in enumerate(zip(sides, _inverses(sides))):
-        _, _, root, (src, dst) = side
+    for k, side in enumerate(sides):
+        _, _, root, (src, dst), back = side
         # Only a side with an inverse is some side's inverse, so only its
         # bits are ever set.
         skip = "" if back is None else f"mask >> {_bit(k, len(sides))} & 1"
@@ -542,61 +507,74 @@ def _expand_code(sides: list) -> tuple[str, dict]:
     return "\n".join(lines) + "\n", glob.names
 
 
-def _compile(th: Theory) -> tuple[list[tuple], Callable]:
-    """The theory's expansion sides, in tie-break order, and its expansion
-    function.
+@dataclass(frozen=True)
+class _Relation:
+    """A theory's one-step relation, as _relation builds it.
 
-    The expansion sides hold one kept orientation (_kept) per renaming
-    orbit: an orientation whose (source, target) pair, renumbered in
-    first-occurrence order, equals an earlier one's rewrites every position
-    to the result the earlier one already gave, so it is left out (comm R->L
-    repeats comm L->R).  Each side is (axiom index, direction, the source's
-    root symbol or None, the oriented (source, target) pair).  The
-    expansion function, from _expand_code, is the only code generated, once
-    per theory: one code object, compiled and run once.  Its file name
-    carries the compile's serial number, as in <rewrite expand 3>, so a
-    profile keeps each theory's function apart; no symbol name or other
-    input text is part of it.
+    kept holds the kept orientations as (axiom index, direction) pairs: an
+    orientation is kept when its source mentions every context variable
+    (_orbit is not None); one whose source does not is dropped, since no
+    match of it binds the whole context.  apply_step tests a step against
+    kept.  sides are the expansion sides in tie-break order, one kept
+    orientation per renaming orbit: an orientation whose (source, target)
+    pair, renumbered in first-occurrence order, equals an earlier one's
+    rewrites every position to the result the earlier one already gave, so
+    it is left out (comm R->L repeats comm L->R).  Each side is (axiom
+    index, direction, the source's root symbol or None, the oriented
+    (source, target) pair, the index of its inverse side or None).  The
+    inverse is the side whose orbit is that of the flipped (target, source)
+    pair; a side whose flipped orientation is not kept has none.  A step by
+    a side at walk index w leaves w's walk index as it is, and the inverse
+    at w gives back exactly the term the step started from.  one_way says
+    some axiom has exactly one kept orientation; it covers every kept
+    orientation, also those sides leaves out as renamings.
     """
-    kept = _kept(th)
-    sides, orbits = [], set()
-    for ai, eq in enumerate(th.axioms):
-        for direction in (LR, RL):
-            if (ai, direction) not in kept:
-                continue
-            src, dst = _oriented(eq, direction)
-            orbit = _orbit(src, dst)
-            if orbit in orbits:
-                continue
-            orbits.add(orbit)
-            root = src.term.sym if isinstance(src.term, App) else None
-            sides.append((ai, direction, root, (src, dst)))
-    code, names = _expand_code(sides)
-    exec(compile(code, f"<rewrite expand {next(_COMPILES)}>", "exec"), names)
-    return sides, names["expand"]
+
+    kept: frozenset
+    sides: tuple
+    one_way: bool
+
+    @cached_property
+    def expand(self) -> Callable:
+        """The expansion function over sides, from _expand_code, compiled on
+        first read: the successor kernel every term search grows by, and the
+        only code generated, one code object per theory, compiled and run
+        once.  Its file name carries the compile's serial number, as in
+        <rewrite expand 3>, so a profile keeps each theory's function apart;
+        no symbol name or other input text is part of it."""
+        code, names = _expand_code(self.sides)
+        exec(compile(code, f"<rewrite expand {next(_COMPILES)}>", "exec"), names)
+        return names["expand"]
 
 
-def _kernel(th: Theory) -> tuple[list[tuple], bool, Callable]:
-    """th's expansion sides, whether th has a one-way axiom, and th's
-    expansion function.
-
-    The expansion function is the successor kernel every term search grows
-    by; Closure.step's rebuild reads the sides' (source, target) pairs and
-    runs no generated code.  The one-way flag covers every kept orientation
-    (_kept), also those the expansion sides leave out as renamings.
-    apply_step, and so replay, never calls _kernel: it tests an orientation
-    against _kept, so it compiles no code.  Computed on first use and kept
-    on th, the way Theory keeps its symbol table; a Theory is frozen, so
-    the result never goes stale, and a copy or a pickle of th leaves it
-    behind.
+def _relation(th: Theory) -> _Relation:
+    """th's one-step relation, built on first use in one pass over the
+    orientations, each orbit key computed once, and kept on th the way
+    Theory keeps its symbol table; a Theory is frozen, so it never goes
+    stale, and a copy or a pickle of th leaves it behind.  Building it
+    compiles no code: only the first search reads expand.
     """
-    kernel = getattr(th, "_kernel", None)
-    if kernel is None:
-        sides, expand = _compile(th)
-        one_way = 1 in Counter(ai for ai, _ in _kept(th)).values()
-        kernel = (sides, one_way, expand)
-        object.__setattr__(th, "_kernel", kernel)
-    return kernel
+    rel = getattr(th, "_relation", None)
+    if rel is None:
+        kept, orbits, sides, one_way = [], {}, [], False
+        for ai, eq in enumerate(th.axioms):
+            lr, rl = _orbit(eq.lhs, eq.rhs), _orbit(eq.rhs, eq.lhs)
+            one_way = one_way or (lr is None) != (rl is None)
+            for direction, key, flip in ((LR, lr, rl), (RL, rl, lr)):
+                if key is None:
+                    continue
+                kept.append((ai, direction))
+                if key not in orbits:
+                    orbits[key] = len(sides)
+                    src, dst = _oriented(eq, direction)
+                    root = src.term.sym if isinstance(src.term, App) else None
+                    sides.append((ai, direction, root, (src, dst), flip))
+        # Each side's last slot held its flip's orbit key until every side
+        # was listed; it now names the side of that orbit.
+        sides = tuple(side[:4] + (orbits.get(side[4]),) for side in sides)
+        rel = _Relation(frozenset(kept), sides, one_way)
+        object.__setattr__(th, "_relation", rel)
+    return rel
 
 
 def _rebuild(parent: TermInContext, child: TermInContext, side: tuple, w: int) -> RewriteStep:
@@ -629,7 +607,7 @@ def _rebuild(parent: TermInContext, child: TermInContext, side: tuple, w: int) -
         position.append(i)
         p, c = pa[i], ca[i]
     else:  # the descent reached w
-        ai, direction, _, (src, dst) = side
+        ai, direction, _, (src, dst), _ = side
         bound = [None] * src.context_len
         todo = [(dst.term, c), (src.term, p)]
         while todo:
@@ -667,7 +645,7 @@ def successors(
     if size_cap < term_size(t.term):
         raise ValueError("size cap is smaller than the term itself")
     cl = Closure(t, {}, [t])
-    cl.grow(partial(_kernel(th)[2], size_cap), 1)
+    cl.grow(partial(_relation(th).expand, size_cap), 1)
     return [(nt, cl.step(nt)) for nt in cl.frontier]
 
 
@@ -907,9 +885,9 @@ def prove_bounded(
     lhs, rhs = goal.lhs, goal.rhs
     cap = max(term_size(lhs.term), term_size(rhs.term)) + slack
     bounds_doc = {"depth": depth, "size_cap": cap, "node_budget": node_budget}
-    _, one_way, expand = _kernel(th)
+    rel = _relation(th)
     left, right = Closure.of(lhs, lhs.term), Closure.of(rhs, rhs.term)
-    meet, mu = _search(left, right, one_way, depth, partial(expand, cap), node_budget)
+    meet, mu = _search(left, right, rel.one_way, depth, partial(rel.expand, cap), node_budget)
     stats = SearchStats(
         left.expanded + right.expanded, len(left.entries), len(right.entries),
         left.depth_reached, right.depth_reached,
@@ -935,10 +913,15 @@ def bounded_closure(
     size_cap: Optional[int] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Closure:
-    """The closure record of start, grown level by level up to depth."""
+    """The closure record of start, grown level by level up to depth.
+
+    size_cap defaults to start's size plus DEFAULT_SLACK; a cap below
+    start's size is a ValueError.
+    """
     cap = size_cap if size_cap is not None else term_size(start.term) + DEFAULT_SLACK
-    cap = max(cap, term_size(start.term))
-    expand = partial(_kernel(th)[2], cap)
+    if cap < term_size(start.term):
+        raise ValueError("size cap is smaller than the term itself")
+    expand = partial(_relation(th).expand, cap)
     cl = Closure.of(start, start.term)
     while cl.frontier and cl.depth_reached < depth and not cl.budget_hit:
         cl.grow(expand, node_budget)

@@ -53,7 +53,7 @@ from .rewrite import (
     EXHAUSTED,
     FOUND,
     RewriteStep,
-    _kernel,
+    _relation,
     bounded_closure,
     derivation_to_doc,
     flip_step,
@@ -408,7 +408,7 @@ def _enumeration(th: Theory, max_context: int, skip_inert: bool) -> _Enumeration
     sources of th's expansion sides, or from a variable source, which
     matches every node, when inert terms must run their closures too."""
     if skip_inert:
-        sources = [src.term for _, _, _, (src, _) in _kernel(th)[0]]
+        sources = [side[3][0].term for side in _relation(th).sides]
     else:
         sources = [Var(1)]
     return _Enumeration(th, max_context, _Automaton(sources))
@@ -569,7 +569,7 @@ def search_flabby(
     )
     # Only a symmetric relation, with no one-way axiom, makes a complete
     # class decide its members.
-    share = not _kernel(th)[1]
+    share = not _relation(th).one_way
     cleared: dict = {}  # canonical term -> size of the class that cleared it
     # An inert term's closure would be one entry, complete, with no flag
     # set, when the closure expands it (depth and budget at least 1).

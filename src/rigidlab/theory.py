@@ -69,13 +69,15 @@ def _check_signature_terms(term: Term, by_name: dict) -> None:
 class Theory:
     """An ordered signature and an ordered, 0-indexed list of axioms.
 
-    The rewrite engine keeps the theory's compiled kernel on the object, as
-    _kernel, computed on first use: its expansion sides and the one
-    generated Python function that expands a term by all of them, once per
-    theory.  Replay neither runs nor compiles generated code, and reading a
-    derivation runs none; it reads the set of kept orientations, kept as
-    _kept in the same way.  A copy or a pickle carries only the signature
-    and the axioms, so it compiles its own kernel on first use.
+    The rewrite engine keeps the theory's one-step relation on the object,
+    as one record, _relation, built on first use: its kept orientations, its
+    expansion sides with their inverses, and its one-way flag.  The one
+    generated Python function that expands a term by all the sides is
+    compiled into that record on the first search, once per theory.  Replay
+    reads only the kept orientations, so it neither runs nor compiles
+    generated code, and reading a derivation runs none.  A copy or a pickle
+    carries only the signature and the axioms, so it builds its own
+    relation on first use.
     """
 
     signature: tuple

@@ -233,6 +233,26 @@ class TestHat:
         assert doc["warnings"] == []
         assert doc["decisions"]
 
+    def test_context_prefix(self, yes_wp):
+        proc = run("hat", yes_wp, "[3] m(b(a(alpha(x1))),x2)")
+        assert proc.returncode == 0
+        doc = out_doc(proc)
+        assert doc["input"] == "m(b(a(alpha(x1))),x2)" and doc["context_len"] == 3
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            ("[1] m(b(a(alpha(x1))),x2)", "term uses variables beyond its context of length 1"),
+            ("[2 m(x1,x2)", "unclosed context prefix"),
+            ("[x] m(x1,x2)", "bad context length 'x'"),
+            ("[-1] x1", "context length must be non-negative"),
+        ],
+    )
+    def test_bad_context_prefix_exits_three(self, yes_wp, term, message):
+        proc = run("hat", yes_wp, term)
+        assert proc.returncode == 3
+        assert message in proc.stderr
+
     def test_uncertain_exits_two(self, tmp_path):
         p = tmp_path / "hard.wp"
         p.write_text("alphabet a b\nrel ab = ba\nrel a = aa\ngoal a = b\n")

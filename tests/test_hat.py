@@ -365,13 +365,13 @@ class TestCheckHatCongruence:
         # Repeated checks on one instance share its compiled theory, so its
         # expansion function is generated once, not once per call.
         calls = []
-        compile_sides = rewrite._compile
+        expand_code = rewrite._expand_code
 
-        def counted(th):
-            calls.append(th)
-            return compile_sides(th)
+        def counted(sides):
+            calls.append(sides)
+            return expand_code(sides)
 
-        monkeypatch.setattr(rewrite, "_compile", counted)
+        monkeypatch.setattr(rewrite, "_expand_code", counted)
         reduction._compiled.cache_clear()
         d = self._goal_step_derivation(YES_INST, YES_TH)
         for _ in range(5):

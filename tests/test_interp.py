@@ -96,16 +96,6 @@ class TestConstruction:
                 {"l": short, "r": short, "m": I_YES.image_of("m")},
             )
 
-    def test_linear_regular_flag_validated(self):
-        dup = parse("m(x1,x1)", TARGET, 2)
-        with pytest.raises(ValueError):
-            Interpretation.of(
-                SEED,
-                TARGET,
-                {"l": dup, "r": dup, "m": I_YES.image_of("m")},
-                linear_regular=True,
-            )
-
 
 class TestExtend:
     def test_variable_fixed(self):
@@ -398,6 +388,7 @@ class TestConcreteSyntax:
         i = load_interpretation(tmp_path / "map.itp")
         assert i.source == SEED and i.target == TARGET
         assert dict(i.assignment) == dict(I_YES.assignment)
+        assert i == I_YES
 
     def test_missing_map_line_rejected(self):
         partial = "map l = m(x1,x2)\nmap r = m(x1,x2)\n"

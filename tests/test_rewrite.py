@@ -309,6 +309,7 @@ class TestReplay:
 
         monkeypatch.setattr(rewrite, "_expand_code", refuse)
         assert replay(found.derivation, parse_theory(ac_text))
+        assert symbol_census(found.derivation, parse_theory(ac_text), "m") == [2, 2, 2]
         assert verify_report(flabby.report, parse_theory(comm_text))
 
 
@@ -372,6 +373,17 @@ class TestBoundedClosure:
             want = naive_closure(start, COMPILED_LIKE, 3, cap)
             assert {t: close.distance(t) for t in close.entries} == want
 
+    def test_cap_below_start_size_rejected(self):
+        # A cap below the start's size is refused, as successors refuses
+        # it, not raised to that size: on {comm} the size-5 start's class
+        # would come back complete, with every entry over the cap.
+        th = parse_theory("symbol m 2\naxiom [2] m(x1,x2) = m(x2,x1)\n")
+        start = tic(parse_term("m(m(x1,x2),x3)", th.symbols_by_name()), 3)
+        with pytest.raises(ValueError, match="size cap is smaller than the term itself"):
+            bounded_closure(th, start, 4, size_cap=2)
+        close = bounded_closure(th, start, 4, size_cap=5)
+        assert close.complete and len(close.entries) == 4
+
 
 AC = parse_theory(
     "symbol m 2\naxiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\naxiom [2] m(x1,x2) = m(x2,x1)\n"
@@ -391,10 +403,14 @@ AB_COMMUTE = instance(["a", "b"], [("ab", "ba")], ("ab", "ba"))
         lambda: word_bfs(AB_COMMUTE, "aabb", "bbaa", depth=8, slack=-1),
         lambda: word_semidecide(AB_COMMUTE, "aabb", "bbaa", depth=8, slack=-1),
         lambda: WordOracle(AB_COMMUTE, depth=8, slack=-1).equiv("aabb", "bbaa"),
+        lambda: WordOracle(AB_COMMUTE, depth=3, slack=-1),
         lambda: search_flabby(AC, max_size=5, max_context=3, depth=4, slack=-1),
         lambda: probe_conservativity(identity_interpretation(AC), term_size_bound=3, depth=4, slack=-1),
     ],
-    ids=["prove_bounded", "word_bfs", "word_semidecide", "WordOracle", "search_flabby", "probe_conservativity"],
+    ids=[
+        "prove_bounded", "word_bfs", "word_semidecide", "WordOracle", "WordOracle_built",
+        "search_flabby", "probe_conservativity",
+    ],
 )
 def test_negative_slack_rejected(search):
     with pytest.raises(ValueError, match="slack must not be negative"):
@@ -495,7 +511,7 @@ class TestDerivationsOnDemand:
         th = parse_theory(text)
         term = parse_term(start, th.symbols_by_name())
         close = bounded_closure(th, tic(term, term.max_var), 10)
-        kernel_sides = rewrite._kernel(th)[0]
+        kernel_sides = rewrite._relation(th).sides
         assert close.complete and len(close.entries) == entries and len(kernel_sides) == sides
         for t in list(close.entries)[1:]:
             d, parent, side, w = record = close.entries[t]
@@ -664,7 +680,7 @@ class TestSuccessorKernel:
         # first witnesses and the cap flag still match the oracle, which
         # tries every orientation.
         th = parse_theory("symbol u 1\nsymbol m 2\nsymbol f 3\n" + axioms)
-        assert len(rewrite._kernel(th)[0]) == sides
+        assert len(rewrite._relation(th).sides) == sides
         symbols = th.symbols_by_name()
         for n, text in terms:
             t = tic(parse_term(text, symbols), n)
@@ -692,7 +708,7 @@ class TestSuccessorKernel:
         start = tic(parse_term("m(m(m(m(x1,x2),x3),x4),x5)", ac.symbols_by_name()), 5)
         close = Closure.of(start, start.term)
         close.reached = built = Counted(close.reached)
-        expand = partial(rewrite._kernel(ac)[2], term_size(start.term) + DEFAULT_SLACK)
+        expand = partial(rewrite._relation(ac).expand, term_size(start.term) + DEFAULT_SLACK)
         while close.frontier:
             close.grow(expand, DEFAULT_NODE_BUDGET)
         assert close.complete and len(close.entries) == 1680
@@ -738,7 +754,8 @@ class TestSuccessorKernel:
         # levels are grown, so the second runs against a reached set the
         # first one filled.
         th, t, cap = case
-        sides, _, expand = rewrite._kernel(th)
+        rel = rewrite._relation(th)
+        sides, expand = rel.sides, rel.expand
         runs = []
         for fn in (partial(expand, cap), partial(reference_expand, sides, cap)):
             reached, entries, frontier, log = {t.term: 0}, {}, [t], []
@@ -761,8 +778,8 @@ class TestSuccessorKernel:
         # side k at walk index w, whose source the naive matcher matches
         # there, within the cap, giving a term reached already holds.
         th, t, cap = case
-        sides, _, expand = rewrite._kernel(th)
-        expand = partial(expand, cap)
+        rel = rewrite._relation(th)
+        sides, expand = rel.sides, partial(rel.expand, cap)
 
         def checked(u, reached, *rest):
             mask = reached[u.term]
@@ -806,7 +823,7 @@ class TestSuccessorKernel:
         th = parse_theory(f"symbol a 1\nsymbol b 1\naxiom [1] {a} = {b}\n")
         symbols = th.symbols_by_name()
         start, other = tic(parse_term(a, symbols), 1), tic(parse_term(b, symbols), 1)
-        code = rewrite._expand_code(rewrite._kernel(th)[0])[0]
+        code = rewrite._expand_code(rewrite._relation(th).sides)[0]
         assert max(len(line) - len(line.lstrip()) for line in code.splitlines()) <= 16
         assert code.count("\n        t0 = subs[w]\n") == 2
         close = bounded_closure(th, start, 3)
@@ -828,10 +845,10 @@ class TestSuccessorKernel:
         )
         th = parse_theory(text.format("None", "return", "lambda", "App", "t1", "room"))
         plain = parse_theory(text.format("c", "p", "u", "m", "v", "f"))
-        expand_code = [rewrite._expand_code(rewrite._kernel(u)[0])[0] for u in (th, plain)]
+        expand_code = [rewrite._expand_code(rewrite._relation(u).sides)[0] for u in (th, plain)]
         assert expand_code[0] == expand_code[1]
         # Nor do they reach the generated code's file name.
-        expand = rewrite._kernel(th)[2]
+        expand = rewrite._relation(th).expand
         assert re.fullmatch(r"<rewrite expand \d+>", expand.__code__.co_filename)
         rng = random.Random(7)
         symbols = th.symbols_by_name()
@@ -849,7 +866,7 @@ class TestSuccessorKernel:
         # expansion functions must not share a file name.
         text = "symbol m 2\naxiom [2] m(x1,x2) = m(x2,x1)\n"
         one, two = parse_theory(text), parse_theory(text + "axiom [3] m(m(x1,x2),x3) = m(x1,m(x2,x3))\n")
-        expands = [rewrite._kernel(th)[2].__code__.co_filename for th in (one, two)]
+        expands = [rewrite._relation(th).expand.__code__.co_filename for th in (one, two)]
         assert expands[0] != expands[1]
 
     def test_one_code_object_per_theory(self, monkeypatch):
@@ -873,14 +890,15 @@ class TestSuccessorKernel:
         # Module globals shadow the builtins for rewrite's own calls.
         monkeypatch.setattr(rewrite, "compile", counted(compile), raising=False)
         monkeypatch.setattr(rewrite, "exec", counted(exec), raising=False)
-        sides, expand = rewrite._compile(th)
+        rel = rewrite._relation(th)
+        sides, expand = rel.sides, rel.expand
         assert calls == ["compile", "exec"] and callable(expand)
-        assert [(ai, d) for ai, d, _, _ in sides] == [(0, LR), (0, RL), (1, LR), (2, LR), (2, RL)]
-        assert len(rewrite._kept(th)) == 6
-        for ai, direction, root, pair in sides:
+        assert [(ai, d) for ai, d, _, _, _ in sides] == [(0, LR), (0, RL), (1, LR), (2, LR), (2, RL)]
+        assert len(rel.kept) == 6
+        for ai, direction, root, pair, inverse in sides:
             eq = th.axioms[ai]
             assert pair == ((eq.lhs, eq.rhs) if direction == LR else (eq.rhs, eq.lhs))
-            assert not any(callable(v) for v in (ai, direction, root, *pair))
+            assert not any(callable(v) for v in (ai, direction, root, *pair, inverse))
 
     def test_dead_table_entry_is_survived(self):
         # A symbol's table can hold a dead weak ref whose callback has not
@@ -1301,17 +1319,18 @@ class TestOneWayTheories:
         assert apply_step(goal.rhs, th, forward) == goal.lhs
 
     def test_kept_orientations_are_kept_on_the_theory(self):
-        # apply_step reads one set of kept orientations per theory, built on
-        # first use; a copy or a pickle carries only signature and axioms.
+        # apply_step reads the kept orientations of one relation record per
+        # theory, built on first use; a copy or a pickle carries only
+        # signature and axioms.
         th = parse_theory("symbol c 0\nsymbol m 2\naxiom [1] x1 = c()\naxiom [2] m(x1,x2) = m(x2,x1)\n")
-        assert not hasattr(th, "_kept")
+        assert not hasattr(th, "_relation")
         symbols = th.symbols_by_name()
         t = tic(parse_term("m(x1,c())", symbols), 1)
         forward = RewriteStep(0, LR, (0,), (tic(x(1), 1),))
         assert apply_step(t, th, forward) == tic(parse_term("m(c(),c())", symbols), 1)
-        assert th._kept == {(0, LR), (1, LR), (1, RL)}
+        assert th._relation.kept == {(0, LR), (1, LR), (1, RL)}
         for other in (pickle.loads(pickle.dumps(th)), copy.deepcopy(th), copy.copy(th)):
-            assert other == th and not hasattr(other, "_kept")
+            assert other == th and not hasattr(other, "_relation")
         step = RewriteStep(0, RL, (1,), (tic(x(1), 1),))
         message = "axiom 0 (RL) is no rewrite step: its source does not bind the whole axiom context"
         with pytest.raises(RewriteError, match=re.escape(message)):
@@ -1357,9 +1376,9 @@ class TestRenamedOrientations:
         once = parse_theory("symbol c 0\nsymbol m 2\naxiom [1] x1 = c()\n")
         for th in (self.COMM, self.TWICE, once):
             doubled = Theory(th.signature, th.axioms + th.axioms)
-            assert rewrite._kernel(doubled)[1] == rewrite._kernel(th)[1]
-        assert not rewrite._kernel(self.COMM)[1]
-        assert rewrite._kernel(once)[1]
+            assert rewrite._relation(doubled).one_way == rewrite._relation(th).one_way
+        assert not rewrite._relation(self.COMM).one_way
+        assert rewrite._relation(once).one_way
 
 
 @st.composite

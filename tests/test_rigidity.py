@@ -561,17 +561,17 @@ class TestClosureScan:
 
     def test_theory_compiled_once_per_search(self, monkeypatch):
         calls = []
-        compile_sides = rewrite._compile
+        expand_code = rewrite._expand_code
 
-        def counted(th):
-            calls.append(th)
-            return compile_sides(th)
+        def counted(sides):
+            calls.append(sides)
+            return expand_code(sides)
 
-        monkeypatch.setattr(rewrite, "_compile", counted)
+        monkeypatch.setattr(rewrite, "_expand_code", counted)
         th = compile_reduction(COMMUTES)
         out = search_flabby(th, max_size=8, max_context=3, depth=6)
         assert out.status == FOUND and out.closures_computed > 1
-        assert calls == [th]
+        assert calls == [rewrite._relation(th).sides]
 
     @settings(max_examples=60, deadline=None)
     @given(symmetric_case(), st.integers(0, 3))
@@ -745,7 +745,7 @@ class TestSharedClasses:
 
 def kernel_sources(th) -> list:
     """The sources of th's expansion sides."""
-    return [(th.axioms[ai].lhs if d == "LR" else th.axioms[ai].rhs).term for ai, d, _, _ in rewrite._kernel(th)[0]]
+    return [(th.axioms[ai].lhs if d == "LR" else th.axioms[ai].rhs).term for ai, d, _, _, _ in rewrite._relation(th).sides]
 
 
 def is_linear_term(term) -> bool:
