@@ -13,7 +13,10 @@ hash-consing", ML Workshop 2006): _extend_shared extends a node once per
 context's pool, mapping each source node to its image node, and a
 ConservativityReport's document renders each distinct term once, in one
 renderer that all its findings share.  extend is _extend_shared with a
-fresh memo, so there is one extension path.
+fresh memo, so there is one extension path.  The findings' derivations
+share step objects too, one per target-closure entry, and the document
+holds one dict per distinct step, shared among the findings: a caller that
+edits one finding's step edits every finding that shares it.
 
 The module also owns the ``.itp`` file format::
 
@@ -170,22 +173,30 @@ def check_preserves_axioms(i: Interpretation, *, depth: int) -> list[tuple[int, 
 class ProbeFinding:
     """A source equation whose image became provable in the target."""
 
+    # Slotted by hand, as rewrite.RewriteStep is: a report holds one per
+    # finding.  __reduce__ copies and pickles through the constructor.
+    __slots__ = ("lhs", "rhs", "target_derivation", "confirmed")
+
     lhs: TermInContext
     rhs: TermInContext
     target_derivation: Derivation
     confirmed: bool  # the source closure was complete
 
-    def to_doc(self) -> dict:
-        return self._doc(render_term)
+    def __reduce__(self):
+        return ProbeFinding, (self.lhs, self.rhs, self.target_derivation, self.confirmed)
 
-    def _doc(self, render: Callable) -> dict:
-        """to_doc with render writing each term."""
+    def to_doc(self) -> dict:
+        return self._doc(render_term, {})
+
+    def _doc(self, render: Callable, rendered: dict) -> dict:
+        """to_doc with render writing each term and rendered the step memo
+        of rewrite._derivation_doc."""
         return {
             "lhs": render(self.lhs.term),
             "rhs": render(self.rhs.term),
             "context_len": self.lhs.context_len,
             "confirmed": self.confirmed,
-            "target_derivation": _derivation_doc(self.target_derivation, render),
+            "target_derivation": _derivation_doc(self.target_derivation, render, rendered),
         }
 
 
@@ -213,12 +224,16 @@ class ConservativityReport:
         return not self.confirmed and not self.candidates
 
     def to_doc(self) -> dict:
-        # The findings' derivations pass through the same few terms: each
-        # distinct term is rendered once, for all findings.
-        render = cache(render_term)
+        """The report's document.  The findings' derivations pass through
+        the same few terms, and those from one target closure share the
+        closure's step objects: each distinct term is rendered once, for all
+        findings, and each distinct step is one dict, shared by every
+        finding whose derivation holds it, so a caller that edits one
+        finding's step edits every finding that shares it."""
+        render, rendered = cache(render_term), {}
         return {
-            "confirmed": [f._doc(render) for f in self.confirmed],
-            "candidates": [f._doc(render) for f in self.candidates],
+            "confirmed": [f._doc(render, rendered) for f in self.confirmed],
+            "candidates": [f._doc(render, rendered) for f in self.candidates],
             "pairs_checked": self.pairs_checked,
             "target_proved": self.target_proved,
             "targets_complete": self.targets_complete,
@@ -262,7 +277,8 @@ def probe_conservativity(
     each shared node of the canonical terms once (_graft_shared), the
     pool's images are built by _extend_shared with one memo per context's
     pool, so each source node is extended once, and the report's to_doc
-    renders each distinct term once for all findings.
+    renders each distinct term and each distinct step once for all
+    findings.
     """
     if slack < 0:
         raise ValueError("slack must not be negative")

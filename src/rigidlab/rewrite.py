@@ -192,12 +192,18 @@ def flip_step(step: RewriteStep) -> RewriteStep:
 class Derivation:
     """A replayable proof: start term, step list, claimed end term."""
 
+    # Slotted by hand, as RewriteStep is, and for the same reasons.
+    __slots__ = ("start", "steps", "end")
+
     start: TermInContext
     steps: tuple
     end: TermInContext
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
+
+    def __reduce__(self):
+        return Derivation, (self.start, self.steps, self.end)
 
 
 def _oriented(eq: Equation, direction: str) -> tuple[TermInContext, TermInContext]:
@@ -582,28 +588,46 @@ def _rebuild(parent: TermInContext, child: TermInContext, side: tuple, w: int) -
     at walk index w gives child.
 
     Descends parent and child together to w, checking at each level that
-    they agree off the path.  There it reads one binding in one walk of
-    side's source against parent's subterm and side's target against
-    child's: symbol identity at each symbol node, identity at each repeated
-    variable (terms are hash-consed).  Any mismatch is an internal error,
-    never a step that does not join the two.
+    they agree off the path: one branch per arity, as the expansion
+    function's walk has, a unary node having no siblings to compare and a
+    binary one a single sibling, compared by identity (terms are
+    hash-consed).  There it reads one binding in one walk of side's source
+    against parent's subterm and side's target against child's: symbol
+    identity at each symbol node, identity at each repeated variable.  Any
+    mismatch, a walk index past parent's last subterm included, is an
+    internal error, never a step that does not join the two.
     """
     p, c = parent.term, child.term
+    if w >= p.size:
+        raise _not_a_record(parent, child)
     position = []
     j = 0  # p's walk index in parent
+    # j <= w < j + p.size holds all the way down, so p is an App while j < w,
+    # and a unary node needs no test of which argument holds w.
     while j < w:
-        if p.__class__ is not App or c.__class__ is not App or p.sym is not c.sym:
-            break
-        j += 1
-        for i, a in enumerate(p.args):
-            if w < j + a.size:
-                break
-            j += a.size
-        else:
+        if c.__class__ is not App or c.sym is not p.sym:
             break
         pa, ca = p.args, c.args
-        if pa[:i] != ca[:i] or pa[i + 1 :] != ca[i + 1 :]:
-            break
+        j += 1
+        if len(pa) == 1:
+            i = 0
+        elif len(pa) == 2:
+            if w < j + pa[0].size:
+                i = 0
+                if pa[1] is not ca[1]:
+                    break
+            else:
+                i = 1
+                j += pa[0].size
+                if pa[0] is not ca[0]:
+                    break
+        else:
+            i = 0
+            while w >= j + pa[i].size:
+                j += pa[i].size
+                i += 1
+            if any(a is not b for k, (a, b) in enumerate(zip(pa, ca)) if k != i):
+                break
         position.append(i)
         p, c = pa[i], ca[i]
     else:  # the descent reached w
@@ -626,7 +650,13 @@ def _rebuild(parent: TermInContext, child: TermInContext, side: tuple, w: int) -
         else:
             n = parent.context_len
             return RewriteStep(ai, direction, position, [TermInContext(s, n) for s in bound])
-    raise RuntimeError(
+    raise _not_a_record(parent, child)
+
+
+def _not_a_record(parent: TermInContext, child: TermInContext) -> RuntimeError:
+    """The internal error of a closure entry whose record gives no step from
+    parent to child."""
+    return RuntimeError(
         f"internal error: the closure entry {render_term(child.term)} does not "
         f"record a step from {render_term(parent.term)}"
     )
@@ -966,25 +996,35 @@ def symbol_census(d: Derivation, th: Theory, sym) -> list[int]:
 # ---- JSON export ----
 
 def derivation_to_doc(d: Derivation) -> dict:
-    return _derivation_doc(d, render_term)
+    return _derivation_doc(d, render_term, {})
 
 
-def _derivation_doc(d: Derivation, render: Callable) -> dict:
-    """derivation_to_doc with render writing each term; a caller that
-    renders many derivations passes one memoising renderer."""
-    return {
-        "context_len": d.start.context_len,
-        "start": render(d.start.term),
-        "end": render(d.end.term),
-        "steps": [
-            {
+def _derivation_doc(d: Derivation, render: Callable, rendered: dict) -> dict:
+    """derivation_to_doc with render writing each term, reading and filling
+    rendered, a map from the id of each step rendered so far to its dict.
+
+    A caller that renders many derivations passes one memoising renderer
+    and one map, so each distinct step object is rendered once and is one
+    dict, shared by every derivation in the document that holds it:
+    editing one derivation's step dict edits it in all of them.  Keys are
+    ids, so every step rendered through one map must outlive the map.
+    """
+    steps = []
+    for s in d.steps:
+        doc = rendered.get(id(s))
+        if doc is None:
+            doc = rendered[id(s)] = {
                 "axiom": s.axiom_index,
                 "direction": s.direction,
                 "position": list(s.position),
                 "subst": [render(u.term) for u in s.subst],
             }
-            for s in d.steps
-        ],
+        steps.append(doc)
+    return {
+        "context_len": d.start.context_len,
+        "start": render(d.start.term),
+        "end": render(d.end.term),
+        "steps": steps,
     }
 
 

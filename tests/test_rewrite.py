@@ -487,8 +487,16 @@ class TestDerivationsOnDemand:
         with pytest.raises(RuntimeError, match="internal error"):
             close.step(t)
 
+    def test_walk_index_past_a_constant_is_an_internal_error(self):
+        # A descent to a walk index past the parent's last subterm would end
+        # at the constant e(), which has no argument to hold it.
+        th = parse_theory("symbol e 0\nsymbol m 2\naxiom [2] m(x1,x2) = m(x2,x1)\n")
+        t = tic(parse_term("m(x1,e())", th.symbols_by_name()), 1)
+        with pytest.raises(RuntimeError, match="internal error"):
+            rewrite._rebuild(t, t, rewrite._relation(th).sides[0], 3)
+
     @pytest.mark.parametrize(
-        "text, start, entries, sides",
+        "text, start, entries, sides, depths",
         [
             (
                 "symbol u 1\nsymbol m 2\n"
@@ -496,18 +504,30 @@ class TestDerivationsOnDemand:
                 "u(m(m(x1,x2),x3))",
                 12,
                 3,
+                {1, 2},
             ),
-            ("symbol l 2\nsymbol r 2\nsymbol m 2\naxiom [2] l(x1,x2) = r(x2,x1)\n", "m(l(x1,x2),l(x3,x4))", 4, 2),
+            ("symbol l 2\nsymbol r 2\nsymbol m 2\naxiom [2] l(x1,x2) = r(x2,x1)\n", "m(l(x1,x2),l(x3,x4))", 4, 2, {1}),
+            (
+                "symbol a 1\nsymbol b 1\nsymbol alpha 1\nsymbol m 2\n"
+                "axiom [1] a(b(x1)) = b(a(x1))\n"
+                "axiom [2] m(a(b(alpha(x1))),x2) = m(b(a(alpha(x2))),x1)\n",
+                "m(x1,a(b(a(b(alpha(x2))))))",
+                6,
+                4,
+                {1, 2, 3},
+            ),
         ],
-        ids=["assoc-comm", "seed"],
+        ids=["assoc-comm", "seed", "compiled-ab=ba"],
     )
-    def test_forged_records_are_internal_errors(self, text, start, entries, sides):
+    def test_forged_records_are_internal_errors(self, text, start, entries, sides, depths):
         # Every entry of the closure in turn gets forged records: its walk
         # index plus one, each other side, each other entry as parent.  No
         # such record joins its parent to the entry here, so each raises,
         # and the entry's true record still rebuilds its step afterwards.
         # In the seed theory a forged side has the true side's shape with
-        # other symbols.
+        # other symbols.  In the compiled {ab=ba} yes theory the steps lie
+        # below unary nodes, at chain depths 1 to 3 under the root m; depths
+        # are the lengths of the steps' positions.
         th = parse_theory(text)
         term = parse_term(start, th.symbols_by_name())
         close = bounded_closure(th, tic(term, term.max_var), 10)
@@ -527,6 +547,7 @@ class TestDerivationsOnDemand:
             close.entries[t] = record
             close.steps.clear()
             assert apply_step(parent, th, close.step(t)) == t
+        assert {len(close.step(t).position) for t in list(close.entries)[1:]} == depths
 
     def test_corrupted_word_record_is_an_internal_error(self):
         side = (0, LR, ("a", "b"), ("b", "a"))
