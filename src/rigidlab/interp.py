@@ -14,9 +14,9 @@ context's pool, mapping each source node to its image node, and a
 ConservativityReport's document renders each distinct term once, in one
 renderer that all its findings share.  extend is _extend_shared with a
 fresh memo, so there is one extension path.  The findings' derivations
-share step objects too, one per target-closure entry, and the document
-holds one dict per distinct step, shared among the findings: a caller that
-edits one finding's step edits every finding that shares it.
+pass through the same few steps too, and the document holds one dict per
+distinct step, shared among the findings: a caller that edits one
+finding's step edits every finding that shares it.
 
 The module also owns the ``.itp`` file format::
 
@@ -169,21 +169,14 @@ def check_preserves_axioms(i: Interpretation, *, depth: int) -> list[tuple[int, 
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbeFinding:
     """A source equation whose image became provable in the target."""
-
-    # Slotted by hand, as rewrite.RewriteStep is: a report holds one per
-    # finding.  __reduce__ copies and pickles through the constructor.
-    __slots__ = ("lhs", "rhs", "target_derivation", "confirmed")
 
     lhs: TermInContext
     rhs: TermInContext
     target_derivation: Derivation
     confirmed: bool  # the source closure was complete
-
-    def __reduce__(self):
-        return ProbeFinding, (self.lhs, self.rhs, self.target_derivation, self.confirmed)
 
     def to_doc(self) -> dict:
         return self._doc(render_term, {})
@@ -225,11 +218,10 @@ class ConservativityReport:
 
     def to_doc(self) -> dict:
         """The report's document.  The findings' derivations pass through
-        the same few terms, and those from one target closure share the
-        closure's step objects: each distinct term is rendered once, for all
-        findings, and each distinct step is one dict, shared by every
-        finding whose derivation holds it, so a caller that edits one
-        finding's step edits every finding that shares it."""
+        the same few terms and steps: each distinct term is rendered once,
+        for all findings, and each distinct step is one dict, shared by
+        every finding whose derivation holds an equal step, so a caller
+        that edits one finding's step edits every finding that shares it."""
         render, rendered = cache(render_term), {}
         return {
             "confirmed": [f._doc(render, rendered) for f in self.confirmed],

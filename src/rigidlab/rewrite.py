@@ -588,46 +588,32 @@ def _rebuild(parent: TermInContext, child: TermInContext, side: tuple, w: int) -
     at walk index w gives child.
 
     Descends parent and child together to w, checking at each level that
-    they agree off the path: one branch per arity, as the expansion
-    function's walk has, a unary node having no siblings to compare and a
-    binary one a single sibling, compared by identity (terms are
-    hash-consed).  There it reads one binding in one walk of side's source
-    against parent's subterm and side's target against child's: symbol
-    identity at each symbol node, identity at each repeated variable.  Any
-    mismatch, a walk index past parent's last subterm included, is an
-    internal error, never a step that does not join the two.
+    they agree off the path: the siblings of the argument that holds w,
+    compared by identity (terms are hash-consed).  There it reads one
+    binding in one walk of side's source against parent's subterm and
+    side's target against child's: symbol identity at each symbol node,
+    identity at each repeated variable.  Any mismatch, a walk index past
+    parent's last subterm included, is an internal error, never a step that
+    does not join the two.
     """
     p, c = parent.term, child.term
     if w >= p.size:
         raise _not_a_record(parent, child)
     position = []
     j = 0  # p's walk index in parent
-    # j <= w < j + p.size holds all the way down, so p is an App while j < w,
-    # and a unary node needs no test of which argument holds w.
+    # j <= w < j + p.size holds all the way down, so p is an App while j < w
+    # and one of its arguments holds w.
     while j < w:
         if c.__class__ is not App or c.sym is not p.sym:
             break
         pa, ca = p.args, c.args
         j += 1
-        if len(pa) == 1:
-            i = 0
-        elif len(pa) == 2:
-            if w < j + pa[0].size:
-                i = 0
-                if pa[1] is not ca[1]:
-                    break
-            else:
-                i = 1
-                j += pa[0].size
-                if pa[0] is not ca[0]:
-                    break
-        else:
-            i = 0
-            while w >= j + pa[i].size:
-                j += pa[i].size
-                i += 1
-            if any(a is not b for k, (a, b) in enumerate(zip(pa, ca)) if k != i):
-                break
+        i = 0
+        while w >= j + pa[i].size:
+            j += pa[i].size
+            i += 1
+        if any(pa[k] is not ca[k] for k in range(len(pa)) if k != i):
+            break
         position.append(i)
         p, c = pa[i], ca[i]
     else:  # the descent reached w
@@ -1001,19 +987,18 @@ def derivation_to_doc(d: Derivation) -> dict:
 
 def _derivation_doc(d: Derivation, render: Callable, rendered: dict) -> dict:
     """derivation_to_doc with render writing each term, reading and filling
-    rendered, a map from the id of each step rendered so far to its dict.
+    rendered, a map from each step rendered so far to its dict.
 
     A caller that renders many derivations passes one memoising renderer
-    and one map, so each distinct step object is rendered once and is one
-    dict, shared by every derivation in the document that holds it:
-    editing one derivation's step dict edits it in all of them.  Keys are
-    ids, so every step rendered through one map must outlive the map.
+    and one map, so each distinct step is rendered once and is one dict,
+    shared by every derivation in the document that holds an equal step:
+    editing one derivation's step dict edits it in all of them.
     """
     steps = []
     for s in d.steps:
-        doc = rendered.get(id(s))
+        doc = rendered.get(s)
         if doc is None:
-            doc = rendered[id(s)] = {
+            doc = rendered[s] = {
                 "axiom": s.axiom_index,
                 "direction": s.direction,
                 "position": list(s.position),

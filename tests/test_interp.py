@@ -208,16 +208,18 @@ class TestProbe:
         assert same
 
     def test_document_holds_one_dict_per_distinct_step(self):
-        # The findings from one target closure share its step objects, and
-        # the document renders each distinct step once: two uses of one
-        # step are one dict, and two distinct steps are two dicts.
+        # The findings from one target closure share its step objects, equal
+        # steps recur across closures, and the document renders each
+        # distinct step once: two equal steps are one dict, and two unequal
+        # steps are two dicts.
         report = probe_conservativity(I_YES, term_size_bound=7, depth=6)
         doc = report.to_doc()
         steps = [s for f in report.confirmed + report.candidates for s in f.target_derivation.steps]
         dicts = [s for f in doc["confirmed"] + doc["candidates"] for s in f["target_derivation"]["steps"]]
         assert len(steps) == len(dicts) == 8828
-        assert len({id(s) for s in steps}) == len({id(s) for s in dicts}) == 3136
-        assert len({(id(s), id(d)) for s, d in zip(steps, dicts)}) == 3136
+        assert len({id(s) for s in steps}) == 3136
+        assert len(set(steps)) == len({id(d) for d in dicts}) == 371
+        assert len({(s, id(d)) for s, d in zip(steps, dicts)}) == 371
 
     def test_searched_interpretation_copies_and_pickles(self):
         # A searched theory keeps its compiled kernel, which holds generated
