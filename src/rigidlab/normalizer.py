@@ -42,7 +42,6 @@ from .reduction import (
     WordDerivation,
     WordProblemInstance,
     _compiled,
-    reverse_word_derivation,
     seed_theory,
     word_bfs,
     word_to_term,
@@ -118,7 +117,8 @@ class WordOracle:
 
     Answers yes when the direct string search finds a derivation, no when it
     exhausts the reachable words with the length cap never binding, and
-    unknown otherwise.  Answers are cached under both argument orders.  A
+    unknown otherwise.  Answers are cached under the pair as asked only:
+    hat asks (u, w), (v, w) and (u, v), and never one of them reversed.  A
     negative slack is a ValueError when the oracle is built.
     """
 
@@ -160,10 +160,6 @@ class WordOracle:
         else:
             ans = OracleAnswer(UNKNOWN)
         self._memo[key] = ans
-        rkey = (key[1], key[0])
-        if rkey not in self._memo:
-            rev = reverse_word_derivation(ans.derivation) if ans.derivation else None
-            self._memo[rkey] = OracleAnswer(ans.status, rev)
         return ans
 
 
@@ -252,7 +248,8 @@ def hat(inst: WordProblemInstance, t: TermInContext, oracle) -> HatResult:
 
     The oracle must provide equiv(w1, w2) -> OracleAnswer.  The result term
     always satisfies is_special; warnings are raised exactly when an unknown
-    oracle answer forced the fall-through clause.
+    oracle answer forced the fall-through clause.  A symbol outside the
+    compiled theory is a ValueError.
 
     When the oracle certifies that u and v are not equivalent, every special
     term is fixed.  On a yes-instance v-marked pairs are re-spelled as u, so
@@ -320,7 +317,9 @@ def hat(inst: WordProblemInstance, t: TermInContext, oracle) -> HatResult:
                     inner = App(marker, (go(split[1]),))
                     return App(term.sym, (word_to_term(chosen, inner), go(second)))
             return App(term.sym, (go(first), go(second)))
-        return App(term.sym, tuple(go(a) for a in term.args))
+        raise ValueError(
+            f"symbol {term.sym.name!r} of arity {term.sym.arity} is not in the compiled theory"
+        )
 
     result = TermInContext(go(t.term), t.context_len)
     return HatResult(result, tuple(warnings), tuple(decisions))

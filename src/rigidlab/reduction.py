@@ -211,35 +211,25 @@ def _word_expand(sides: list, length_cap: int, w: Word, reached, entries, distan
     w, side, offset) for its first step in side, offset order, and says
     whether the cap pruned one.  A word is its own bare identity.
 
-    reached holds back-move bits as the term kernel's does (rewrite's
-    _expand_code): bit offset * K + k, over the K sides, set means side k at
-    offset leads back into reached.  The sides are (relation, LR), (relation,
-    RL) pairs, so side k's inverse is side k ^ 1 at the same offset.  A side
-    at an offset whose bit is set is skipped once its source has matched,
-    and w's value is set to -1 last."""
-    mask = reached.get(w, 0)
-    count = len(sides)
+    This is a plain breadth-first step: reached is a visited set whose
+    values stay 0.  The term kernel's back-move bits would save building a
+    result, but a word's result is two tuple slices, cheaper than the bit
+    arithmetic."""
     cap_hit = False
-    for k, side in enumerate(sides):
+    for side in sides:
         src, dst = side[2], side[3]
         for offset in range(len(w) - len(src) + 1):
             if w[offset : offset + len(src)] != src:
-                continue
-            if mask >> offset * count + k & 1:
                 continue
             nw = w[:offset] + dst + w[offset + len(src) :]
             if len(nw) > length_cap:
                 cap_hit = True
                 continue
-            bit = 1 << offset * count + (k ^ 1)
-            seen = reached.get(nw)
-            if seen is not None:
-                reached[nw] = seen | bit
+            if nw in reached:
                 continue
-            reached[nw] = bit
+            reached[nw] = 0
             entries[nw] = (distance, w, side, offset)
             new.append(nw)
-    reached[w] = -1
     return cap_hit
 
 

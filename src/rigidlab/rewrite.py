@@ -52,9 +52,11 @@ the same walk index, which gives back u, and v's expansion skips that move
 once its source has matched, before anything is built.
 On a relation with inverse moves each edge is so built once, from the end
 expanded first, as frontier search does (Korf, Zhang, Thayer & Hohwald,
-"Frontier search", JACM 2005).  Only a result new to the search gets its
-TermInContext and an entry, which records its parent, the side that
-reached it and that side's walk index in the parent; no position,
+"Frontier search", JACM 2005).  The bits are the term kernel's only: the
+string route's records map their words to 0, a plain visited set, since a
+word's move costs less than its bit arithmetic.  Only a result new to the
+search gets its TermInContext and an entry, which records its parent, the
+side that reached it and that side's walk index in the parent; no position,
 substitution or RewriteStep is built while the search runs.  One parent
 walk turns a record's entries into the steps of a derivation when it is
 read.  Closure.step rebuilds a step once from its entry: at that one
@@ -683,11 +685,12 @@ class Closure:
     expanded counts expanded nodes, cap_hit says the size cap pruned a
     result, and budget_hit says the node budget cut a level short (the
     frontier then stays the one that level was expanding).  reached maps
-    every entry's bare identity, a word or a bare term, to its back-move
-    bits, so the kernel tests a result before it wraps it: bit w * K + k,
-    over the relation's K sides, set means side k at w (a walk index or a
-    letter offset) leads back into reached, and the node's expansion skips
-    that move.  An expanded node's value is -1.
+    every entry's bare identity, a word or a bare term, to a value.  In the
+    term kernel the value is the term's back-move bits, so the kernel tests
+    a result before it wraps it: bit w * K + k, over the relation's K sides,
+    set means side k at walk index w leads back into reached, and the
+    term's expansion skips that move; an expanded term's value is -1.  In
+    the string route every value is 0: reached is a plain visited set.
     """
 
     start: TermInContext
@@ -716,10 +719,10 @@ class Closure:
         """Expand the frontier by one level; returns the new nodes in order.
 
         expand(t, reached, entries, distance, new) is the one-step relation,
-        recording t's results that reached lacks and setting their back-move
-        bits, and says whether the size cap pruned one.  When expanded
-        reaches node_budget, sets budget_hit and returns the nodes reached
-        so far, keeping the frontier and depth_reached.
+        recording t's results that reached lacks (and, in the term kernel,
+        setting their back-move bits), and says whether the size cap pruned
+        one.  When expanded reaches node_budget, sets budget_hit and returns
+        the nodes reached so far, keeping the frontier and depth_reached.
         """
         new: list = []
         distance = self.depth_reached + 1
@@ -862,10 +865,11 @@ def _search(left: Closure, right: Closure, one_way: bool, depth: int, expand, no
     while left.depth_reached + right.depth_reached < min(depth, mu):
         open_ = [s for s in searches if s.frontier]
         # Once a side's frontier empties, no new meet can appear: the other
-        # side grows on only to certify, past a capped one.
+        # side grows on only to certify, past a capped one.  No level starts
+        # with a meet held: a shared start has mu = 0, so the loop never
+        # starts, and a meet found in a level has mu = d_new + e, at most
+        # the two records' depths after it, so the while test ends the loop.
         if not open_ or any(s.complete for s in searches):
-            break
-        if meet is not None and len(open_) < len(searches):
             break
         grown = min(open_, key=lambda s: len(s.frontier))
         other = right if grown is left else left

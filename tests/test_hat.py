@@ -10,6 +10,8 @@ from oracles import random_term, random_walk
 from rigidlab.interp import extend
 from rigidlab.normalizer import (
     HAT_FOUND,
+    HAT_NOT_FOUND,
+    HAT_UNCERTAIN,
     NO,
     UNKNOWN,
     YES,
@@ -28,10 +30,11 @@ from rigidlab.reduction import (
     seed_interpretation,
     seed_theory,
 )
-from rigidlab.rewrite import LR, Derivation, RewriteStep, apply_step
+from rigidlab.rewrite import EXHAUSTED, LR, Derivation, RewriteStep, apply_step
 from rigidlab.rigidity import enumerate_linear_regular
 from rigidlab.terms import (
     App,
+    Symbol,
     TermInContext,
     Var,
     parse_term,
@@ -56,6 +59,13 @@ def term(text, th, n):
 
 def oracle_for(inst, depth=8):
     return WordOracle(inst, depth=depth)
+
+
+class UnknownOracle:
+    """Answers unknown to every query."""
+
+    def equiv(self, w1, w2):
+        return OracleAnswer(UNKNOWN)
 
 
 class TestSplitMarkedChain:
@@ -273,6 +283,14 @@ class TestHatOracleBranches:
         assert out.clean
         assert out.decisions[0]["clause"] == "u"
 
+    def test_chain_undecided_against_both_goal_words_warns(self):
+        t = term("m(a(b(alpha(x1))),x2)", NO_TH, 2)
+        out = hat(NO_INST, t, UnknownOracle())
+        assert render_term(out.term.term) == "m(x1,x2)"
+        assert out.warnings == ("chain 'ab' undecided against the goal words",)
+        assert out.decisions[0]["clause"] == "pair"
+        assert len(out.decisions[0]["queries"]) == 2
+
     def test_inconsistent_oracle_detected(self):
         # Claims a != ab (certified) yet b ~ ab and a ~ b; transitivity
         # contradicts the certificate.
@@ -285,6 +303,24 @@ class TestHatOracleBranches:
         t = TermInContext(parse_term("m(a(b(alpha(x1))),x2)", NO_TH.symbols_by_name()), 2)
         with pytest.raises(OracleInconsistencyError):
             hat(NO_INST, t, LyingOracle())
+
+
+class TestHatRejectsForeignSymbols:
+    # A symbol outside the compiled theory has no clause, so hat cannot
+    # return a special term for it.
+    @pytest.mark.parametrize(
+        "sym, args",
+        [
+            (Symbol("f", 1), (Var(1),)),
+            (Symbol("a", 2), (Var(1), Var(2))),
+            (Symbol("m", 1), (Var(1),)),
+        ],
+        ids=["f/1", "a/2", "m/1"],
+    )
+    def test_foreign_symbol_is_value_error(self, sym, args):
+        t = TermInContext(App(sym, args), 2)
+        with pytest.raises(ValueError, match=f"symbol '{sym.name}' of arity {sym.arity} is not in"):
+            hat(YES_INST, t, oracle_for(YES_INST))
 
 
 class TestWordOracle:
@@ -302,14 +338,16 @@ class TestWordOracle:
         ans = WordOracle(inst, depth=2).equiv(("a",), ("a", "a", "a", "a", "a"))
         assert ans.status == UNKNOWN
 
-    def test_memoized_both_orders(self):
+    def test_memoized_in_asked_order_only(self):
+        # A repeat of the asked pair is a memo hit; the reversed pair is a
+        # new search, whose derivation starts at its own first word.
         oracle = oracle_for(YES_INST)
         first = oracle.equiv(("a", "b"), ("b", "a"))
-        count = oracle.searches
-        again = oracle.equiv(("a", "b"), ("b", "a"))
+        assert oracle.searches == 1
+        assert oracle.equiv(("a", "b"), ("b", "a")) is first
+        assert oracle.searches == 1
         flipped = oracle.equiv(("b", "a"), ("a", "b"))
-        assert oracle.searches == count
-        assert again == first
+        assert oracle.searches == 2
         assert flipped.is_yes
         assert flipped.derivation.start == ("b", "a")
 
@@ -360,6 +398,32 @@ class TestCheckHatCongruence:
             d = random_walk(rng, NO_TH, start, 4, term_size(start.term) + 8)
             out = check_hat_congruence(NO_INST, d, oracle=oracle)
             assert out.status == HAT_FOUND
+
+    def test_unknown_oracle_answer_is_uncertain(self):
+        d = self._goal_step_derivation(NO_INST, NO_TH)
+        out = check_hat_congruence(NO_INST, d, oracle=UnknownOracle())
+        assert out.status == HAT_UNCERTAIN
+        assert not out.congruent
+        assert out.start_hat.warnings and out.end_hat.warnings
+
+    def test_hats_apart_are_not_found(self):
+        # The oracle spells ab as the goal word a and ba as b, so the hats
+        # of one relation step are m(a(alpha(x1)),x2) and
+        # m(b(alpha(x1)),x2), which no proof joins on the no-instance.
+        answers = {(("a",), ("a", "b")): YES, (("b",), ("b", "a")): YES}
+
+        class SplittingOracle:
+            def equiv(self, w1, w2):
+                return OracleAnswer(answers.get((w1, w2), NO))
+
+        start = term("m(a(b(alpha(x1))),x2)", NO_TH, 2)
+        step = RewriteStep(0, LR, (0,), (term("alpha(x1)", NO_TH, 2),))
+        d = Derivation(start, (step,), apply_step(start, NO_TH, step))
+        out = check_hat_congruence(NO_INST, d, oracle=SplittingOracle())
+        assert render_term(out.start_hat.term.term) == "m(a(alpha(x1)),x2)"
+        assert render_term(out.end_hat.term.term) == "m(b(alpha(x1)),x2)"
+        assert out.status == HAT_NOT_FOUND
+        assert out.proof.status == EXHAUSTED
 
     def test_reduction_compiled_once(self, monkeypatch):
         # Repeated checks on one instance share its compiled theory, so its

@@ -29,7 +29,7 @@ def test_selftest_rejects_planted_errors():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["flabby", "probe", "closure"])
+@pytest.mark.parametrize("workload", ["flabby", "probe", "closure", "words_hat"])
 def test_one_round_is_correct(workload):
     proc = run("run.py", "--workload", workload, "--seconds", "1", "--trace", "0", "--seed", "0")
     assert proc.returncode == 0, proc.stderr

@@ -32,7 +32,7 @@ from rigidlab.reduction import (
     word_to_term,
     word_to_text,
 )
-from rigidlab.rewrite import EXHAUSTED, FOUND, Closure
+from rigidlab.rewrite import EXHAUSTED, FOUND, LR, RL, Closure
 from rigidlab.rigidity import verify_report
 from rigidlab.terms import App, ParseError, TermInContext, Var, is_linear_regular, render_term
 from rigidlab.theory import validate_linear_regular
@@ -387,38 +387,54 @@ class TestAgreementProperties:
             assert not sorted_word_oracle(w1, w2)
 
 
-class TestBackMoveBits:
+def naive_word_levels(relations, start, cap, budget, levels):
+    """Breadth-first levels of start, tried in relation, direction, offset
+    order with a plain seen dict, each new word recorded as (distance,
+    parent, (relation, direction, source, target), offset); stops after a
+    level the node budget cut short."""
+    seen = {start: (0, None, None, None)}
+    frontier, got, cap_hit, budget_hit, expanded = [start], [], False, False, 0
+    for distance in range(1, levels + 1):
+        new = []
+        for w in frontier:
+            if expanded >= budget:
+                budget_hit = True
+                break
+            expanded += 1
+            for ri, (u, v) in enumerate(relations):
+                for direction, src, dst in ((LR, u, v), (RL, v, u)):
+                    for offset in range(len(w) - len(src) + 1):
+                        if w[offset : offset + len(src)] != src:
+                            continue
+                        nw = w[:offset] + dst + w[offset + len(src) :]
+                        if len(nw) > cap:
+                            cap_hit = True
+                        elif nw not in seen:
+                            seen[nw] = (distance, w, (ri, direction, src, dst), offset)
+                            new.append(nw)
+        got.append(new)
+        if budget_hit:
+            break
+        frontier = new
+    return got, seen, cap_hit, budget_hit, expanded
+
+
+class TestWordExpand:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(short_words(), short_words()), max_size=3), short_words(), st.integers(1, 30))
-    def test_bits_skip_only_reached_words(self, relations, start, budget):
-        # Grown with back-move bits and without them, the string route gives
-        # one closure: its entries in order with their records, each level's
-        # new list, the flags and reached's keys.  Every bit a word holds
-        # when it is expanded names a side and an offset where its source
-        # matches and gives a word reached already holds.
-        sides = _word_sides(instance(["a", "b"], relations, ((), ())))
-        expand = partial(_word_expand, sides, len(start) + 2)
-
-        def checked(w, reached, *rest):
-            mask = reached[w]
-            assert mask >= 0
-            for b in range(mask.bit_length()):
-                if mask >> b & 1:
-                    offset, k = divmod(b, len(sides))
-                    src, dst = sides[k][2], sides[k][3]
-                    assert w[offset : offset + len(src)] == src
-                    assert w[:offset] + dst + w[offset + len(src) :] in reached
-            return expand(w, reached, *rest)
-
-        def cleared(w, reached, *rest):
-            reached[w] = 0
-            return expand(w, reached, *rest)
-
-        runs = []
-        for fn in (checked, cleared):
-            cl = Closure.of(start, start, _word_step)
-            levels = [cl.grow(fn, budget) for _ in range(4)]
-            runs.append(
-                (levels, list(cl.entries.items()), cl.cap_hit, cl.budget_hit, cl.expanded, list(cl.reached))
-            )
-        assert runs[0] == runs[1]
+    def test_levels_match_naive_bfs(self, relations, start, budget):
+        # Each level the string route grows, the entries in order with their
+        # records, the flags and the expanded count are a naive breadth-first
+        # search's, and reached is a plain visited set over the entries.
+        cap = len(start) + 2
+        expand = partial(_word_expand, _word_sides(instance(["a", "b"], relations, ((), ()))), cap)
+        cl = Closure.of(start, start, _word_step)
+        levels = []
+        for _ in range(4):
+            levels.append(cl.grow(expand, budget))
+            if cl.budget_hit:
+                break
+        got = (levels, list(cl.entries.items()), cl.cap_hit, cl.budget_hit, cl.expanded)
+        naive = naive_word_levels(relations, start, cap, budget, 4)
+        assert got == (naive[0], list(naive[1].items()), *naive[2:])
+        assert cl.reached == dict.fromkeys(cl.entries, 0)

@@ -139,6 +139,47 @@ def test_line_reader_numbers_lines_and_cuts_comments(parse, first):
     assert str(e.value) == "4:1: unknown directive 'bogus'"
 
 
+# Each reader's own malformed lines: the ParseError names the line, and a
+# missing required line is reported at line 1.
+@pytest.mark.parametrize(
+    "parse, text, line, message",
+    [
+        (parse_theory, "symbol m\n", 1, "expected: symbol <name> <arity>"),
+        (parse_theory, "symbol m 2 2\n", 1, "expected: symbol <name> <arity>"),
+        (parse_theory, "# arity\nsymbol m two\n", 2, "bad arity 'two'"),
+        (parse_theory, "symbol m 2\nsymbol m 1\n", 2, "duplicate symbol 'm'"),
+        (parse_theory, "symbol x1 2\n", 1, "symbol name 'x1' is reserved for variables"),
+        (parse_theory, "symbol m 2\naxiom m(x1,x2) = m(x2,x1)\n", 2, "expected: axiom [<context>] <lhs> = <rhs>"),
+        (parse_wp, "alphabet a b\nrel ab\n", 2, "expected: rel <word> = <word>"),
+        (parse_wp, "alphabet a b\n\ngoal a = b = a\n", 3, "expected: goal <word> = <word>"),
+        (parse_wp, "# no alphabet\n", 1, "missing alphabet line"),
+        (
+            partial(parse_interpretation, source=SEED_THEORY, target=SEED_THEORY),
+            "map l = l(x1,x2)\nmap r r(x2,x1)\n",
+            2,
+            "expected: map <symbol> = <term>",
+        ),
+    ],
+    ids=[
+        "thy-symbol-one-field",
+        "thy-symbol-three-fields",
+        "thy-symbol-bad-arity",
+        "thy-symbol-duplicate",
+        "thy-symbol-reserved",
+        "thy-axiom-no-context",
+        "wp-rel-no-equals",
+        "wp-goal-two-equals",
+        "wp-no-alphabet",
+        "itp-map-no-equals",
+    ],
+)
+def test_reader_rejects_malformed_line(parse, text, line, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert e.value.line == line
+    assert str(e.value) == f"{line}:1: {message}"
+
+
 class TestParseEquation:
     def test_basic(self):
         th = parse_theory(SEED_FILE)
