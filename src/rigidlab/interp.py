@@ -14,9 +14,8 @@ context's pool, mapping each source node to its image node, and a
 ConservativityReport's document renders each distinct term once, in one
 renderer that all its findings share.  extend is _extend_shared with a
 fresh memo, so there is one extension path.  The findings' derivations
-pass through the same few steps too, and the document holds one dict per
-distinct step, shared among the findings: a caller that edits one
-finding's step edits every finding that shares it.
+pass through the same few steps too, and the document writes each distinct
+step once, in a table that the findings' derivations index into.
 
 The module also owns the ``.itp`` file format::
 
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import islice, permutations
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .rewrite import (
     DEFAULT_NODE_BUDGET,
@@ -40,6 +39,7 @@ from .rewrite import (
     Derivation,
     ProofOutcome,
     _derivation_doc,
+    _step_doc,
     bounded_closure,
     prove_bounded,
 )
@@ -64,7 +64,6 @@ __all__ = [
     "check_preserves_axioms",
     "compose_interpretations",
     "extend",
-    "identity_interpretation",
     "load_interpretation",
     "parse_interpretation",
     "probe_conservativity",
@@ -142,16 +141,6 @@ def _extend_shared(i: Interpretation, term: Term, extended: dict) -> Term:
     return out
 
 
-def identity_interpretation(th: Theory) -> Interpretation:
-    mapping = {
-        sym.name: TermInContext(
-            App(sym, tuple(Var(i) for i in range(1, sym.arity + 1))), sym.arity
-        )
-        for sym in th.signature
-    }
-    return Interpretation.of(th, th, mapping)
-
-
 def compose_interpretations(outer: Interpretation, inner: Interpretation) -> Interpretation:
     """The interpretation sending f to outer's extension of inner(f)."""
     if inner.target != outer.source:
@@ -177,20 +166,6 @@ class ProbeFinding:
     rhs: TermInContext
     target_derivation: Derivation
     confirmed: bool  # the source closure was complete
-
-    def to_doc(self) -> dict:
-        return self._doc(render_term, {})
-
-    def _doc(self, render: Callable, rendered: dict) -> dict:
-        """to_doc with render writing each term and rendered the step memo
-        of rewrite._derivation_doc."""
-        return {
-            "lhs": render(self.lhs.term),
-            "rhs": render(self.rhs.term),
-            "context_len": self.lhs.context_len,
-            "confirmed": self.confirmed,
-            "target_derivation": _derivation_doc(self.target_derivation, render, rendered),
-        }
 
 
 @dataclass
@@ -218,14 +193,39 @@ class ConservativityReport:
 
     def to_doc(self) -> dict:
         """The report's document.  The findings' derivations pass through
-        the same few terms and steps: each distinct term is rendered once,
-        for all findings, and each distinct step is one dict, shared by
-        every finding whose derivation holds an equal step, so a caller
-        that edits one finding's step edits every finding that shares it."""
-        render, rendered = cache(render_term), {}
+        the same few terms and steps, so each distinct term is rendered once,
+        for all findings, and each distinct step entry is written once, in
+        the list "steps", in order of first use: confirmed findings first,
+        then candidates, each derivation's steps in order.  A finding's
+        target_derivation lists its steps as indices into "steps"; replacing
+        each index by its entry gives the derivation's derivation_to_doc
+        document.  An entry leaves the context of its substitution's terms
+        to the derivation, so steps that differ only there share one."""
+        render, index, table = cache(render_term), {}, []
+
+        def step(s) -> int:
+            key = (s.axiom_index, s.direction, s.position, *[render(u.term) for u in s.subst])
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(table)
+                table.append(_step_doc(s, render))
+            return i
+
+        def finding(f: ProbeFinding) -> dict:
+            return {
+                "lhs": render(f.lhs.term),
+                "rhs": render(f.rhs.term),
+                "context_len": f.lhs.context_len,
+                "confirmed": f.confirmed,
+                "target_derivation": _derivation_doc(f.target_derivation, render, step),
+            }
+
+        confirmed = [finding(f) for f in self.confirmed]
+        candidates = [finding(f) for f in self.candidates]
         return {
-            "confirmed": [f._doc(render, rendered) for f in self.confirmed],
-            "candidates": [f._doc(render, rendered) for f in self.candidates],
+            "confirmed": confirmed,
+            "candidates": candidates,
+            "steps": table,
             "pairs_checked": self.pairs_checked,
             "target_proved": self.target_proved,
             "targets_complete": self.targets_complete,

@@ -70,7 +70,6 @@ __all__ = [
     "goal_axiom_index",
     "instance",
     "parse_wp",
-    "render_wp",
     "reverse_word_derivation",
     "seed_interpretation",
     "seed_theory",
@@ -207,14 +206,14 @@ def _word_sides(inst: WordProblemInstance) -> list:
 
 def _word_expand(sides: list, length_cap: int, w: Word, reached, entries, distance, new):
     """The string route's one-step relation, as Closure.grow takes it: records
-    w's rewrites within the length cap that reached lacks, each as (distance,
+    w's rewrites within the length cap that entries lacks, each as (distance,
     w, side, offset) for its first step in side, offset order, and says
-    whether the cap pruned one.  A word is its own bare identity.
+    whether the cap pruned one.
 
-    This is a plain breadth-first step: reached is a visited set whose
-    values stay 0.  The term kernel's back-move bits would save building a
-    result, but a word's result is two tuple slices, cheaper than the bit
-    arithmetic."""
+    This is a plain breadth-first step: a word is its own entry key, so
+    entries is the visited set, and reached is left as Closure.of made it.
+    The term kernel's back-move bits would save building a result, but a
+    word's result is two tuple slices, cheaper than the bit arithmetic."""
     cap_hit = False
     for side in sides:
         src, dst = side[2], side[3]
@@ -225,9 +224,8 @@ def _word_expand(sides: list, length_cap: int, w: Word, reached, entries, distan
             if len(nw) > length_cap:
                 cap_hit = True
                 continue
-            if nw in reached:
+            if nw in entries:
                 continue
-            reached[nw] = 0
             entries[nw] = (distance, w, side, offset)
             new.append(nw)
     return cap_hit
@@ -519,11 +517,3 @@ def parse_wp(text: str) -> WordProblemInstance:
     except ValueError as e:
         raise ParseError(str(e)) from None
 
-
-def render_wp(inst: WordProblemInstance) -> str:
-    lines = ["alphabet " + " ".join(inst.alphabet)]
-    for u, v in inst.relations:
-        lines.append(f"rel {word_to_text(u)} = {word_to_text(v)}")
-    u, v = inst.goal
-    lines.append(f"goal {word_to_text(u)} = {word_to_text(v)}")
-    return "\n".join(lines) + "\n"

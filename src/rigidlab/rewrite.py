@@ -123,7 +123,6 @@ __all__ = [
     "intermediates",
     "prove_bounded",
     "replay",
-    "reverse_derivation",
     "successors",
     "symbol_census",
 ]
@@ -689,8 +688,9 @@ class Closure:
     term kernel the value is the term's back-move bits, so the kernel tests
     a result before it wraps it: bit w * K + k, over the relation's K sides,
     set means side k at walk index w leads back into reached, and the
-    term's expansion skips that move; an expanded term's value is -1.  In
-    the string route every value is 0: reached is a plain visited set.
+    term's expansion skips that move; an expanded term's value is -1.  The
+    string route keeps no bits: a word is its own entry key, so its
+    expansion tests entries, and reached holds only the start.
     """
 
     start: TermInContext
@@ -719,10 +719,11 @@ class Closure:
         """Expand the frontier by one level; returns the new nodes in order.
 
         expand(t, reached, entries, distance, new) is the one-step relation,
-        recording t's results that reached lacks (and, in the term kernel,
-        setting their back-move bits), and says whether the size cap pruned
-        one.  When expanded reaches node_budget, sets budget_hit and returns
-        the nodes reached so far, keeping the frontier and depth_reached.
+        recording t's results not reached yet (and, in the term kernel,
+        setting their back-move bits in reached), and says whether the size
+        cap pruned one.  When expanded reaches node_budget, sets budget_hit
+        and returns the nodes reached so far, keeping the frontier and
+        depth_reached.
         """
         new: list = []
         distance = self.depth_reached + 1
@@ -971,11 +972,6 @@ def intermediates(d: Derivation, th: Theory) -> list[TermInContext]:
     return out
 
 
-def reverse_derivation(d: Derivation) -> Derivation:
-    """The same proof read backwards; flips every step's direction."""
-    return Derivation(d.end, tuple(flip_step(s) for s in reversed(d.steps)), d.start)
-
-
 def symbol_census(d: Derivation, th: Theory, sym) -> list[int]:
     """Occurrence count of one symbol (or symbol name) along the derivation."""
     if isinstance(sym, str):
@@ -986,34 +982,27 @@ def symbol_census(d: Derivation, th: Theory, sym) -> list[int]:
 # ---- JSON export ----
 
 def derivation_to_doc(d: Derivation) -> dict:
-    return _derivation_doc(d, render_term, {})
+    return _derivation_doc(d, render_term, lambda s: _step_doc(s, render_term))
 
 
-def _derivation_doc(d: Derivation, render: Callable, rendered: dict) -> dict:
-    """derivation_to_doc with render writing each term, reading and filling
-    rendered, a map from each step rendered so far to its dict.
-
-    A caller that renders many derivations passes one memoising renderer
-    and one map, so each distinct step is rendered once and is one dict,
-    shared by every derivation in the document that holds an equal step:
-    editing one derivation's step dict edits it in all of them.
-    """
-    steps = []
-    for s in d.steps:
-        doc = rendered.get(s)
-        if doc is None:
-            doc = rendered[s] = {
-                "axiom": s.axiom_index,
-                "direction": s.direction,
-                "position": list(s.position),
-                "subst": [render(u.term) for u in s.subst],
-            }
-        steps.append(doc)
+def _derivation_doc(d: Derivation, render: Callable, step: Callable) -> dict:
+    """derivation_to_doc with render writing each term and step writing each
+    step's entry: a caller that renders many derivations passes a memoising
+    renderer, and may write a step as a reference into a table of its own."""
     return {
         "context_len": d.start.context_len,
         "start": render(d.start.term),
         "end": render(d.end.term),
-        "steps": steps,
+        "steps": [step(s) for s in d.steps],
+    }
+
+
+def _step_doc(s: RewriteStep, render: Callable) -> dict:
+    return {
+        "axiom": s.axiom_index,
+        "direction": s.direction,
+        "position": list(s.position),
+        "subst": [render(u.term) for u in s.subst],
     }
 
 

@@ -23,7 +23,6 @@ from .terms import (
     Symbol,
     Term,
     TermInContext,
-    is_linear_regular,
     parse_term,
     render_term,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "parse_theory",
     "render_theory",
     "save_theory",
-    "validate_linear_regular",
 ]
 
 
@@ -110,15 +108,6 @@ class Theory:
 
     def symbols_by_name(self) -> dict:
         return dict(self._by_name)
-
-
-def validate_linear_regular(th: Theory) -> list[int]:
-    """Indices of axioms where either side is not linear-regular."""
-    bad = []
-    for i, eq in enumerate(th.axioms):
-        if not (is_linear_regular(eq.lhs) and is_linear_regular(eq.rhs)):
-            bad.append(i)
-    return bad
 
 
 # ---- .thy files ----

@@ -1,5 +1,5 @@
 """Independent reference implementations used to derive expected test values,
-plus fuzzing helpers.
+plus fuzzing helpers and small fixtures that only the tests use.
 
 The oracle functions deliberately share no code with the package beyond the
 term data types: matching, rewriting, closure, and shortest-path search are
@@ -10,7 +10,8 @@ search, so that agreement with the engine is a real check.
 import random
 from typing import Optional
 
-from rigidlab.rewrite import Derivation, successors
+from rigidlab.interp import Interpretation
+from rigidlab.rewrite import Derivation, flip_step, successors
 from rigidlab.terms import App, Term, TermInContext, Var
 from rigidlab.theory import Theory
 
@@ -96,6 +97,17 @@ def naive_variables(term: Term) -> set:
     return set().union(*(naive_variables(a) for a in term.args))
 
 
+def validate_linear_regular(th: Theory) -> list[int]:
+    """Indices of axioms where either side is not linear-regular: some
+    context variable does not occur exactly once."""
+
+    def linear_regular(t: TermInContext) -> bool:
+        leaves = [s.index for _, s in naive_positions(t.term) if isinstance(s, Var)]
+        return sorted(leaves) == list(range(1, t.context_len + 1))
+
+    return [i for i, eq in enumerate(th.axioms) if not (linear_regular(eq.lhs) and linear_regular(eq.rhs))]
+
+
 def naive_one_way(th: Theory) -> bool:
     """Whether some axiom has exactly one side that mentions its whole
     context, so that only one of its orientations is a step."""
@@ -134,6 +146,20 @@ def naive_replay(d: Derivation, th: Theory) -> bool:
             return False
         cur = naive_replace(cur, tuple(step.position), naive_instantiate(dst.term, binding))
     return d.end.context_len == n and cur == d.end.term
+
+
+def reverse_derivation(d: Derivation) -> Derivation:
+    """The same proof read backwards; flips every step's direction."""
+    return Derivation(d.end, tuple(flip_step(s) for s in reversed(d.steps)), d.start)
+
+
+def identity_interpretation(th: Theory) -> Interpretation:
+    """The interpretation sending every symbol of th to itself."""
+    mapping = {
+        sym.name: TermInContext(App(sym, tuple(Var(i) for i in range(1, sym.arity + 1))), sym.arity)
+        for sym in th.signature
+    }
+    return Interpretation.of(th, th, mapping)
 
 
 def naive_one_step(t: TermInContext, th: Theory) -> set:

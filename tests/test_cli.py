@@ -319,6 +319,20 @@ class TestConservativity:
         assert doc["confirmed"] == [] and doc["candidates"] == []
         assert doc["targets_complete"] is False
 
+    def test_resolved_finding_replays(self, yes_wp, tmp_path):
+        # A finding lists its steps as indices into the document's step
+        # table; resolved, it is a derivation document that replay accepts
+        # in the theory reduce writes.
+        reduced = out_doc(run("reduce", yes_wp, "--out-dir", str(tmp_path / "build")))
+        doc = out_doc(run("conservativity", yes_wp, "--size-bound", "3", "--depth", "6"))
+        d = doc["confirmed"][0]["target_derivation"]
+        assert all(isinstance(i, int) for i in d["steps"])
+        d = {**d, "steps": [doc["steps"][i] for i in d["steps"]]}
+        dfile = tmp_path / "finding.json"
+        dfile.write_text(json.dumps(d))
+        proc = run("replay", reduced["target"], str(dfile))
+        assert proc.returncode == 0, proc.stderr
+
     def test_itp_input(self, yes_wp, tmp_path):
         out = tmp_path / "build"
         doc = out_doc(run("reduce", yes_wp, "--out-dir", str(out)))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_term, term_key
+from oracles import identity_interpretation, random_term, term_key
 from rigidlab.interp import (
     ConservativityReport,
     Interpretation,
@@ -17,7 +17,6 @@ from rigidlab.interp import (
     check_preserves_axioms,
     compose_interpretations,
     extend,
-    identity_interpretation,
     load_interpretation,
     parse_interpretation,
     probe_conservativity,
@@ -35,7 +34,9 @@ from rigidlab.rewrite import (
     EXHAUSTED,
     FOUND,
     bounded_closure,
+    derivation_from_doc,
     derivation_to_doc,
+    replay,
 )
 from rigidlab.rigidity import enumerate_linear_regular
 from rigidlab.terms import (
@@ -182,8 +183,11 @@ class TestProbe:
         assert got.to_doc() == want.to_doc()
 
     def test_shared_renderer_matches_rendering_each_finding(self):
+        # Resolving each finding's step indices against the report's step
+        # table gives exactly the finding rendered alone.
         report = probe_conservativity(I_YES, term_size_bound=7, depth=6)
         assert report.confirmed
+        doc = report.to_doc()
 
         def finding_doc(f):
             return {
@@ -202,24 +206,49 @@ class TestProbe:
             "targets_complete": report.targets_complete,
             "bounds": report.bounds,
         }
+        got = {key: value for key, value in doc.items() if key != "steps"}
+        for key in ("confirmed", "candidates"):
+            got[key] = [
+                {**g, "target_derivation": resolved(doc, g["target_derivation"])} for g in doc[key]
+            ]
         # Compared outside the assert: pytest's diff of two 3 MB strings
         # would take minutes.
-        same = json.dumps(report.to_doc()) == json.dumps(want)
+        same = json.dumps(got) == json.dumps(want)
         assert same
 
     def test_document_holds_one_dict_per_distinct_step(self):
         # The findings from one target closure share its step objects, equal
-        # steps recur across closures, and the document renders each
-        # distinct step once: two equal steps are one dict, and two unequal
-        # steps are two dicts.
+        # steps recur across closures, and the document writes each distinct
+        # step entry once: the table lists its entries in order of first
+        # use, none twice and each used.  Twenty pairs of the 371 distinct
+        # steps differ only in the context of their substitution's terms,
+        # which an entry leaves to its derivation, so each pair is one entry.
         report = probe_conservativity(I_YES, term_size_bound=7, depth=6)
         doc = report.to_doc()
-        steps = [s for f in report.confirmed + report.candidates for s in f.target_derivation.steps]
-        dicts = [s for f in doc["confirmed"] + doc["candidates"] for s in f["target_derivation"]["steps"]]
-        assert len(steps) == len(dicts) == 8828
+        findings = report.confirmed + report.candidates
+        steps = [s for f in findings for s in f.target_derivation.steps]
+        entries = [e for f in findings for e in derivation_to_doc(f.target_derivation)["steps"]]
+        refs = [i for g in doc["confirmed"] + doc["candidates"] for i in g["target_derivation"]["steps"]]
+        assert len(steps) == len(entries) == len(refs) == 8828
         assert len({id(s) for s in steps}) == 3136
-        assert len(set(steps)) == len({id(d) for d in dicts}) == 371
-        assert len({(s, id(d)) for s, d in zip(steps, dicts)}) == 371
+        assert len(set(steps)) == 371
+        assert len({json.dumps(e) for e in entries}) == len(doc["steps"]) == 349
+        assert len({json.dumps(e) for e in doc["steps"]}) == 349
+        assert [doc["steps"][i] for i in refs] == entries
+        assert list(dict.fromkeys(refs)) == list(range(349))
+
+    def test_resolved_findings_replay(self):
+        # Every finding of the document, resolved against the step table,
+        # reads back as its target derivation, which replays in the target.
+        report = probe_conservativity(I_YES, term_size_bound=7, depth=6)
+        doc = report.to_doc()
+        findings = report.confirmed + report.candidates
+        docs = doc["confirmed"] + doc["candidates"]
+        assert len(findings) == len(docs) == 2874
+        for f, g in zip(findings, docs):
+            d = derivation_from_doc(resolved(doc, g["target_derivation"]), I_YES.target)
+            assert d == f.target_derivation
+            assert replay(d, I_YES.target)
 
     def test_searched_interpretation_copies_and_pickles(self):
         # A searched theory keeps its compiled kernel, which holds generated
@@ -242,6 +271,12 @@ class TestProbe:
             identity_interpretation(growing), term_size_bound=3, depth=6, slack=1
         )
         assert report.clean and not report.targets_complete
+
+
+def resolved(doc: dict, derivation: dict) -> dict:
+    """A finding's target_derivation with each step index replaced by its
+    entry in the report document's step table."""
+    return {**derivation, "steps": [doc["steps"][i] for i in derivation["steps"]]}
 
 
 def pair_loop_probe(i, *, term_size_bound, depth, slack=DEFAULT_SLACK, node_budget=DEFAULT_NODE_BUDGET):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sorted_word_oracle
+from oracles import sorted_word_oracle, validate_linear_regular
 from rigidlab.interp import check_preserves_axioms, extend
 from rigidlab.reduction import (
     WordDerivation,
@@ -19,7 +19,6 @@ from rigidlab.reduction import (
     goal_axiom_index,
     instance,
     parse_wp,
-    render_wp,
     reverse_word_derivation,
     seed_interpretation,
     seed_theory,
@@ -35,7 +34,6 @@ from rigidlab.reduction import (
 from rigidlab.rewrite import EXHAUSTED, FOUND, LR, RL, Closure
 from rigidlab.rigidity import verify_report
 from rigidlab.terms import App, ParseError, TermInContext, Var, is_linear_regular, render_term
-from rigidlab.theory import validate_linear_regular
 
 COMMUTES = instance(["a", "b"], [("ab", "ba")], ("ab", "ba"))
 IDEMPOTENT = instance(["a"], [("a", "aa")], ("a", "aa"))
@@ -309,6 +307,16 @@ class TestFlabbyWitness:
             flabby_witness(COMMUTES, d)
 
 
+def render_wp(inst: WordProblemInstance) -> str:
+    """The .wp text of inst, as parse_wp reads it."""
+    lines = ["alphabet " + " ".join(inst.alphabet)]
+    for u, v in inst.relations:
+        lines.append(f"rel {word_to_text(u)} = {word_to_text(v)}")
+    u, v = inst.goal
+    lines.append(f"goal {word_to_text(u)} = {word_to_text(v)}")
+    return "\n".join(lines) + "\n"
+
+
 class TestConcreteSyntax:
     WP = "alphabet a b\nrel ab = ba\ngoal ab = ba\n"
 
@@ -425,7 +433,8 @@ class TestWordExpand:
     def test_levels_match_naive_bfs(self, relations, start, budget):
         # Each level the string route grows, the entries in order with their
         # records, the flags and the expanded count are a naive breadth-first
-        # search's, and reached is a plain visited set over the entries.
+        # search's.  entries is the visited set, so reached keeps only the
+        # start that Closure.of put there.
         cap = len(start) + 2
         expand = partial(_word_expand, _word_sides(instance(["a", "b"], relations, ((), ()))), cap)
         cl = Closure.of(start, start, _word_step)
@@ -437,4 +446,4 @@ class TestWordExpand:
         got = (levels, list(cl.entries.items()), cl.cap_hit, cl.budget_hit, cl.expanded)
         naive = naive_word_levels(relations, start, cap, budget, 4)
         assert got == (naive[0], list(naive[1].items()), *naive[2:])
-        assert cl.reached == dict.fromkeys(cl.entries, 0)
+        assert cl.reached == {start: 0}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import rigidlab.rewrite as rewrite
 from oracles import (
+    identity_interpretation,
     naive_closure,
     naive_instantiate,
     naive_match,
@@ -23,9 +24,10 @@ from oracles import (
     random_walk,
     rebuild_up,
     reference_expand,
+    reverse_derivation,
     walk,
 )
-from rigidlab.interp import identity_interpretation, probe_conservativity
+from rigidlab.interp import probe_conservativity
 from rigidlab.normalizer import WordOracle
 from rigidlab.reduction import (
     WordDerivation,
@@ -58,7 +60,6 @@ from rigidlab.rewrite import (
     intermediates,
     prove_bounded,
     replay,
-    reverse_derivation,
     successors,
     symbol_census,
 )

@@ -15,6 +15,7 @@ from oracles import (
     naive_one_way,
     naive_replay,
     random_term,
+    reverse_derivation,
     term_key,
 )
 from rigidlab.reduction import compile_reduction, instance, seed_theory
@@ -28,7 +29,6 @@ from rigidlab.rewrite import (
     RewriteStep,
     bounded_closure,
     replay,
-    reverse_derivation,
 )
 from rigidlab.rigidity import (
     FlabbyReport,

@@ -2,6 +2,7 @@ from functools import partial
 
 import pytest
 
+from oracles import validate_linear_regular
 from rigidlab.interp import parse_interpretation
 from rigidlab.reduction import parse_wp
 from rigidlab.terms import App, ParseError, Symbol, TermInContext, Var
@@ -13,7 +14,6 @@ from rigidlab.theory import (
     parse_theory,
     render_theory,
     save_theory,
-    validate_linear_regular,
 )
 
 SEED_FILE = """\
