@@ -69,6 +69,10 @@ def _load_wp(path: str):
     return parse_wp(Path(path).read_text(encoding="utf-8"))
 
 
+def _load_derivation(path: str, th: Theory):
+    return derivation_from_doc(json.loads(Path(path).read_text(encoding="utf-8")), th)
+
+
 def _parse_term_arg(text: str, th: Theory) -> TermInContext:
     """A term argument, optionally prefixed with an explicit [n] context."""
     text = text.strip()
@@ -120,8 +124,7 @@ def cmd_prove(theory_file, equation, depth, slack, node_budget):
 def cmd_replay(theory_file, derivation_file):
     """Replay a derivation JSON document against THEORY_FILE."""
     th = load_theory(theory_file)
-    doc = json.loads(Path(derivation_file).read_text(encoding="utf-8"))
-    d = derivation_from_doc(doc, th)
+    d = _load_derivation(derivation_file, th)
     ok = replay(d, th)
     result = {"valid": ok, "steps": len(d.steps)}
     return _emit(result, 0 if ok else 1, f"replay: {'valid' if ok else 'INVALID'}")
@@ -282,11 +285,10 @@ def cmd_conservativity(input_file, size_bound, depth, max_context, slack, node_b
 def cmd_census(theory_file, derivation_file, symbol):
     """Count SYMBOL occurrences along a derivation JSON document."""
     th = load_theory(theory_file)
-    doc = json.loads(Path(derivation_file).read_text(encoding="utf-8"))
-    d = derivation_from_doc(doc, th)
+    d = _load_derivation(derivation_file, th)
     if not th.has_symbol(symbol):
         raise click.UsageError(f"theory declares no symbol named {symbol!r}")
-    counts = symbol_census(d, th, th.symbol(symbol))
+    counts = symbol_census(d, th, symbol)
     result = {
         "symbol": symbol,
         "counts": counts,

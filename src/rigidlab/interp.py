@@ -352,31 +352,21 @@ def probe_conservativity(
 
 # ---- .itp files ----
 
-def parse_interpretation(
-    text: str,
-    *,
-    source: Optional[Theory] = None,
-    target: Optional[Theory] = None,
-    base_dir: Union[str, Path, None] = None,
-) -> Interpretation:
+def parse_interpretation(text: str, *, base_dir: Union[str, Path, None] = None) -> Interpretation:
     """Parse the .itp format.
 
-    source/target lines name .thy files resolved against base_dir; passing
-    explicit theories overrides (and permits omitting) those lines.
+    The source and target lines, both required, name the .thy files of the
+    two theories, resolved against base_dir (default the working directory).
     """
     base = Path(base_dir) if base_dir is not None else Path(".")
+    theories: dict[str, Theory] = {}
     mapping: dict[str, str] = {}
     map_lines: dict[str, int] = {}
-    seen: set[str] = set()
     for line_no, head, rest in _directives(text):
         if head in ("source", "target"):
-            if head in seen:
+            if head in theories:
                 raise ParseError(f"duplicate {head} line", line_no, 1)
-            seen.add(head)
-            if head == "source" and source is None:
-                source = load_theory(base / rest)
-            elif head == "target" and target is None:
-                target = load_theory(base / rest)
+            theories[head] = load_theory(base / rest)
         elif head == "map":
             name, eq, body = rest.partition("=")
             name = name.strip()
@@ -388,8 +378,9 @@ def parse_interpretation(
             map_lines[name] = line_no
         else:
             raise ParseError(f"unknown directive {head!r}", line_no, 1)
-    if source is None or target is None:
+    if len(theories) < 2:
         raise ParseError("interpretation needs both a source and a target theory")
+    source, target = theories["source"], theories["target"]
     symbols = target.symbols_by_name()
     images = {}
     for name, body in mapping.items():
@@ -415,4 +406,4 @@ def render_interpretation(i: Interpretation, source_file: str, target_file: str)
 
 def load_interpretation(path: Union[str, Path]) -> Interpretation:
     p = Path(path)
-    return parse_interpretation(p.read_text(), base_dir=p.parent)
+    return parse_interpretation(p.read_text(encoding="utf-8"), base_dir=p.parent)

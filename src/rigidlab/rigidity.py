@@ -28,14 +28,15 @@ cannot be reversed, so no such pair is sought.
 
 A term that no side of the one-step relation matches anywhere is inert: it
 is in normal form, its class is itself, and it is decided without a closure,
-counted as its one-entry closure would count.  A term with fewer than two
-variables has no renaming to find.  The search builds neither kind.  A
-bottom-up matching automaton of the sides' sources gives each subterm a
-state, the memoised recursion labels each node it keeps once, and the last
-argument of a term of the top size is drawn only from the terms that make
-the whole a candidate.  The skipped terms are counted by a recurrence over
-(size, next variable, state).  No list of the top size is memoised; the
-search holds one size's candidates at a time.
+counted as its one-entry closure would count and end: complete at depth and
+node budget 1 or more, cut short by the bound below that.  A term with fewer
+than two variables has no renaming to find.  The search builds neither kind,
+at any bound.  A bottom-up matching automaton of the sides' sources gives
+each subterm a state, the memoised recursion labels each node it keeps
+once, and the last argument of a term of the top size is drawn only from
+the terms that make the whole a candidate.  The skipped terms are counted
+by a recurrence over (size, next variable, state).  No list of the top size
+is memoised; the search holds one size's candidates at a time.
 """
 
 from __future__ import annotations
@@ -219,32 +220,31 @@ def _wildcards(p: Term) -> Term:
 
 class _Enumeration:
     """The canonical linear-regular terms of one theory up to max_context, in
-    canonical order, one size at a time.
+    canonical order, one size at a time, each memoised list labelled by the
+    matching automaton of the sources of th's expansion sides.
 
     of_size streams the terms of one size.  A term's arguments before its
     last come from _shapes' lists, and its last argument from the list of
     exactly the nodes left (sized), which is built by the same generator and
-    memoised, so no list of the top size is memoised.  With an automaton,
-    candidates gives only the terms the flabby search visits: two or more
-    variables, and not inert.  The lists of last arguments it reads hold
-    only terms that give the whole term two variables, filtered once per
-    (symbol, states of the arguments before, next variable, size) by the
-    state they would give it.  The terms it skips are counted, never built,
-    by count, the counting twin of _shapes: a recurrence over (size, next
-    variable, automaton state).
+    memoised, so no list of the top size is memoised.  candidates gives only
+    the terms the flabby search visits: two or more variables, and not
+    inert.  The lists of last arguments it reads hold only terms that give
+    the whole term two variables, filtered once per (symbol, states of the
+    arguments before, next variable, size) by the state they would give it.
+    The terms it skips are counted, never built, by count, the counting twin
+    of _shapes: a recurrence over (size, next variable, automaton state).
     """
 
-    def __init__(self, th: Theory, max_context: int, auto: Optional[_Automaton] = None):
+    def __init__(self, th: Theory, max_context: int):
         self.th = th
         self.max_context = max_context
-        self.auto = auto
-        self.label = auto.label if auto else None
+        self.auto = _Automaton([side[3][0].term for side in _relation(th).sides])
+        self.label = self.auto.label
         self.memo: dict = {}  # _shapes' lists
         self.lists: dict = {}  # (size, next_var, two) -> sized's list
         self.classified: dict = {}  # (size, next_var, two) -> classes of sized's list
         self.counts: dict = {}  # (size, next_var) -> {(state, next var after): terms}
         self.lasts: dict = {}  # _last's lists, by its key
-        self.at: tuple = ()  # where candidates is, for skipped_before
 
     def sized(self, size: int, next_var: int, two: bool) -> list[Term]:
         """The terms of exactly `size` nodes whose variables read next_var,
@@ -255,8 +255,7 @@ class _Enumeration:
         out = self.lists.get(key)
         if out is None:
             out = self.lists[key] = list(self.of_size(size, next_var, two))
-            if self.label:
-                self.label(out)
+            self.label(out)
         return out
 
     def classes(self, size: int, next_var: int, two: bool) -> list[tuple[int, int]]:
@@ -362,17 +361,17 @@ class _Enumeration:
             for a in self.sized(left, v, two):
                 yield App(sym, args + (a,))
 
-    def candidates(self, max_size: int) -> Iterator[Term]:
+    def candidates(self, max_size: int) -> Iterator[tuple[Term, tuple]]:
         """The terms up to max_size nodes that the flabby search visits, in
-        canonical order.
+        canonical order, each with where it stands, for skipped_before.
 
         Each size's candidates are built as one batch and kept until the
         next size: a closure's canonical successors of that size are later
         candidates, and with their nodes alive the expansion finds them in
         the hash-cons table rather than building each twice.  The batch is
         a list of runs of candidates that share their arguments before the
-        last; while a run is read, at holds the terms with fewer than two
-        variables and the inert ones skipped before it, and its _last key.
+        last; where a run stands is the terms with fewer than two variables
+        and the inert ones skipped before it, and its _last key.
         """
         states = self.auto.states
         for size in range(2, max_size + 1):
@@ -385,33 +384,23 @@ class _Enumeration:
                     runs.append(((one_var, inert, key), [App(sym, args + (a,)) for a in lasts]))
                 one_var += skip_one
                 inert += skip_inert
-            for self.at, run in runs:
-                yield from run
+            for at, run in runs:
+                for term in run:
+                    yield term, at
 
-    def skipped_before(self, term: Term) -> tuple[int, int]:
+    def skipped_before(self, term: Term, at: tuple) -> tuple[int, int]:
         """How many terms with fewer than two variables, and how many inert
-        ones, come before term, the candidate yielded last: the counts kept
+        ones, come before term, a candidate yielded with at: the counts kept
         up to its arguments before the last, plus those before its last
         argument in sized's whole list, which is built for this."""
-        one_var, inert, key = self.at
+        one_var, inert, key = at
         kinds = self.lasts[key][1]
         next_var, size = key[2:]
-        at = self.sized(size, next_var, False).index(term.args[-1])
+        last = self.sized(size, next_var, False).index(term.args[-1])
         before = [0, 0, 0]
-        for c in self.classes(size, next_var, False)[:at]:
+        for c in self.classes(size, next_var, False)[:last]:
             before[kinds[c]] += 1
         return one_var + before[1], inert + before[2]
-
-
-def _enumeration(th: Theory, max_context: int, skip_inert: bool) -> _Enumeration:
-    """The enumeration search_flabby reads: its automaton is built from the
-    sources of th's expansion sides, or from a variable source, which
-    matches every node, when inert terms must run their closures too."""
-    if skip_inert:
-        sources = [side[3][0].term for side in _relation(th).sides]
-    else:
-        sources = [Var(1)]
-    return _Enumeration(th, max_context, _Automaton(sources))
 
 
 def enumerate_linear_regular(
@@ -480,7 +469,9 @@ class FlabbySearchResult:
     classes_shared counts the terms among them decided by an earlier
     complete class, with no closure run.  An inert term, which no side
     matches anywhere, runs no closure either: it counts in closures_computed
-    and adds 1 to closure_terms_total, as its one-entry closure would.
+    and adds 1 to closure_terms_total, as its one-entry closure would, and
+    at depth 0 sets depth_hit, or else at node budget 0 budget_hit, where
+    that closure would be cut short.
     Neither inert terms nor terms with fewer than two variables are built:
     they are counted, and a found document counts those before the witness.
     """
@@ -547,8 +538,9 @@ def search_flabby(
     one-way axiom, a term whose canonical form an earlier complete closure
     without a witness reached is cleared by that class instead, and
     counted in classes_shared.  No flabby term is ever cleared so: the term
-    whose closure covered it would be flabby, and found first.  An inert term is
-    cleared as its own class, with no closure run.  Only the candidates,
+    whose closure covered it would be flabby, and found first.  An inert
+    term is cleared as its own class, with no closure run, unless a depth
+    or node budget below 1 would cut that closure short.  Only the candidates,
     terms with two or more variables that the automaton does not call
     inert, are built and visited; the others are counted, up to the witness
     when there is one.  With no witness the status is "exhausted" when no
@@ -571,10 +563,8 @@ def search_flabby(
     # class decide its members.
     share = not _relation(th).one_way
     cleared: dict = {}  # canonical term -> size of the class that cleared it
-    # An inert term's closure would be one entry, complete, with no flag
-    # set, when the closure expands it (depth and budget at least 1).
-    terms = _enumeration(th, max_context, depth >= 1 and node_budget >= 1)
-    for term in terms.candidates(max_size):
+    terms = _Enumeration(th, max_context)
+    for term, at in terms.candidates(max_size):
         res.closures_computed += 1
         class_size = cleared.pop(term, None)
         if class_size is not None:
@@ -630,7 +620,7 @@ def search_flabby(
             res.status = FOUND
             if not verify_report(res.report, th):
                 raise RuntimeError("internal error: flabby report failed verification")
-            _skipped(res, *terms.skipped_before(term))
+            _skipped(res, *terms.skipped_before(term, at))
             return res
     _skipped(res, *terms.skipped(max_size))
     res.status = BOUNDS if res.caps_hit or res.budget_hit or res.depth_hit else EXHAUSTED
@@ -664,9 +654,16 @@ def _collision_report(
 
 def _skipped(res: FlabbySearchResult, one_var: int, inert: int) -> None:
     """Count the terms the search skipped: one_var with fewer than two
-    variables, and inert ones, each as its one-entry closure would count."""
+    variables, and inert ones, each as its one-entry closure would count and
+    end.  That closure is complete when it expands the term, at depth and
+    node budget 1 or more; below that it is cut short by the depth bound,
+    or else by the node budget."""
     res.terms_enumerated = res.closures_computed + one_var + inert
     res.closures_computed += inert
     res.closure_terms_total += inert
     if inert:
         res.max_closure = max(res.max_closure, 1)
+        if res.bounds["depth"] < 1:
+            res.depth_hit = True
+        elif res.bounds["node_budget"] < 1:
+            res.budget_hit = True

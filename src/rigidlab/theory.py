@@ -187,8 +187,8 @@ def parse_equation(text: str, th: Theory) -> Equation:
 
 
 def load_theory(path: Union[str, Path]) -> Theory:
-    return parse_theory(Path(path).read_text())
+    return parse_theory(Path(path).read_text(encoding="utf-8"))
 
 
 def save_theory(th: Theory, path: Union[str, Path]) -> None:
-    Path(path).write_text(render_theory(th))
+    Path(path).write_text(render_theory(th), encoding="utf-8")

@@ -119,6 +119,16 @@ class TestReplay:
         bad.write_text(json.dumps(d))
         assert run("replay", seed_thy, str(bad)).returncode == 1
 
+    def test_short_substitution_exits_one(self, seed_thy, tmp_path):
+        # The seed's axiom binds two variables; the step gives one term.
+        d = out_doc(run("prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)"))["derivation"]
+        d["steps"][0]["subst"] = d["steps"][0]["subst"][:1]
+        dfile = tmp_path / "short.json"
+        dfile.write_text(json.dumps(d))
+        proc = run("replay", seed_thy, str(dfile))
+        assert proc.returncode == 1
+        assert out_doc(proc) == {"valid": False, "steps": 1}
+
     def test_proof_outcome_is_not_a_derivation(self, seed_thy, tmp_path):
         out = tmp_path / "out.json"
         out.write_text(run("prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)").stdout)
@@ -381,6 +391,36 @@ class TestCensus:
         assert proc.returncode == 3
         assert "not a derivation" in proc.stderr and "'context_len'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# A locale whose preferred encoding is ASCII: a reader that falls back on
+# the locale's encoding cannot decode a non-ASCII byte.
+C_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+class TestUtf8Files:
+    """.thy, .itp and .wp files are read as UTF-8 whatever the locale."""
+
+    def test_thy_under_c_locale(self, tmp_path):
+        p = tmp_path / "seed.thy"
+        p.write_text("# café\n" + SEED_THY, encoding="utf-8")
+        proc = run("prove", str(p), "[2] l(x1,x2) = r(x2,x1)", env_extra=C_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+        assert out_doc(proc)["status"] == "found"
+
+    def test_itp_under_c_locale(self, yes_wp, tmp_path):
+        doc = out_doc(run("reduce", yes_wp, "--out-dir", str(tmp_path / "build")))
+        itp = tmp_path / "build" / "yes.itp"
+        itp.write_text("# café\n" + itp.read_text(encoding="utf-8"), encoding="utf-8")
+        assert doc["interpretation"] == str(itp)
+        proc = run("conservativity", str(itp), "--size-bound", "3", "--depth", "6", env_extra=C_LOCALE)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_wp_under_c_locale(self, tmp_path):
+        p = tmp_path / "yes.wp"
+        p.write_text("# café\n" + YES_WP, encoding="utf-8")
+        proc = run("word", str(p), "ab", "ba", env_extra=C_LOCALE)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestUsageErrors:

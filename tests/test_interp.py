@@ -51,7 +51,7 @@ from rigidlab.terms import (
     substitute_terms,
     term_size,
 )
-from rigidlab.theory import parse_theory
+from rigidlab.theory import parse_theory, save_theory
 
 SEED = seed_theory()
 COMMUTES = instance(["a", "b"], [("ab", "ba")], ("ab", "ba"))
@@ -422,32 +422,37 @@ map m = m(x1,x2)
 """
 
 
+@pytest.fixture
+def itp_dir(tmp_path):
+    """A directory holding the two theories ITP_TEXT names."""
+    save_theory(SEED, tmp_path / "seed.thy")
+    save_theory(TARGET, tmp_path / "compiled.thy")
+    return tmp_path
+
+
 class TestConcreteSyntax:
-    def test_parse_with_explicit_theories(self):
-        i = parse_interpretation(ITP_TEXT, source=SEED, target=TARGET)
+    def test_parse_with_explicit_theories(self, itp_dir):
+        i = parse_interpretation(ITP_TEXT, base_dir=itp_dir)
+        assert i.source == SEED and i.target == TARGET
         assert dict(i.assignment) == dict(I_YES.assignment)
 
-    def test_file_roundtrip(self, tmp_path):
-        from rigidlab.theory import save_theory
-
-        save_theory(SEED, tmp_path / "seed.thy")
-        save_theory(TARGET, tmp_path / "compiled.thy")
+    def test_file_roundtrip(self, itp_dir):
         text = render_interpretation(I_YES, "seed.thy", "compiled.thy")
-        (tmp_path / "map.itp").write_text(text)
-        i = load_interpretation(tmp_path / "map.itp")
+        (itp_dir / "map.itp").write_text(text)
+        i = load_interpretation(itp_dir / "map.itp")
         assert i.source == SEED and i.target == TARGET
         assert dict(i.assignment) == dict(I_YES.assignment)
         assert i == I_YES
 
-    def test_missing_map_line_rejected(self):
-        partial = "map l = m(x1,x2)\nmap r = m(x1,x2)\n"
+    def test_missing_map_line_rejected(self, itp_dir):
+        partial = ITP_TEXT.split("map")[0] + "map l = m(x1,x2)\nmap r = m(x1,x2)\n"
         with pytest.raises((ParseError, ValueError)):
-            parse_interpretation(partial, source=SEED, target=TARGET)
+            parse_interpretation(partial, base_dir=itp_dir)
 
-    def test_unknown_source_symbol_rejected(self):
+    def test_unknown_source_symbol_rejected(self, itp_dir):
         bad = ITP_TEXT + "map k = m(x1,x2)\n"
         with pytest.raises((ParseError, ValueError)):
-            parse_interpretation(bad, source=SEED, target=TARGET)
+            parse_interpretation(bad, base_dir=itp_dir)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -457,11 +462,11 @@ class TestConcreteSyntax:
             ("target other.thy", "duplicate target line"),
         ],
     )
-    def test_duplicate_line_rejected(self, line, message):
+    def test_duplicate_line_rejected(self, itp_dir, line, message):
         with pytest.raises(ParseError, match=message) as e:
-            parse_interpretation(ITP_TEXT + line + "\n", source=SEED, target=TARGET)
+            parse_interpretation(ITP_TEXT + line + "\n", base_dir=itp_dir)
         assert e.value.line == 6
 
-    def test_missing_source_line_without_override(self):
-        with pytest.raises(ParseError):
-            parse_interpretation("map l = m(x1,x2)\n", target=TARGET)
+    def test_missing_source_line_without_override(self, itp_dir):
+        with pytest.raises(ParseError, match="needs both a source and a target"):
+            parse_interpretation("target compiled.thy\nmap l = m(x1,x2)\n", base_dir=itp_dir)

@@ -1,8 +1,8 @@
 """The benchmark's own checks, run as tests.
 
 perfbench/selftest.py shows that every output check rejects a planted wrong
-answer; one short round each of the flabby, probe and closure workloads
-must then pass every check with no failed operation.
+answer; one short round each of the flabby, probe, closure and words_hat
+workloads must then pass every check with no failed operation.
 """
 
 import json

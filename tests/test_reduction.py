@@ -97,6 +97,11 @@ class TestWordRewriting:
         d = WordDerivation(("a", "b"), (step,), ("a", "b"))
         assert not word_replay(COMMUTES, d)
 
+    def test_replay_rejects_unmatched_step(self):
+        # ab does not start "aa", so the step does not apply.
+        d = WordDerivation(("a", "a"), (WordStep(0, "LR", 0),), ("b", "a"))
+        assert not word_replay(COMMUTES, d)
+
 
 class TestWordBfs:
     def test_one_step(self):
@@ -304,6 +309,12 @@ class TestFlabbyWitness:
         d = WordDerivation(("b", "a"), (WordStep(0, "RL", 0),), ("a", "b"))
         assert word_replay(COMMUTES, d)
         with pytest.raises(ValueError):
+            flabby_witness(COMMUTES, d)
+
+    def test_rejects_derivation_that_does_not_replay(self):
+        # On the goal pair, but the step reads ba where the word is ab.
+        d = WordDerivation(("a", "b"), (WordStep(0, "RL", 0),), ("b", "a"))
+        with pytest.raises(ValueError, match="does not replay"):
             flabby_witness(COMMUTES, d)
 
 

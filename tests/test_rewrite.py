@@ -133,6 +133,18 @@ class TestApplyStep:
         with pytest.raises(RewriteError):
             apply_step(t, SEED, s)
 
+    def test_substitution_of_wrong_length_raises(self):
+        t = tic(App(L, (x(1), x(2))), 2)
+        s = RewriteStep(0, LR, (), sub(2, x(1)))
+        with pytest.raises(RewriteError, match="substitution has 1 entries, axiom context is 2"):
+            apply_step(t, SEED, s)
+
+    def test_substitution_in_another_context_raises(self):
+        t = tic(App(L, (x(1), x(2))), 2)
+        s = RewriteStep(0, LR, (), sub(3, x(1), x(2)))
+        with pytest.raises(RewriteError, match="do not live in the rewritten term's context"):
+            apply_step(t, SEED, s)
+
 
 class TestSuccessors:
     def test_seed_root(self):

@@ -188,6 +188,12 @@ class TestVerifyReport:
         )
         assert not verify_report(bad, th)
 
+    def test_rejects_derivation_from_another_term(self):
+        report, th = self._witness()
+        end = report.derivation.end
+        bad = FlabbyReport(report.term, report.permutation, Derivation(end, (), end))
+        assert end != report.term and not verify_report(bad, th)
+
     def test_rejects_nonlinear_term(self):
         th = compile_reduction(COMMUTES)
         sym = th.symbols_by_name()
@@ -798,7 +804,7 @@ class TestCandidateStream:
     def test_counts_match_brute_force(self, name):
         th = COUNT_THEORIES[name]
         max_context = 3
-        terms = rigidity._enumeration(th, max_context, True)
+        terms = rigidity._Enumeration(th, max_context)
         auto = terms.auto
         linear = all(is_linear_term(src) for src in kernel_sources(th))
         assert linear == (name != "repeated_variable")
@@ -836,12 +842,12 @@ class TestCandidateStream:
         every = list(enumerate_linear_regular(th, max_size, max_context))
         rank = {t.term: i for i, t in enumerate(every)}
         want = [t.term for t in every if t.context_len >= 2 and naive_one_step(t, th)]
-        terms = rigidity._enumeration(th, max_context, True)
+        terms = rigidity._Enumeration(th, max_context)
         got = []
-        for term in terms.candidates(max_size):
+        for term, at in terms.candidates(max_size):
             before = every[: rank[term]]
             one_var = sum(1 for t in before if t.context_len < 2)
-            assert terms.skipped_before(term) == (one_var, len(before) - one_var - len(got))
+            assert terms.skipped_before(term, at) == (one_var, len(before) - one_var - len(got))
             got.append(term)
         one_var = sum(1 for t in every if t.context_len < 2)
         assert terms.skipped(max_size) == (one_var, len(every) - one_var - len(got))
@@ -855,14 +861,62 @@ class TestCandidateStream:
                 if term not in chosen:
                     t = TermInContext(term, term.max_var)
                     assert t.context_len >= 2 and not naive_one_step(t, th)
-        # With inert terms closed too, every term with two variables is one.
-        closed = rigidity._enumeration(th, max_context, False)
-        assert list(closed.candidates(max_size)) == [t.term for t in every if t.context_len >= 2]
+        # Under a side rooted at a variable no term is inert, so every term
+        # with two variables is a candidate.
+        rooted = COUNT_THEORIES["variable_root"]
+        every = enumerate_linear_regular(rooted, max_size, max_context)
+        stream = rigidity._Enumeration(rooted, max_context).candidates(max_size)
+        assert [term for term, _ in stream] == [t.term for t in every if t.context_len >= 2]
+
+    # No side matches m(x1,x2), the one term with two variables up to three
+    # nodes; up to five, u(m(x1,x2)) and others are not inert.
+    INERT_PAIR = parse_theory("symbol u 1\nsymbol m 2\naxiom [1] u(u(x1)) = u(x1)\n")
+
+    @staticmethod
+    def _closure_per_term(th, max_size, max_context, depth, node_budget):
+        """The certificate of one closure run for every term with two
+        variables, at bounds under which no closure completes."""
+        every = list(enumerate_linear_regular(th, max_size, max_context))
+        sizes, flags = [], Counter()
+        for t in every:
+            if t.context_len >= 2:
+                cl = bounded_closure(
+                    th, t, depth, size_cap=term_size(t.term) + DEFAULT_SLACK, node_budget=node_budget
+                )
+                sizes.append(len(cl.entries))
+                flags["caps_hit"] += cl.cap_hit
+                flags["budget_hit"] += cl.budget_hit
+                flags["depth_hit"] += not (cl.exhausted or cl.budget_hit)
+        return {
+            "terms_enumerated": len(every),
+            "closures_computed": len(sizes),
+            "closure_terms_total": sum(sizes),
+            "max_closure": max(sizes, default=0),
+            **{flag: flags[flag] > 0 for flag in ("caps_hit", "budget_hit", "depth_hit")},
+            "classes_shared": 0,
+        }
+
+    @pytest.mark.parametrize("max_size", [3, 5])
+    @pytest.mark.parametrize(
+        "depth, node_budget, flag", [(0, 50, "depth_hit"), (0, 0, "depth_hit"), (2, 0, "budget_hit")]
+    )
+    def test_inert_terms_end_as_cut_closures(self, max_size, depth, node_budget, flag):
+        # Below depth or node budget 1 an inert term's one-entry closure is
+        # cut short, so the search reads "bounds" even when every term with
+        # two variables is inert and no closure runs.
+        th = self.INERT_PAIR
+        res = search_flabby(th, max_size=max_size, max_context=2, depth=depth, node_budget=node_budget)
+        doc = res.to_doc()
+        assert doc["status"] == BOUNDS and doc["certificate"][flag]
+        assert doc["certificate"] == self._closure_per_term(th, max_size, 2, depth, node_budget)
+        if max_size == 3:
+            inert = rigidity._Enumeration(th, 2)
+            assert not list(inert.candidates(max_size)) and inert.skipped(max_size) == (3, 1)
 
     def test_top_size_is_streamed(self):
         # No memoised list holds a term of the top size.
         th = compile_reduction(NOT_COMMUTES)
-        terms = rigidity._enumeration(th, 3, True)
+        terms = rigidity._Enumeration(th, 3)
         assert sum(1 for _ in terms.candidates(8)) == 3988
         plain = rigidity._Enumeration(th, 3)
         assert sum(1 for size in range(1, 9) for _ in plain.of_size(size, 1)) == 12124

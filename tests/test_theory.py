@@ -1,5 +1,3 @@
-from functools import partial
-
 import pytest
 
 from oracles import validate_linear_regular
@@ -118,9 +116,6 @@ class TestParseTheory:
         assert parse_theory(render_theory(th)) == th
 
 
-SEED_THEORY = parse_theory(SEED_FILE)
-
-
 # The .thy, .wp and .itp readers share one line reader: each skips comment
 # and blank lines, cuts a trailing comment, and numbers lines from 1.
 @pytest.mark.parametrize(
@@ -128,7 +123,7 @@ SEED_THEORY = parse_theory(SEED_FILE)
     [
         (parse_theory, "symbol m 2"),
         (parse_wp, "alphabet a b"),
-        (partial(parse_interpretation, source=SEED_THEORY, target=SEED_THEORY), "map l = l(x1,x2)"),
+        (parse_interpretation, "map l = l(x1,x2)"),
     ],
     ids=["thy", "wp", "itp"],
 )
@@ -154,7 +149,7 @@ def test_line_reader_numbers_lines_and_cuts_comments(parse, first):
         (parse_wp, "alphabet a b\n\ngoal a = b = a\n", 3, "expected: goal <word> = <word>"),
         (parse_wp, "# no alphabet\n", 1, "missing alphabet line"),
         (
-            partial(parse_interpretation, source=SEED_THEORY, target=SEED_THEORY),
+            parse_interpretation,
             "map l = l(x1,x2)\nmap r r(x2,x1)\n",
             2,
             "expected: map <symbol> = <term>",
