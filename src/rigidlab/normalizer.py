@@ -14,9 +14,12 @@ compiled theory onto a special term by five clauses, applied in order:
     5. otherwise m(t1, t2) becomes m(t1^, t2^).
 
 Clauses 3 and 4 need answers to bounded-undecidable questions, so the
-normalizer is parameterized by a word-equivalence oracle that may answer
-yes, no, or unknown.  Unknown answers fall through to clause 5 and raise a
-warning flag; every chain decision is logged with the oracle's certificates.
+normalizer is parameterized by a word-equivalence oracle that returns
+word_bfs's outcome: found with a word derivation, exhausted (a certified
+refutation), or bounds.  A bounds outcome falls through to clause 5 and
+raises a warning flag.  Every chain decision is logged with the oracle's
+certificates, each query's status found, exhausted or bounds written as the
+answer yes, no or unknown.
 
 Which special terms are fixed depends on the instance.  Where the oracle
 certifies that u and v are not equivalent, every special term is fixed, so
@@ -39,7 +42,7 @@ from .reduction import (
     MARKER,
     PAIRING,
     Word,
-    WordDerivation,
+    WordOutcome,
     WordProblemInstance,
     _compiled,
     seed_theory,
@@ -48,10 +51,12 @@ from .reduction import (
     word_to_text,
 )
 from .rewrite import (
+    BOUNDS,
     DEFAULT_NODE_BUDGET,
     DEFAULT_SLACK,
     Derivation,
     EXHAUSTED,
+    FOUND,
     ProofOutcome,
     prove_bounded,
     replay,
@@ -65,61 +70,35 @@ __all__ = [
     "HAT_UNCERTAIN",
     "HatCongruenceResult",
     "HatResult",
-    "NO",
-    "OracleAnswer",
     "OracleInconsistencyError",
     "SpecialTermTag",
-    "UNKNOWN",
     "WordOracle",
-    "YES",
     "check_hat_congruence",
     "hat",
     "is_special",
 ]
 
-YES = "yes"
-NO = "no"
-UNKNOWN = "unknown"
-
 HAT_FOUND = "found"
 HAT_NOT_FOUND = "not_found"
 HAT_UNCERTAIN = "uncertain"
+
+# The answer a decision document gives for an oracle outcome's status.
+_ANSWERS = {FOUND: "yes", EXHAUSTED: "no", BOUNDS: "unknown"}
 
 
 class OracleInconsistencyError(RuntimeError):
     """The oracle certified a refutation of something it also proved."""
 
 
-@dataclass(frozen=True)
-class OracleAnswer:
-    """yes with a word derivation, certified no, or unknown."""
-
-    status: str
-    derivation: Optional[WordDerivation] = None
-
-    @property
-    def is_yes(self) -> bool:
-        return self.status == YES
-
-    @property
-    def is_no(self) -> bool:
-        return self.status == NO
-
-    def to_doc(self) -> dict:
-        return {
-            "answer": self.status,
-            "derivation": self.derivation.to_doc() if self.derivation else None,
-        }
-
-
 class WordOracle:
     """Memoized bounded word-equivalence oracle over one instance.
 
-    Answers yes when the direct string search finds a derivation, no when it
-    exhausts the reachable words with the length cap never binding, and
-    unknown otherwise.  Answers are cached under the pair as asked only:
-    hat asks (u, w), (v, w) and (u, v), and never one of them reversed.  A
-    negative slack is a ValueError when the oracle is built.
+    equiv returns word_bfs's outcome for the pair: found with a derivation,
+    exhausted (certified) when the reachable words ran out with the length
+    cap never binding, and bounds otherwise.  Outcomes are cached under the
+    pair as asked only: hat asks (u, w), (v, w) and (u, v), and never one of
+    them reversed.  A negative slack is a ValueError when the oracle is
+    built.
     """
 
     def __init__(
@@ -139,28 +118,15 @@ class WordOracle:
         self.searches = 0
         self._memo: dict = {}
 
-    def equiv(self, w1, w2) -> OracleAnswer:
+    def equiv(self, w1, w2) -> WordOutcome:
         key = (tuple(w1), tuple(w2))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self.searches += 1
-        out = word_bfs(
-            self.inst,
-            key[0],
-            key[1],
-            depth=self.depth,
-            slack=self.slack,
-            node_budget=self.node_budget,
-        )
-        if out.found:
-            ans = OracleAnswer(YES, out.derivation)
-        elif out.status == EXHAUSTED:
-            ans = OracleAnswer(NO)
-        else:
-            ans = OracleAnswer(UNKNOWN)
-        self._memo[key] = ans
-        return ans
+        out = self._memo.get(key)
+        if out is None:
+            self.searches += 1
+            out = self._memo[key] = word_bfs(
+                self.inst, *key, depth=self.depth, slack=self.slack, node_budget=self.node_budget
+            )
+        return out
 
 
 def _split(term: Term, generators: frozenset) -> Optional[tuple]:
@@ -246,10 +212,13 @@ class HatResult:
 def hat(inst: WordProblemInstance, t: TermInContext, oracle) -> HatResult:
     """Normalize a compiled-theory term onto a special term.
 
-    The oracle must provide equiv(w1, w2) -> OracleAnswer.  The result term
-    always satisfies is_special; warnings are raised exactly when an unknown
-    oracle answer forced the fall-through clause.  A symbol outside the
-    compiled theory is a ValueError.
+    The oracle must provide equiv(w1, w2) -> WordOutcome, as WordOracle
+    does.  A found outcome proves the words equal; only a certified one
+    refutes it.  The result term always satisfies is_special; warnings are
+    raised exactly when an undecided outcome forced the fall-through clause.
+    Each query's document gives its outcome's status found, exhausted or
+    bounds as the answer yes, no or unknown.  A symbol outside the compiled
+    theory is a ValueError.
 
     When the oracle certifies that u and v are not equivalent, every special
     term is fixed.  On a yes-instance v-marked pairs are re-spelled as u, so
@@ -261,8 +230,13 @@ def hat(inst: WordProblemInstance, t: TermInContext, oracle) -> HatResult:
     warnings: list = []
     decisions: list = []
 
-    def query_doc(w1: Word, w2: Word, ans: OracleAnswer) -> dict:
-        return {"left": word_to_text(w1), "right": word_to_text(w2), **ans.to_doc()}
+    def query_doc(w1: Word, w2: Word, out: WordOutcome) -> dict:
+        return {
+            "left": word_to_text(w1),
+            "right": word_to_text(w2),
+            "answer": _ANSWERS[out.status],
+            "derivation": out.derivation.to_doc() if out.derivation else None,
+        }
 
     def decide(w: Word) -> Optional[Word]:
         """The goal word the chain provably equals, or None for fall-through."""
@@ -270,18 +244,18 @@ def hat(inst: WordProblemInstance, t: TermInContext, oracle) -> HatResult:
         a = oracle.equiv(u, w)
         queries.append(query_doc(u, w, a))
         chosen = None
-        if a.is_yes:
+        if a.found:
             chosen, clause = u, "u"
         else:
             b = oracle.equiv(v, w)
             queries.append(query_doc(v, w, b))
-            if b.is_yes:
+            if b.found:
                 c = oracle.equiv(u, v)
                 queries.append(query_doc(u, v, c))
-                if c.is_no:
+                if c.certified:
                     chosen, clause = v, "v"
-                elif c.is_yes:
-                    if a.is_no:
+                elif c.found:
+                    if a.certified:
                         raise OracleInconsistencyError(
                             f"oracle refutes u ~ {word_to_text(w)} but proves "
                             f"u ~ v and v ~ {word_to_text(w)}"
@@ -293,7 +267,7 @@ def hat(inst: WordProblemInstance, t: TermInContext, oracle) -> HatResult:
                         f"goal words match chain '{word_to_text(w)}' but their "
                         f"own equivalence is undecided"
                     )
-            elif b.is_no and a.is_no:
+            elif b.certified and a.certified:
                 clause = "pair"
             else:
                 clause = "pair"

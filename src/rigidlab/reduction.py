@@ -483,6 +483,7 @@ def parse_wp(text: str) -> WordProblemInstance:
         if head == "alphabet":
             if alphabet is not None:
                 raise ParseError("duplicate alphabet line", line_no, 1)
+            alphabet_line = line_no
             names = tuple(rest.split())
             for g in names:
                 if len(g) != 1:
@@ -515,5 +516,7 @@ def parse_wp(text: str) -> WordProblemInstance:
     try:
         return WordProblemInstance(alphabet, tuple(relations), goal)
     except ValueError as e:
-        raise ParseError(str(e)) from None
+        # Every word was checked against the alphabet above, so only an
+        # alphabet fault reaches here.
+        raise ParseError(str(e), alphabet_line, 1) from None
 

@@ -399,8 +399,10 @@ _WALK = """\
 
 # After a side's block: its result is rebuilt upward along the parent links,
 # one table lookup per ancestor with a terms._make call only on a miss or a
-# dead weak ref, and recorded unless reached holds it.  {mark} is _BACK or
-# _SEEN.
+# dead weak ref, and recorded unless reached holds it.  {bit} is the
+# result's back-move bit, set whether the result is new or a repeat: 1 << the
+# inverse's bit index at w for a side with an inverse, and 0 for a side with
+# none, so that a repeat keeps its bits and a new result gets none.
 _RECORD = """\
         j, i = ups[w], ats[w]
         while j >= 0:
@@ -415,26 +417,15 @@ _RECORD = """\
             sym = p.sym
             result = sym._apps.get(args, NoRef)() or Make(sym, args)
             j, i = ups[j], ats[j]
-{mark}
-        nt = TermInContext(result, n)
-        entries[nt] = (distance, t, {side}, w)
-        new.append(nt)"""
-
-# A side with an inverse sets the result's back-move bit {bit}, the inverse
-# at w, whether the result is new or a repeat.
-_BACK = """\
-        bit = 1 << {bit}
+        bit = {bit}
         seen = reached.get(result)
         if seen is not None:
             reached[result] = seen | bit
             continue
-        reached[result] = bit"""
-
-# A side with no inverse leaves a new result no bits.
-_SEEN = """\
-        if result in reached:
-            continue
-        reached[result] = 0"""
+        reached[result] = bit
+        nt = TermInContext(result, n)
+        entries[nt] = (distance, t, {side}, w)
+        new.append(nt)"""
 
 
 def _bit(k: int, count: int) -> str:
@@ -507,8 +498,8 @@ def _expand_code(sides: list) -> tuple[str, dict]:
         lines.append("        t0 = subs[w]")
         lines += body
         lines.append(f"        result = {result}")
-        mark = _SEEN if back is None else _BACK.format(bit=_bit(back, len(sides)))
-        lines.append(_RECORD.format(mark=mark, side=glob(side, "E")))
+        bit = "0" if back is None else f"1 << {_bit(back, len(sides))}"
+        lines.append(_RECORD.format(bit=bit, side=glob(side, "E")))
     lines.append("    reached[term] = -1")
     lines.append("    return cap_hit")
     return "\n".join(lines) + "\n", glob.names

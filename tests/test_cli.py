@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from rigidlab.cli import main
 from rigidlab.reduction import compile_reduction, parse_wp
 from rigidlab.theory import load_theory
 
@@ -17,6 +18,8 @@ axiom [2] l(x1,x2) = r(x2,x1)
 
 YES_WP = "alphabet a b\nrel ab = ba\ngoal ab = ba\n"
 NO_WP = "alphabet a b\nrel ab = ba\ngoal a = b\n"
+# a = aa makes every word class infinite, so no search on it completes.
+IDEM_WP = "alphabet a b\nrel a = aa\ngoal a = b\n"
 
 
 def run(*args, env_extra=None, cwd=None):
@@ -34,6 +37,16 @@ def run(*args, env_extra=None, cwd=None):
 
 def out_doc(proc):
     return json.loads(proc.stdout)
+
+
+def run_main(monkeypatch, capsys, *args):
+    """The console script's main() on args in this process: its exit code,
+    stdout and stderr."""
+    monkeypatch.setattr(sys, "argv", ["rigidlab", *args])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
 
 
 @pytest.fixture
@@ -54,6 +67,13 @@ def yes_wp(tmp_path):
 def no_wp(tmp_path):
     p = tmp_path / "no.wp"
     p.write_text(NO_WP)
+    return str(p)
+
+
+@pytest.fixture
+def idem_wp(tmp_path):
+    p = tmp_path / "idem.wp"
+    p.write_text(IDEM_WP)
     return str(p)
 
 
@@ -230,6 +250,17 @@ class TestRigiditySearch:
         assert proc.returncode == 1
         assert out_doc(proc)["status"] == "exhausted"
 
+    def test_bounds_exit_two(self, idem_wp, tmp_path, monkeypatch, capsys):
+        _, out, _ = run_main(monkeypatch, capsys, "reduce", idem_wp, "--out-dir", str(tmp_path / "build"))
+        target = json.loads(out)["target"]
+        code, out, err = run_main(
+            monkeypatch, capsys, "rigidity", "search", target,
+            "--max-size", "5", "--max-context", "2", "--depth", "2",
+        )
+        assert code == 2
+        assert json.loads(out)["status"] == "bounds"
+        assert "some bound was hit" in err
+
 
 class TestHat:
     def test_normalizes(self, yes_wp):
@@ -302,6 +333,13 @@ class TestWord:
         proc = run("word", yes_wp, "eps", "eps")
         assert proc.returncode == 0
 
+    def test_indeterminate_exits_two(self, idem_wp, monkeypatch, capsys):
+        code, out, err = run_main(monkeypatch, capsys, "word", idem_wp, "a", "b", "--depth", "2")
+        assert code == 2
+        doc = json.loads(out)
+        assert (doc["status"], doc["reason"], doc["certified"]) == ("bounds", "depth", False)
+        assert "indeterminate" in err
+
     def test_empty_word_argument_exits_three(self, yes_wp):
         proc = run("word", yes_wp, "ab", "")
         assert proc.returncode == 3
@@ -328,6 +366,15 @@ class TestConservativity:
         doc = out_doc(proc)
         assert doc["confirmed"] == [] and doc["candidates"] == []
         assert doc["targets_complete"] is False
+
+    def test_candidates_only_exit_two(self, yes_wp, monkeypatch, capsys):
+        # At depth 1 the one failure found has a source closure cut short,
+        # so it stays an unconfirmed candidate.
+        code, out, err = run_main(monkeypatch, capsys, "conservativity", yes_wp, "--size-bound", "3", "--depth", "1")
+        assert code == 2
+        doc = json.loads(out)
+        assert (len(doc["confirmed"]), len(doc["candidates"])) == (0, 1)
+        assert "1 unconfirmed candidate(s)" in err
 
     def test_resolved_finding_replays(self, yes_wp, tmp_path):
         # A finding lists its steps as indices into the document's step
@@ -471,6 +518,21 @@ class TestInternalErrors:
         assert "too deep" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["prove", "hat"])
+    def test_3000_deep_term_exits_three(self, command, yes_wp, tmp_path, monkeypatch, capsys):
+        # Nesting past the recursion limit ends in the documented message,
+        # not in a traceback.
+        if command == "prove":
+            p = tmp_path / "unary.thy"
+            p.write_text("symbol f 1\naxiom [1] f(x1) = x1\n")
+            args = (str(p), "[1] " + "f(" * 3000 + "x1" + ")" * 3000 + " = x1")
+        else:
+            args = (yes_wp, "[1] " + "a(" * 3000 + "alpha(x1)" + ")" * 3000)
+        code, out, err = run_main(monkeypatch, capsys, command, *args)
+        assert code == 3
+        assert err.startswith("error: term too deep")
+        assert "Traceback" not in err and out == ""
+
     def test_unexpected_exception_exits_three(self, seed_thy, monkeypatch, capsys):
         from rigidlab import cli as cli_module
 
@@ -478,8 +540,6 @@ class TestInternalErrors:
             raise RuntimeError("planted failure")
 
         monkeypatch.setattr(cli_module.cli.commands["prove"], "callback", boom)
-        monkeypatch.setattr(sys, "argv", ["rigidlab", "prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)"])
-        with pytest.raises(SystemExit) as exit_info:
-            cli_module.main()
-        assert exit_info.value.code == 3
-        assert "planted failure" in capsys.readouterr().err
+        code, _, err = run_main(monkeypatch, capsys, "prove", seed_thy, "[2] l(x1,x2) = r(x2,x1)")
+        assert code == 3
+        assert "planted failure" in err

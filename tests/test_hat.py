@@ -12,10 +12,6 @@ from rigidlab.normalizer import (
     HAT_FOUND,
     HAT_NOT_FOUND,
     HAT_UNCERTAIN,
-    NO,
-    UNKNOWN,
-    YES,
-    OracleAnswer,
     OracleInconsistencyError,
     WordOracle,
     _split,
@@ -24,13 +20,15 @@ from rigidlab.normalizer import (
     is_special,
 )
 from rigidlab.reduction import (
+    WordOutcome,
     compile_reduction,
     goal_axiom_index,
     instance,
     seed_interpretation,
     seed_theory,
+    word_bfs,
 )
-from rigidlab.rewrite import EXHAUSTED, LR, Derivation, RewriteStep, apply_step
+from rigidlab.rewrite import BOUNDS, EXHAUSTED, FOUND, LR, Derivation, RewriteStep, apply_step
 from rigidlab.rigidity import enumerate_linear_regular
 from rigidlab.terms import (
     App,
@@ -61,11 +59,17 @@ def oracle_for(inst, depth=8):
     return WordOracle(inst, depth=depth)
 
 
+def outcome(status):
+    """A stub oracle's outcome with the given status, shaped as word_bfs's:
+    certified exactly when exhausted, and no derivation."""
+    return WordOutcome(status, None, status == EXHAUSTED, None, 0, {})
+
+
 class UnknownOracle:
-    """Answers unknown to every query."""
+    """Reads bounds on every query."""
 
     def equiv(self, w1, w2):
-        return OracleAnswer(UNKNOWN)
+        return outcome(BOUNDS)
 
 
 class TestSplitMarkedChain:
@@ -123,6 +127,16 @@ class TestIsSpecial:
         # The chain must spell a goal word exactly.
         tag = is_special(YES_INST, term("m(a(alpha(x1)),x2)", YES_TH, 2))
         assert not tag.special
+
+    @pytest.mark.parametrize(
+        "text",
+        ["m(a(b(alpha(x1))),alpha(x2))", "m(a(b(alpha(a(x1)))),x2)", "m(m(x1,x2),a(x3))"],
+    )
+    def test_pair_with_non_special_part_not_special(self, text):
+        # A marked pair over a non-special second argument or below its
+        # chain, and a plain pair over a non-special argument.
+        tag = is_special(YES_INST, term(text, YES_TH, 3))
+        assert not tag.special and tag.preimage is None
 
     def test_preimage_reconstructs(self):
         i = seed_interpretation(NO_INST)
@@ -184,7 +198,7 @@ class TestHatExamples:
         assert len(out.decisions) == 1
         d = out.decisions[0]
         assert d["clause"] == "u"
-        assert d["queries"][0]["answer"] == YES
+        assert d["queries"][0]["answer"] == "yes"
         assert d["queries"][0]["derivation"] is not None
 
     def test_doc_shape(self):
@@ -297,12 +311,27 @@ class TestHatOracleBranches:
         class LyingOracle:
             def equiv(self, w1, w2):
                 if frozenset((w1, w2)) == frozenset({("a",), ("a", "b")}):
-                    return OracleAnswer(NO)
-                return OracleAnswer(YES)
+                    return outcome(EXHAUSTED)
+                return outcome(FOUND)
 
         t = TermInContext(parse_term("m(a(b(alpha(x1))),x2)", NO_TH.symbols_by_name()), 2)
         with pytest.raises(OracleInconsistencyError):
             hat(NO_INST, t, LyingOracle())
+
+    def test_query_answers_name_the_statuses(self):
+        # u ~ w is refuted and v ~ w proved, but u ~ v is undecided: the
+        # three queries' documents read the three answers.
+        statuses = {(("a",), ("a", "b")): EXHAUSTED, (("b",), ("a", "b")): FOUND, (("a",), ("b",)): BOUNDS}
+
+        class StatusOracle:
+            def equiv(self, w1, w2):
+                return outcome(statuses[(w1, w2)])
+
+        t = term("m(a(b(alpha(x1))),x2)", NO_TH, 2)
+        out = hat(NO_INST, t, StatusOracle())
+        assert [q["answer"] for q in out.decisions[0]["queries"]] == ["no", "yes", "unknown"]
+        assert out.decisions[0]["clause"] == "pair"
+        assert out.warnings == ("goal words match chain 'ab' but their own equivalence is undecided",)
 
 
 class TestHatRejectsForeignSymbols:
@@ -326,17 +355,17 @@ class TestHatRejectsForeignSymbols:
 class TestWordOracle:
     def test_yes_carries_derivation(self):
         ans = oracle_for(YES_INST).equiv(("a", "b"), ("b", "a"))
-        assert ans.is_yes
+        assert ans.found
         assert ans.derivation is not None and len(ans.derivation.steps) == 1
 
     def test_certified_no(self):
         ans = oracle_for(NO_INST).equiv(("a",), ("b",))
-        assert ans.is_no
+        assert ans.status == EXHAUSTED and ans.certified
 
     def test_unknown_when_classes_blow_up(self):
         inst = instance(["a"], [("a", "aa")], ("a", "a"))
         ans = WordOracle(inst, depth=2).equiv(("a",), ("a", "a", "a", "a", "a"))
-        assert ans.status == UNKNOWN
+        assert ans.status == BOUNDS and not ans.certified
 
     def test_memoized_in_asked_order_only(self):
         # A repeat of the asked pair is a memo hit; the reversed pair is a
@@ -348,13 +377,16 @@ class TestWordOracle:
         assert oracle.searches == 1
         flipped = oracle.equiv(("b", "a"), ("a", "b"))
         assert oracle.searches == 2
-        assert flipped.is_yes
+        assert flipped.found
         assert flipped.derivation.start == ("b", "a")
 
     def test_answer_docs(self):
+        # The oracle answers with the string search's own outcome and
+        # document, derivation included.
         ans = oracle_for(YES_INST).equiv(("a", "b"), ("b", "a"))
+        assert ans == word_bfs(YES_INST, ("a", "b"), ("b", "a"), depth=8)
         doc = ans.to_doc()
-        assert doc["answer"] == YES and doc["derivation"] is not None
+        assert doc["status"] == FOUND and doc["derivation"] is not None
 
 
 class TestCheckHatCongruence:
@@ -410,11 +442,11 @@ class TestCheckHatCongruence:
         # The oracle spells ab as the goal word a and ba as b, so the hats
         # of one relation step are m(a(alpha(x1)),x2) and
         # m(b(alpha(x1)),x2), which no proof joins on the no-instance.
-        answers = {(("a",), ("a", "b")): YES, (("b",), ("b", "a")): YES}
+        answers = {(("a",), ("a", "b")): FOUND, (("b",), ("b", "a")): FOUND}
 
         class SplittingOracle:
             def equiv(self, w1, w2):
-                return OracleAnswer(answers.get((w1, w2), NO))
+                return outcome(answers.get((w1, w2), EXHAUSTED))
 
         start = term("m(a(b(alpha(x1))),x2)", NO_TH, 2)
         step = RewriteStep(0, LR, (0,), (term("alpha(x1)", NO_TH, 2),))

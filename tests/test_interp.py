@@ -88,6 +88,11 @@ class TestConstruction:
                 {"l": bad, "r": bad, "m": I_YES.image_of("m")},
             )
 
+    def test_unknown_symbol_rejected(self):
+        mapping = {**dict(I_YES.assignment), "k": I_YES.image_of("m")}
+        with pytest.raises(ValueError, match="assignment names unknown symbols: k"):
+            Interpretation.of(SEED, TARGET, mapping)
+
     def test_image_context_is_arity(self):
         short = parse("m(x1,x1)", TARGET, 1)
         with pytest.raises(ValueError):
@@ -466,6 +471,11 @@ class TestConcreteSyntax:
         with pytest.raises(ParseError, match=message) as e:
             parse_interpretation(ITP_TEXT + line + "\n", base_dir=itp_dir)
         assert e.value.line == 6
+
+    def test_image_beyond_arity_names_its_line(self, itp_dir):
+        text = ITP_TEXT.replace("map m = m(x1,x2)", "map m = m(x1,x3)")
+        with pytest.raises(ParseError, match="^5:1: term uses variables beyond its context of length 2"):
+            parse_interpretation(text, base_dir=itp_dir)
 
     def test_missing_source_line_without_override(self, itp_dir):
         with pytest.raises(ParseError, match="needs both a source and a target"):

@@ -69,6 +69,10 @@ class TestInstance:
         with pytest.raises(ValueError):
             instance(["a"], [], ("a", "c"))
 
+    def test_goal_must_be_a_pair(self):
+        with pytest.raises(ValueError, match="the goal is one pair of words"):
+            WordProblemInstance(("a",), (), (("a",),))
+
 
 class TestWordRewriting:
     def test_apply_at_offset(self):
@@ -83,6 +87,22 @@ class TestWordRewriting:
     def test_apply_offset_out_of_range(self):
         with pytest.raises(ValueError):
             word_apply(COMMUTES, ("a", "b"), WordStep(0, "LR", 1))
+
+    def test_apply_relation_index_out_of_range(self):
+        with pytest.raises(ValueError, match="relation index 1 out of range"):
+            word_apply(COMMUTES, ("a", "b"), WordStep(1, "LR", 0))
+
+    @pytest.mark.parametrize(
+        "relation_index, direction, offset, message",
+        [
+            (0, "up", 0, "direction must be"),
+            (0, "LR", -1, "must be non-negative"),
+            (-1, "RL", 0, "must be non-negative"),
+        ],
+    )
+    def test_malformed_step_rejected(self, relation_index, direction, offset, message):
+        with pytest.raises(ValueError, match=message):
+            WordStep(relation_index, direction, offset)
 
     def test_replay_and_reverse(self):
         step = WordStep(0, "LR", 0)
@@ -376,6 +396,17 @@ class TestConcreteSyntax:
     def test_alphabet_must_come_first(self):
         with pytest.raises(ParseError):
             parse_wp("rel ab = ba\nalphabet a b\ngoal ab = ba\n")
+
+    @pytest.mark.parametrize(
+        "alphabet, message",
+        [("a a", "duplicate generator 'a'"), ("a m", "generator name 'm' is reserved")],
+    )
+    def test_alphabet_fault_names_its_line(self, alphabet, message):
+        # The instance's own check finds these; the error still points at
+        # the alphabet line, after a comment and a blank line.
+        with pytest.raises(ParseError, match=f"^3:1: {message}") as e:
+            parse_wp(f"# demo\n\nalphabet {alphabet}\ngoal a = a\n")
+        assert (e.value.line, e.value.column) == (3, 1)
 
     def test_multichar_generator_rejected(self):
         with pytest.raises(ParseError):

@@ -293,6 +293,10 @@ class TestSubstituteTerms:
         with pytest.raises(ValueError):
             substitute_terms(t, [TermInContext(x(1), 1), TermInContext(x(2), 2)])
 
+    def test_explicit_context_must_agree(self):
+        with pytest.raises(ValueError, match="context_len disagrees"):
+            substitute_terms(TermInContext(x(1), 1), [TermInContext(x(1), 2)], context_len=3)
+
     def test_closed_term_needs_explicit_context(self):
         t = TermInContext(App(C, ()), 0)
         assert substitute_terms(t, [], context_len=2).context_len == 2
@@ -369,6 +373,18 @@ class TestConcreteSyntax:
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
             parse_term("x1 x2", SYMBOLS)
+
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ("g(,x1)", "expected a term, got ','", 3),
+            ("g(x1 x2)", "expected ',' or '\\)' in argument list", 6),
+        ],
+    )
+    def test_malformed_argument_list(self, text, message, column):
+        with pytest.raises(ParseError, match=message) as e:
+            parse_term(text, SYMBOLS)
+        assert e.value.column == column
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as e:
